@@ -36,6 +36,10 @@
 # family) must record gradient steps, and the Proteus scavenger must
 # record utility-class switches (its start-up overshoot always forces
 # at least one probe->yield->probe round trip).
+#
+# Last, the behaviour lock: scripts/check_digests.sh reruns every
+# registry experiment at a small scale and fails if any stdout digest
+# moved from scripts/exp_digests.txt.
 set -euo pipefail
 
 usage="usage: check_bench.sh BASELINE.json FRESH.json [MAX_REGRESSION] [MAX_REGRESSION_EACH]"
@@ -223,4 +227,9 @@ if jq -e '.controllers' "$fresh" >/dev/null 2>&1; then
   } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
 fi
 
-[ "$ok" = yes ] && [ -z "$slow" ] && [ "$shard_ok" = yes ] && [ "$ctrl_ok" = yes ]
+# --- Behaviour lock --------------------------------------------------
+digests_ok=yes
+"$(dirname "$0")/check_digests.sh" || digests_ok=no
+
+[ "$ok" = yes ] && [ -z "$slow" ] && [ "$shard_ok" = yes ] && [ "$ctrl_ok" = yes ] \
+  && [ "$digests_ok" = yes ]
