@@ -354,114 +354,6 @@ let sched_bench () =
   [ churn_small; churn; drain; mix; burst ]
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-execution bench (--shards 1,2,4): the clustered fan-in
-   scenario at each requested shard count on the conservative parallel
-   hub ({!Pcc_sim.Shard}), Parallel mode, reporting aggregate events/sec,
-   per-shard balance and barrier overhead, plus an in-process digest
-   identity check of every run against the 1-shard run. The digest gate
-   is unconditional; speedup is advisory (recorded with the host's core
-   count so CI can decide whether parallel wins were even possible). *)
-
-type shard_bench_record = {
-  h_shards : int;
-  h_wall : float;  (* hub wall seconds (stats clock) *)
-  h_events : int;
-  h_balance : float;  (* max/mean per-shard events, 1.0 = perfect *)
-  h_overhead : float;  (* 1 - sum busy / (domains * wall) *)
-  h_rounds : int;
-  h_messages : int;
-  h_identical : bool;  (* digest matches the 1-shard run *)
-}
-
-let shard_bench_flows = 2_000
-let shard_bench_clusters = 4
-let shard_bench_duration = 20.
-
-let shard_run_digest topo hub =
-  let open Pcc_scenario in
-  let b = Buffer.create 1024 in
-  Array.iteri
-    (fun i (f : Topology.built_flow) ->
-      Printf.bprintf b "f%d g=%d fct=%s\n" i (Topology.goodput_bytes f)
-        (match f.Topology.fct with
-        | Some v -> Printf.sprintf "%h" v
-        | None -> "-"))
-    (Topology.flows topo);
-  Printf.bprintf b "events=%d" (Pcc_sim.Shard.executed hub);
-  Buffer.contents b
-
-let shard_bench ~seed counts =
-  let open Pcc_sim in
-  Printf.printf
-    "\n== sharded execution (clustered fan-in: %d clusters, %d flows, %.0f \
-     simulated s) ==\n%!"
-    shard_bench_clusters shard_bench_flows shard_bench_duration;
-  let one shards =
-    let hub = Shard.create ~shards () in
-    let rng = Rng.create seed in
-    let topo =
-      Exp_manyflow.clustered_topology hub ~rng ~clusters:shard_bench_clusters
-        ~n:shard_bench_flows ~bandwidth:Exp_manyflow.default_bandwidth
-        ~rtt:Exp_manyflow.default_rtt
-    in
-    Gc.compact ();
-    let st =
-      Shard.run_stats ~mode:(Shard.Parallel shards) ~clock:now_s hub
-        ~until:shard_bench_duration
-    in
-    (st, shard_run_digest topo hub)
-  in
-  (* The identity reference is always the 1-shard run; when 1 is in the
-     requested list its record doubles as the reference. *)
-  let reference = ref None in
-  let ref_digest () =
-    match !reference with
-    | Some d -> d
-    | None ->
-      let _, d = one 1 in
-      reference := Some d;
-      d
-  in
-  let counts = List.sort_uniq compare counts in
-  List.map
-    (fun shards ->
-      let st, digest = one shards in
-      if shards = 1 && !reference = None then reference := Some digest;
-      let identical = String.equal digest (ref_digest ()) in
-      let per = st.Shard.per_shard_events in
-      let events = Array.fold_left ( + ) 0 per in
-      let mean = float_of_int events /. float_of_int (Array.length per) in
-      let worst = Array.fold_left max 0 per in
-      let balance = if events = 0 then 1. else float_of_int worst /. mean in
-      let busy = Array.fold_left ( +. ) 0. st.Shard.per_shard_busy_s in
-      let overhead =
-        if st.Shard.wall_s > 0. && st.Shard.domains_used > 0 then
-          1. -. (busy /. (float_of_int st.Shard.domains_used *. st.Shard.wall_s))
-        else 0.
-      in
-      Printf.printf
-        "%d shard%s  %8d events  %6.2fs wall (%5.2fM ev/s)  balance %.2f  \
-         barrier overhead %4.1f%%  %d rounds  %d msgs  identical %b\n%!"
-        shards
-        (if shards = 1 then " " else "s")
-        events st.Shard.wall_s
-        (if st.Shard.wall_s > 0. then
-           float_of_int events /. st.Shard.wall_s /. 1e6
-         else 0.)
-        balance (100. *. overhead) st.Shard.rounds st.Shard.messages identical;
-      {
-        h_shards = shards;
-        h_wall = st.Shard.wall_s;
-        h_events = events;
-        h_balance = balance;
-        h_overhead = overhead;
-        h_rounds = st.Shard.rounds;
-        h_messages = st.Shard.messages;
-        h_identical = identical;
-      })
-    counts
-
-(* ------------------------------------------------------------------ *)
 (* Controller-family bench (--controllers): every rate controller solo
    on the same 30 Mbps bottleneck for a fixed simulated window, with a
    trace collector installed to count the control plane's work —
@@ -591,7 +483,7 @@ let json_escape s =
   Buffer.contents buf
 
 let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
-    ?(sharding = []) ?(controllers = []) records =
+    ?(controllers = []) records =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -600,30 +492,6 @@ let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
   p "  \"seed\": %d,\n" seed;
   p "  \"jobs\": %d,\n" jobs;
   p "  \"total_wall_s\": %.6f,\n" total_wall;
-  if sharding <> [] then begin
-    p "  \"sharding\": {\n";
-    p "    \"cores\": %d,\n" (Domain.recommended_domain_count ());
-    p "    \"scenario\": \"clusters=%d flows=%d duration=%g\",\n"
-      shard_bench_clusters shard_bench_flows shard_bench_duration;
-    p "    \"runs\": [\n";
-    List.iteri
-      (fun i r ->
-        p "      {\n";
-        p "        \"shards\": %d,\n" r.h_shards;
-        p "        \"wall_s\": %.6f,\n" r.h_wall;
-        p "        \"events\": %d,\n" r.h_events;
-        p "        \"events_per_sec\": %.1f,\n"
-          (if r.h_wall > 0. then float_of_int r.h_events /. r.h_wall else 0.);
-        p "        \"balance\": %.3f,\n" r.h_balance;
-        p "        \"barrier_overhead\": %.4f,\n" r.h_overhead;
-        p "        \"rounds\": %d,\n" r.h_rounds;
-        p "        \"messages\": %d,\n" r.h_messages;
-        p "        \"identical\": %b\n" r.h_identical;
-        p "      }%s\n" (if i = List.length sharding - 1 then "" else ","))
-      sharding;
-    p "    ]\n";
-    p "  },\n"
-  end;
   if controllers <> [] then begin
     p "  \"controllers\": [\n";
     List.iteri
@@ -701,21 +569,29 @@ let () =
   let run_micro = ref false in
   let run_sched = ref false in
   let run_controllers = ref false in
-  let shard_counts = ref [] in
   let list_only = ref false in
+  (* A malformed number fails like a rejected one (see the Cli_validate
+     checks below): one line on stderr and exit code 2. *)
+  let number flag parse_opt what v =
+    match parse_opt v with
+    | Some n -> n
+    | None ->
+      Printf.eprintf "bench: error: %s expects %s (got %S)\n" flag what v;
+      exit 2
+  in
   let rec parse = function
     | [] -> ()
     | "--scale" :: v :: rest ->
-      scale := float_of_string v;
+      scale := number "--scale" float_of_string_opt "a number" v;
       parse rest
     | "--seed" :: v :: rest ->
-      seed := int_of_string v;
+      seed := number "--seed" int_of_string_opt "an integer" v;
       parse rest
     | "--only" :: v :: rest ->
       only := String.split_on_char ',' v;
       parse rest
     | "--jobs" :: v :: rest ->
-      jobs := int_of_string v;
+      jobs := number "--jobs" int_of_string_opt "an integer" v;
       parse rest
     | "--out" :: v :: rest ->
       out := v;
@@ -732,17 +608,6 @@ let () =
     | "--controllers" :: rest ->
       run_controllers := true;
       parse rest
-    | "--shards" :: v :: rest ->
-      (match
-         List.map int_of_string_opt (String.split_on_char ',' v)
-       with
-      | counts when List.for_all (function Some n -> n >= 1 | None -> false) counts
-        -> shard_counts := List.filter_map Fun.id counts
-      | _ ->
-        Printf.eprintf "--shards wants a comma-separated list of counts >= 1 \
-                        (e.g. 1,2,4), got %s\n" v;
-        exit 2);
-      parse rest
     | "--list" :: rest ->
       list_only := true;
       parse rest
@@ -751,7 +616,7 @@ let () =
         "unknown argument %s\n\
          usage: main.exe [--scale S] [--seed N] [--only a,b|none] [--jobs N] \
          [--out FILE] [--trace DIR] [--micro] [--sched] [--controllers] \
-         [--shards 1,2,4] [--list]\n"
+         [--list]\n"
         arg;
       exit 2
   in
@@ -897,23 +762,10 @@ let () =
     let controllers =
       if !run_controllers then controller_bench ~seed:!seed else []
     in
-    let sharding =
-      if !shard_counts = [] then []
-      else shard_bench ~seed:!seed !shard_counts
-    in
-    (* A sharded run whose digest diverges from the 1-shard run is a
-       determinism violation, same as a parallel-vs-sequential
-       experiment mismatch. *)
-    List.iter
-      (fun r ->
-        if not r.h_identical then
-          mismatches := Printf.sprintf "sharding(shards=%d)" r.h_shards
-                        :: !mismatches)
-      sharding;
     let total_wall = now_s () -. t_start in
     (match pool with Some p -> Runner.shutdown p | None -> ());
     write_bench_json ~path:!out ~scale:!scale ~seed:!seed ~jobs:!jobs
-      ~total_wall ~scheduler ~sharding ~controllers records;
+      ~total_wall ~scheduler ~controllers records;
     Printf.printf "\n[bench results written to %s]\n%!" !out;
     (match (collector, !trace_dir) with
     | Some c, Some dir ->

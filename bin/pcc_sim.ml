@@ -197,39 +197,14 @@ let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
    builds; "parking" and "revpath" are shapes the flat builders cannot
    express (asymmetric chain, congested ack path); "fanin-large" is the
    many-flow scheduler stress scenario ([--flows] sized PCC transfers
-   over one bottleneck, reported in aggregate); "clusters" chains
-   [--shards] fan-in dumbbells with slow inter-cluster links — the
-   shape whose partition actually spreads over shards. With [hub] the
-   graph is built sharded ({!Topology.build_sharded}); [engine] is only
-   used monolithically. *)
-let topo_shape ~engine ~hub ~rng ~bandwidth ~rtt ~flows_n transports shape =
+   over one bottleneck, reported in aggregate). *)
+let topo_shape ~engine ~rng ~bandwidth ~rtt ~flows_n transports shape =
   let bdp = Units.bdp_bytes ~rate:bandwidth ~rtt in
-  let build ~links ~flows =
-    match hub with
-    | Some h -> Topology.build_sharded h ~rng ~links ~flows ()
-    | None -> Topology.build engine ~rng ~links ~flows ()
-  in
   match shape with
   | "fanin-large" ->
     Ok
-      (match hub with
-      | Some h ->
-        Pcc_experiments.Exp_manyflow.topology_sharded h ~rng ~n:flows_n
-          ~bandwidth ~rtt
-      | None ->
-        Pcc_experiments.Exp_manyflow.topology engine ~rng ~n:flows_n ~bandwidth
-          ~rtt)
-  | "clusters" -> (
-    match hub with
-    | None ->
-      Error "shape clusters needs a hub; pass --shards N (e.g. --shards 4)"
-    | Some h ->
-      (* A fixed cluster count: the graph must not depend on the shard
-         count, or cross-shard-count output comparisons would be
-         comparing different simulations. *)
-      Ok
-        (Pcc_experiments.Exp_manyflow.clustered_topology h ~rng ~clusters:4
-           ~n:flows_n ~bandwidth ~rtt))
+      (Pcc_experiments.Exp_manyflow.topology engine ~rng ~n:flows_n ~bandwidth
+         ~rtt)
   | "dumbbell" ->
     let links =
       [
@@ -238,7 +213,7 @@ let topo_shape ~engine ~hub ~rng ~bandwidth ~rtt ~flows_n transports shape =
       ]
     in
     let flows = List.map (fun t -> Topology.flow ~route:[ 0; 1 ] t) transports in
-    Ok (build ~links ~flows)
+    Ok (Topology.build engine ~rng ~links ~flows ())
   | "parking" ->
     (* Asymmetric 3-hop parking lot: the middle hop is the narrowest. The
        first transport runs end to end; the rest take one-hop routes,
@@ -268,7 +243,7 @@ let topo_shape ~engine ~hub ~rng ~bandwidth ~rtt ~flows_n transports shape =
           end)
         transports
     in
-    Ok (build ~links ~flows)
+    Ok (Topology.build engine ~rng ~links ~flows ())
   | "revpath" ->
     (* Congested reverse path: acks share a link 100x narrower than the
        data direction, with a shallow buffer. *)
@@ -286,53 +261,16 @@ let topo_shape ~engine ~hub ~rng ~bandwidth ~rtt ~flows_n transports shape =
         (fun t -> Topology.flow ~route:[ 0; 1 ] ~rev_route:[ 1; 0 ] t)
         transports
     in
-    Ok (build ~links ~flows)
+    Ok (Topology.build engine ~rng ~links ~flows ())
   | other ->
     Error
       (Printf.sprintf
-         "unknown shape %s (dumbbell, parking, revpath, fanin-large, clusters)"
-         other)
+         "unknown shape %s (dumbbell, parking, revpath, fanin-large)" other)
 
 (* Per-flow columns are unreadable past a handful of flows, so large
-   populations (fanin-large, clusters) report aggregates per interval
-   instead: completions, goodput, and the live event-queue depth. Event
-   totals are hub-wide when the topology is sharded. *)
-let topo_executed topo =
-  match Topology.hub topo with
-  | Some h -> Shard.executed h
-  | None -> Engine.executed (Topology.engine topo)
-
-let topo_pending topo =
-  match Topology.hub topo with
-  | Some h -> Shard.pending h
-  | None -> Engine.pending (Topology.engine topo)
-
-(* Sharded runs buffer their whole report and print it only on success,
-   so a degradation-ladder retry can discard a half-written table and
-   the final stdout stays byte-identical to a clean run; monolithic
-   runs stream as before. [echo] is that sink, and [kout] its printf. *)
-let kout echo fmt = Printf.ksprintf echo fmt
-
-(* After a sharded run, one line of per-shard balance. The reporting
-   loops drive [Topology.run] in interval slices and [Shard.last_stats]
-   covers only the final slice, so the line reads the hub's lifetime
-   counters and each engine's cumulative executed count instead. *)
-let report_shard_balance ~echo topo =
-  match Topology.hub topo with
-  | None -> ()
-  | Some h ->
-    let per = Array.map Engine.executed (Shard.engines h) in
-    let total = Array.fold_left ( + ) 0 per in
-    let mean = float_of_int total /. float_of_int (Array.length per) in
-    let worst = Array.fold_left max 0 per in
-    kout echo
-      "shards: %d; %d barrier rounds, %d boundary messages; per-shard events \
-       [%s], balance %.2f (max/mean)\n"
-      (Array.length per) (Shard.total_rounds h) (Shard.total_messages h)
-      (String.concat "; " (Array.to_list (Array.map string_of_int per)))
-      (if total = 0 then 1. else float_of_int worst /. mean)
-
-let topo_report_aggregate ~echo ~mode ~clock ~duration ~interval topo =
+   populations (fanin-large) report aggregates per interval instead:
+   completions, goodput, and the live event-queue depth. *)
+let topo_report_aggregate ~engine ~duration ~interval topo =
   let flows = Topology.flows topo in
   let n = Array.length flows in
   let total_bytes () =
@@ -344,114 +282,28 @@ let topo_report_aggregate ~echo ~mode ~clock ~duration ~interval topo =
         if f.Topology.fct <> None then a + 1 else a)
       0 flows
   in
-  kout echo "\n%8s %10s %12s %14s %12s\n" "time" "completed" "agg Mbps"
+  Printf.printf "\n%8s %10s %12s %14s %12s\n" "time" "completed" "agg Mbps"
     "total events" "pending";
   let last = ref 0 in
   let steps = int_of_float (duration /. interval) in
   for i = 1 to steps do
-    Topology.run ~mode ?clock topo ~until:(float_of_int i *. interval);
+    Engine.run ~until:(float_of_int i *. interval) engine;
     let b = total_bytes () in
-    kout echo "%7.1fs %6d/%-4d %12.2f %14d %12d\n"
+    Printf.printf "%7.1fs %6d/%-4d %12.2f %14d %12d\n%!"
       (float_of_int i *. interval)
       (completed ()) n
       (float_of_int ((b - !last) * 8) /. interval /. 1e6)
-      (topo_executed topo) (topo_pending topo);
+      (Engine.executed engine) (Engine.pending engine);
     last := b
   done;
-  kout echo "\n%d/%d flows completed; %.1f MB delivered; %d events executed\n"
+  Printf.printf
+    "\n%d/%d flows completed; %.1f MB delivered; %d events executed\n"
     (completed ()) n
     (float_of_int (total_bytes ()) /. 1e6)
-    (topo_executed topo);
-  report_shard_balance ~echo topo
-
-let topo_report_perflow ~echo ~mode ~clock ~duration ~interval topo =
-  let flows = Topology.flows topo in
-  kout echo "\n%8s" "time";
-  Array.iter
-    (fun (f : Topology.built_flow) ->
-      kout echo " %14s" f.Topology.def.Topology.label)
-    flows;
-  kout echo "\n";
-  let last = Array.make (Array.length flows) 0 in
-  let steps = int_of_float (duration /. interval) in
-  for i = 1 to steps do
-    Topology.run ~mode ?clock topo ~until:(float_of_int i *. interval);
-    kout echo "%7.1fs" (float_of_int i *. interval);
-    Array.iteri
-      (fun j f ->
-        let b = Topology.goodput_bytes f in
-        kout echo " %9.2f Mbps"
-          (float_of_int ((b - last.(j)) * 8) /. interval /. 1e6);
-        last.(j) <- b)
-      flows;
-    kout echo "\n"
-  done;
-  kout echo "\naverages over the full run:\n";
-  Array.iteri
-    (fun j (f : Topology.built_flow) ->
-      let min_cap =
-        List.fold_left
-          (fun acc id ->
-            Float.min acc (Pcc_net.Link.bandwidth (Topology.link_at topo id)))
-          infinity
-          (Topology.route_links topo ~flow:j)
-      in
-      kout echo "  %-14s %8.2f Mbps (route cap %.1f Mbps, srtt %.1f ms)\n"
-        f.Topology.def.Topology.label
-        (float_of_int (Topology.goodput_bytes f * 8) /. duration /. 1e6)
-        (min_cap /. 1e6)
-        (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
-    flows;
-  report_shard_balance ~echo topo
-
-(* Build-independent drive-and-report: the same bytes whether [echo]
-   streams to stdout (monolithic) or fills a buffer (sharded). *)
-let topo_drive ~echo ~mode ~clock ~describe ~check_invariants ~duration
-    ~interval topo =
-  if Array.length (Topology.flows topo) > 16 then begin
-    kout echo "%d nodes, %d links, %d flows\n" (Topology.num_nodes topo)
-      (Topology.num_links topo)
-      (Array.length (Topology.flows topo));
-    if not describe then begin
-      if check_invariants then ignore (Invariant.attach_topology topo);
-      topo_report_aggregate ~echo ~mode ~clock ~duration ~interval topo
-    end
-  end
-  else begin
-    echo (Topology.describe topo);
-    if not describe then begin
-      if check_invariants then ignore (Invariant.attach_topology topo);
-      topo_report_perflow ~echo ~mode ~clock ~duration ~interval topo
-    end
-  end
-
-(* The exact single-shard command a forensics bundle names: same
-   scenario parameters, sequential 1-shard hub, no chaos. Display names
-   that don't round-trip through [Transport.of_name] (the default
-   "pcc/safe") are omitted — the sharded shapes generate their own flow
-   population and never read [--transport]. *)
-let topo_repro ~transports ~shape ~flows_n ~bw_mbps ~rtt_ms ~duration ~seed =
-  String.concat " "
-    ([ "pcc_sim"; "topo"; "--shape"; shape ]
-    @ List.concat_map
-        (fun t ->
-          let n = Transport.name t in
-          match Transport.of_name n with
-          | Ok _ -> [ "-t"; n ]
-          | Error _ -> [])
-        transports
-    @ [
-        Printf.sprintf "--flows %d" flows_n;
-        Printf.sprintf "--bw %g" bw_mbps;
-        Printf.sprintf "--rtt %g" rtt_ms;
-        Printf.sprintf "--duration %g" duration;
-        Printf.sprintf "--seed %d" seed;
-        "--shards 1";
-      ])
+    (Engine.executed engine)
 
 let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
-    describe check_invariants shards domains no_fallback shard_chaos
-    forensics_dir =
+    describe check_invariants =
   Pcc_experiments.Cli_validate.(
     guarded
       [
@@ -460,155 +312,71 @@ let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
         positive_f "--duration" duration;
         positive_f "--interval" interval;
         positive_i "--flows" flows_n;
-        non_negative_i "--shards" shards;
-        non_negative_i "--domains" domains;
-        (if check_invariants && shards > 0 then
-           Error
-             "error: --check-invariants is incompatible with --shards (the \
-              checker's sweeps are engine events on one engine; sharded runs \
-              are validated by the fuzz differential and the determinism CI \
-              job instead)"
-         else Ok ());
-        (if domains > 1 && shards = 0 && shape <> "clusters" then
-           Error "error: --domains drives the sharded hub; pass --shards N"
-         else Ok ());
       ])
   @@ fun () ->
-  match
-    match shard_chaos with
-    | None -> Ok ()
-    | Some spec -> (
-      try Ok (Shard.set_default_chaos (Shard.chaos_of_string spec))
-      with Invalid_argument m -> Error m)
-  with
-  | Error m -> `Error (false, "error: " ^ m)
-  | Ok () -> (
-    if no_fallback then Degrade.set_fallback false;
-    let bandwidth = Units.mbps bw_mbps in
-    let rtt = rtt_ms /. 1000. in
-    (* --shards 0 (the default) builds the classic monolithic topology;
-       "clusters" is inherently sharded, so give it a 1-shard hub rather
-       than reject it. *)
-    if shards = 0 && shape <> "clusters" then begin
-      let engine = Engine.create () in
-      let rng = Rng.create seed in
-      match
-        topo_shape ~engine ~hub:None ~rng ~bandwidth ~rtt ~flows_n transports
-          shape
-      with
-      | exception Invalid_argument msg -> `Error (false, "error: " ^ msg)
-      | Error msg -> `Error (false, msg)
-      | Ok topo ->
-        let echo s =
-          print_string s;
-          flush stdout
-        in
-        topo_drive ~echo ~mode:Shard.Sequential ~clock:None ~describe
-          ~check_invariants ~duration ~interval topo;
-        `Ok ()
-    end
+  let bandwidth = Units.mbps bw_mbps in
+  let rtt = rtt_ms /. 1000. in
+  let engine = Engine.create () in
+  let rng = Rng.create seed in
+  match topo_shape ~engine ~rng ~bandwidth ~rtt ~flows_n transports shape with
+  | exception Invalid_argument msg -> `Error (false, "error: " ^ msg)
+  | Error msg -> `Error (false, msg)
+  | Ok topo when Array.length (Topology.flows topo) > 16 ->
+    Printf.printf "%d nodes, %d links, %d flows\n" (Topology.num_nodes topo)
+      (Topology.num_links topo)
+      (Array.length (Topology.flows topo));
+    if describe then `Ok ()
     else begin
-      (* Sharded: each degradation-ladder rung rebuilds the whole
-         simulation from the seed on a fresh hub and reports into a
-         buffer, printed only when a rung completes — the byte-identical
-         contract then makes a degraded run's stdout indistinguishable
-         from a clean one's. *)
-      Printexc.record_backtrace true;
-      let shards_n = max 1 shards in
-      let current =
-        ref { Degrade.shards = shards_n; domains = max 1 domains }
-      in
-      let attempt (a : Degrade.attempt) =
-        current := a;
-        let buf = Buffer.create 4096 in
-        let echo = Buffer.add_string buf in
-        let engine = Engine.create () in
-        let hub = Shard.create ~shards:a.Degrade.shards () in
-        let mode, clock =
-          if a.Degrade.domains > 1 then begin
-            Shard.configure ~wedge_grace:2.0 ~sleep:Unix.sleepf hub;
-            (Shard.Parallel a.Degrade.domains, Some Unix.gettimeofday)
-          end
-          else (Shard.Sequential, None)
-        in
-        let rng = Rng.create seed in
-        match
-          topo_shape ~engine ~hub:(Some hub) ~rng ~bandwidth ~rtt ~flows_n
-            transports shape
-        with
-        | Error msg -> Error msg
-        | Ok topo ->
-          topo_drive ~echo ~mode ~clock ~describe ~check_invariants ~duration
-            ~interval topo;
-          Ok (Buffer.contents buf)
-      in
-      let steps_taken = ref [] in
-      let report (s : Degrade.step) =
-        steps_taken := s :: !steps_taken;
-        Printf.eprintf
-          "pcc_sim: topo: shard %d %s at barrier round %d on the %d-shard / \
-           %d-domain rung (%s); retrying narrower (%.2fs lost)\n%!"
-          s.Degrade.shard
-          (if s.Degrade.wedged then "wedged" else "crashed")
-          s.Degrade.round s.Degrade.attempt.Degrade.shards
-          s.Degrade.attempt.Degrade.domains s.Degrade.exn_text
-          s.Degrade.wall_s
-      in
-      let plan = Degrade.plan ~domains:(max 1 domains) ~shards:shards_n () in
-      match Degrade.run ~clock:Unix.gettimeofday ~report ~plan attempt with
-      | exception Invalid_argument msg -> `Error (false, "error: " ^ msg)
-      | exception Shard.Lane_failure { shard; round; wedged; origin; backtrace }
-        ->
-        let ladder =
-          List.rev_map
-            (fun (s : Degrade.step) ->
-              Printf.sprintf
-                "%d shard(s) / %d domain(s): shard %d %s at barrier round %d: \
-                 %s"
-                s.Degrade.attempt.Degrade.shards
-                s.Degrade.attempt.Degrade.domains s.Degrade.shard
-                (if s.Degrade.wedged then "wedged" else "crashed")
-                s.Degrade.round s.Degrade.exn_text)
-            !steps_taken
-        in
-        let bundle =
-          Pcc_experiments.Forensics.write_shard_bundle ~dir:forensics_dir
-            {
-              Pcc_experiments.Forensics.label = "topo-" ^ shape;
-              seed = Some seed;
-              repro =
-                Some
-                  (topo_repro ~transports ~shape ~flows_n ~bw_mbps ~rtt_ms
-                     ~duration ~seed);
-              shards = !current.Degrade.shards;
-              domains = !current.Degrade.domains;
-              shard;
-              round;
-              wedged;
-              exn_text = Printexc.to_string origin;
-              backtrace;
-              ladder;
-            }
-        in
-        Option.iter
-          (fun d ->
-            Printf.eprintf "pcc_sim: topo: forensics bundle in %s/\n%!" d)
-          bundle;
-        `Error
-          ( false,
-            Printf.sprintf "error: shard %d %s at barrier round %d: %s" shard
-              (if wedged then "wedged" else "crashed")
-              round (Printexc.to_string origin) )
-      | { Degrade.value = Error msg; _ } -> `Error (false, msg)
-      | { Degrade.value = Ok out; steps; attempt = a } ->
-        if steps <> [] then
-          Printf.eprintf
-            "pcc_sim: topo: degradation ladder settled at %d shard(s) / %d \
-             domain(s) after %d failed rung(s)\n%!"
-            a.Degrade.shards a.Degrade.domains (List.length steps);
-        print_string out;
-        `Ok ()
-    end)
+      if check_invariants then ignore (Invariant.attach_topology topo);
+      topo_report_aggregate ~engine ~duration ~interval topo;
+      `Ok ()
+    end
+  | Ok topo ->
+    print_string (Topology.describe topo);
+    if describe then `Ok ()
+    else begin
+      if check_invariants then ignore (Invariant.attach_topology topo);
+      let flows = Topology.flows topo in
+      Printf.printf "\n%8s" "time";
+      Array.iter
+        (fun (f : Topology.built_flow) ->
+          Printf.printf " %14s" f.Topology.def.Topology.label)
+        flows;
+      Printf.printf "\n";
+      let last = Array.make (Array.length flows) 0 in
+      let steps = int_of_float (duration /. interval) in
+      for i = 1 to steps do
+        Engine.run ~until:(float_of_int i *. interval) engine;
+        Printf.printf "%7.1fs" (float_of_int i *. interval);
+        Array.iteri
+          (fun j f ->
+            let b = Topology.goodput_bytes f in
+            Printf.printf " %9.2f Mbps"
+              (float_of_int ((b - last.(j)) * 8) /. interval /. 1e6);
+            last.(j) <- b)
+          flows;
+        Printf.printf "\n%!"
+      done;
+      Printf.printf "\naverages over the full run:\n";
+      Array.iteri
+        (fun j (f : Topology.built_flow) ->
+          let min_cap =
+            List.fold_left
+              (fun acc id ->
+                Float.min acc
+                  (Pcc_net.Link.bandwidth (Topology.link_at topo id)))
+              infinity
+              (Topology.route_links topo ~flow:j)
+          in
+          Printf.printf
+            "  %-14s %8.2f Mbps (route cap %.1f Mbps, srtt %.1f ms)\n"
+            f.Topology.def.Topology.label
+            (float_of_int (Topology.goodput_bytes f * 8) /. duration /. 1e6)
+            (min_cap /. 1e6)
+            (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
+        flows;
+      `Ok ()
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Tracing *)
@@ -680,8 +448,8 @@ let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
       let engine = Engine.create () in
       let rng = Rng.create seed in
       match
-        topo_shape ~engine ~hub:None ~rng ~bandwidth ~rtt ~flows_n:1000
-          transports shape
+        topo_shape ~engine ~rng ~bandwidth ~rtt ~flows_n:1000 transports
+          shape
       with
       | Error msg ->
         Pcc_trace.Collector.uninstall ();
@@ -770,8 +538,7 @@ let selftest_entry : Pcc_experiments.Exp_registry.entry =
   }
 
 let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
-    max_events retries backoff forensics forensic_trace checkpoint resume
-    no_fallback shard_chaos =
+    max_events retries backoff forensics forensic_trace checkpoint resume =
   let open Pcc_experiments in
   if list_exps then begin
     List.iter
@@ -792,16 +559,6 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
           non_negative_f "--backoff" backoff;
         ])
     @@ fun () ->
-    match
-      match shard_chaos with
-      | None -> Ok ()
-      | Some spec -> (
-        try Ok (Shard.set_default_chaos (Shard.chaos_of_string spec))
-        with Invalid_argument m -> Error m)
-    with
-    | Error m -> `Error (false, "error: " ^ m)
-    | Ok () ->
-    if no_fallback then Degrade.set_fallback false;
     (* Tracing records into domain-local state, so a traced run must stay
        in this domain: force the fan-out to be sequential. *)
     let jobs =
@@ -961,27 +718,11 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
         | [] -> `Ok ()
         | failures ->
           let shown = List.filteri (fun i _ -> i < 6) failures in
-          (* A shard-lane failure names its shard and barrier round in
-             the one-line summary instead of a bare "crashed". *)
-          let lane_prefix = "Shard.Lane_failure: " in
           let names =
             List.map
               (fun (o : Supervisor.outcome) ->
-                let status_text =
-                  match o.Supervisor.status with
-                  | Supervisor.Crashed { Supervisor.exn_text; _ }
-                    when String.starts_with ~prefix:lane_prefix exn_text -> (
-                    let rest =
-                      String.sub exn_text
-                        (String.length lane_prefix)
-                        (String.length exn_text - String.length lane_prefix)
-                    in
-                    match String.index_opt rest ':' with
-                    | Some i -> String.sub rest 0 i
-                    | None -> rest)
-                  | s -> Supervisor.status_name s
-                in
-                Printf.sprintf "%s (%s)" o.Supervisor.label status_text)
+                Printf.sprintf "%s (%s)" o.Supervisor.label
+                  (Supervisor.status_name o.Supervisor.status))
               shown
           in
           let suffix =
@@ -997,16 +738,13 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
 (* ------------------------------------------------------------------ *)
 (* Scenario fuzzing *)
 
-let fuzz_cmd runs seed corpus deep_every shard_every chaos_every shards
-    shrink_budget transports replay replay_dir =
+let fuzz_cmd runs seed corpus deep_every shrink_budget transports replay
+    replay_dir =
   Pcc_experiments.Cli_validate.(
     guarded
       [
         non_negative_i "--runs" runs;
         non_negative_i "--deep-every" deep_every;
-        non_negative_i "--shard-every" shard_every;
-        non_negative_i "--chaos-every" chaos_every;
-        at_least "--shards" 2 shards;
         non_negative_i "--shrink-budget" shrink_budget;
       ])
   @@ fun () ->
@@ -1044,7 +782,7 @@ let fuzz_cmd runs seed corpus deep_every shard_every chaos_every shards
     let synth = Option.value synth_opt ~default:(fun _ -> None) in
     match (replay, replay_dir) with
     | Some path, _ -> (
-      match Pcc_fuzz.Driver.replay ~synth ~shards path with
+      match Pcc_fuzz.Driver.replay ~synth path with
       | Ok () ->
         Printf.printf "replay %s: all oracles pass\n" path;
         `Ok ()
@@ -1058,9 +796,7 @@ let fuzz_cmd runs seed corpus deep_every shard_every chaos_every shards
         `Error (false, "error: corrupt repro: " ^ m)
       | exception Sys_error m -> `Error (false, "error: " ^ m))
     | None, Some dir -> (
-      match
-        Pcc_fuzz.Driver.replay_dir ~synth ~shards ~log:print_endline dir
-      with
+      match Pcc_fuzz.Driver.replay_dir ~synth ~log:print_endline dir with
       | [] ->
         Printf.printf "corpus %s: all repros pass\n" dir;
         `Ok ()
@@ -1075,9 +811,8 @@ let fuzz_cmd runs seed corpus deep_every shard_every chaos_every shards
       | exception Sys_error m -> `Error (false, "error: " ^ m))
     | None, None -> (
       let summary =
-        Pcc_fuzz.Driver.fuzz ~synth ~deep_every ~shard_every ~chaos_every
-          ~shards ~shrink_budget ?corpus_dir:corpus ?menu ~log:print_endline
-          ~runs ~seed ()
+        Pcc_fuzz.Driver.fuzz ~synth ~deep_every ~shrink_budget
+          ?corpus_dir:corpus ?menu ~log:print_endline ~runs ~seed ()
       in
       match summary.Pcc_fuzz.Driver.failed with
       | [] -> `Ok ()
@@ -1193,10 +928,8 @@ let topo_term =
           ~doc:
             "Topology shape: $(b,dumbbell) (one bottleneck), $(b,parking) \
              (asymmetric 3-hop chain), $(b,revpath) (ack path 100x narrower \
-             than the data path), $(b,fanin-large) ($(b,--flows) sized PCC \
-             transfers over one bottleneck, reported in aggregate), or \
-             $(b,clusters) (chained fan-in dumbbells that spread over \
-             $(b,--shards)).")
+             than the data path), or $(b,fanin-large) ($(b,--flows) sized \
+             PCC transfers over one bottleneck, reported in aggregate).")
   in
   let flows_arg =
     Arg.(
@@ -1212,67 +945,11 @@ let topo_term =
       & info [ "describe" ]
           ~doc:"Print the built graph (nodes, links, routes) and exit.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the topology over $(docv) shards and drive it through \
-             the conservative parallel hub. Output is byte-identical to the \
-             monolithic run for every $(docv); 0 (the default) builds the \
-             classic single-engine topology. Incompatible with \
-             $(b,--check-invariants).")
-  in
-  let domains_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Fan the hub's windows out over up to $(docv) worker domains \
-             (clamped to the shard count), with the out-of-band wedge \
-             watchdog armed. 0 or 1 (the default) executes windows \
-             sequentially. Output stays byte-identical at every value.")
-  in
-  let no_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fallback" ]
-          ~doc:
-            "Disable the degradation ladder: the first shard-lane failure \
-             exits nonzero immediately (after writing its forensics bundle) \
-             instead of transparently retrying the run at half the width.")
-  in
-  let shard_chaos_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard-chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Deterministic fault injection into the sharded runtime: \
-             comma-separated $(b,crash=SHARD:ROUND) and/or \
-             $(b,wedge=SHARD:ROUND) fire in that shard's window at that \
-             lifetime barrier round. Equivalent to \
-             $(b,PCC_TEST_SHARD_CRASH) / $(b,PCC_TEST_SHARD_WEDGE); the \
-             flag wins over the environment. Chaos never fires on a 1-shard \
-             hub, so the ladder's final rung always runs clean.")
-  in
-  let topo_forensics_arg =
-    Arg.(
-      value & opt string "forensics"
-      & info [ "forensics" ] ~docv:"DIR"
-          ~doc:
-            "Directory for the crash-forensics bundle written when a sharded \
-             run fails its last ladder rung (or its first, under \
-             $(b,--no-fallback)): exception, backtrace, seed, shard, barrier \
-             round, the degradation steps taken, and the exact single-shard \
-             repro command.")
-  in
   Term.(
     ret
       (const topo_cmd $ transports_arg $ shape_arg $ flows_arg $ bw_arg
      $ rtt_arg $ duration_arg $ seed_arg $ interval_arg $ describe_arg
-     $ check_invariants_arg $ shards_arg $ domains_arg $ no_fallback_arg
-     $ shard_chaos_arg $ topo_forensics_arg))
+     $ check_invariants_arg))
 
 let game_term =
   let senders =
@@ -1401,33 +1078,12 @@ let exp_term =
              checkpointing continues into the same file. Requires the same \
              --seed, --scale and experiment selection.")
   in
-  let no_fallback_arg =
-    Arg.(
-      value & flag
-      & info [ "no-fallback" ]
-          ~doc:
-            "Disable the shard degradation ladder: a sharded experiment's \
-             first lane failure fails the task (named in the exit summary \
-             with its shard and barrier round) instead of transparently \
-             retrying at half the width.")
-  in
-  let shard_chaos_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "shard-chaos" ] ~docv:"SPEC"
-          ~doc:
-            "Deterministic fault injection into sharded experiments: \
-             comma-separated $(b,crash=SHARD:ROUND) and/or \
-             $(b,wedge=SHARD:ROUND), as in $(b,pcc_sim topo). Equivalent to \
-             $(b,PCC_TEST_SHARD_CRASH) / $(b,PCC_TEST_SHARD_WEDGE).")
-  in
   Term.(
     ret
       (const exp_cmd $ names_arg $ scale_arg $ seed_arg $ jobs_arg $ dump_arg
      $ trace_out_arg $ list_arg $ deadline_arg $ max_events_arg $ retries_arg
      $ backoff_arg $ forensics_arg $ forensic_trace_arg $ checkpoint_arg
-     $ resume_arg $ no_fallback_arg $ shard_chaos_arg))
+     $ resume_arg))
 
 let trace_term =
   let shape_arg =
@@ -1511,34 +1167,6 @@ let fuzz_term =
             "Run the expensive supervisor/checkpoint differentials on every \
              $(docv)th scenario (0 disables them).")
   in
-  let shard_every_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shard-every" ] ~docv:"N"
-          ~doc:
-            "Run the sharded-execution differential (1-shard vs \
-             $(b,--shards)-shard hub, bit-identical digests required) on \
-             every $(docv)th scenario (0 disables it).")
-  in
-  let chaos_every_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "chaos-every" ] ~docv:"N"
-          ~doc:
-            "Run the chaos-ladder differential (a deterministic lane crash \
-             injected into the $(b,--shards)-shard run must complete via \
-             the degradation ladder with a digest bit-identical to the \
-             clean 1-shard run) on every $(docv)th scenario (0 disables \
-             it).")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard count the sharded differential compares against the \
-             1-shard hub run.")
-  in
   let shrink_budget_arg =
     Arg.(
       value & opt int 300
@@ -1577,8 +1205,7 @@ let fuzz_term =
   Term.(
     ret
       (const fuzz_cmd $ runs_arg $ fuzz_seed_arg $ corpus_arg $ deep_every_arg
-     $ shard_every_arg $ chaos_every_arg $ shards_arg $ shrink_budget_arg
-     $ transports_arg $ replay_arg $ replay_dir_arg))
+     $ shrink_budget_arg $ transports_arg $ replay_arg $ replay_dir_arg))
 
 let cmds =
   [

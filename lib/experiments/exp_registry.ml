@@ -160,14 +160,6 @@ let all : entry list =
       (fun ?pool ?policy ~scale ~seed () ->
         Exp_common.render_table
           (Exp_manyflow.table (Exp_manyflow.run ?pool ?policy ~scale ~seed ())));
-    (* Runs two whole hubs back to back on the calling domain — a pool
-       cannot split one round, so don't let it claim slots for this. *)
-    simple ~parallel:false "shardflow"
-      "Scale: sharded clustered fan-in with 1-vs-4-shard digest identity"
-      (fun ?pool ?policy ~scale ~seed () ->
-        Exp_common.render_table
-          (Exp_manyflow.shard_table
-             (Exp_manyflow.run_sharded ?pool ?policy ~scale ~seed ())));
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all

@@ -46,8 +46,6 @@ type outcome = {
   seed : int option;
   repro : string option;
   status : status;
-  degraded : int;
-      (* shard-ladder degradation steps the successful attempt consumed *)
   failures : failure list;  (* newest first *)
   forensics : string option;  (* bundle directory, when one was written *)
 }
@@ -60,7 +58,6 @@ type report = {
   timed_out : int;
   crashed : int;
   quarantined : int;
-  degraded : int;  (* completed tasks that needed the degradation ladder *)
 }
 
 type policy = {
@@ -107,10 +104,24 @@ let is_failure = function
   | Completed _ -> false
   | Timed_out _ | Crashed _ | Quarantined _ -> true
 
-(* ---- forensics (shared helpers live in Forensics) ------------------ *)
+(* ---- forensics ----------------------------------------------------- *)
 
-let mkdir_p = Forensics.mkdir_p
-let sanitize = Forensics.sanitize
+let mkdir_p dir =
+  let rec go d =
+    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+      go (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ -> ()
+    end
+  in
+  go dir
+
+let sanitize label =
+  String.map
+    (fun c ->
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
+      | _ -> '-')
+    label
 
 (* Writes <root>/<NNN-label>/{report.txt,trace.*}. Returns the bundle
    directory, or None when no root is configured or the write failed
@@ -147,7 +158,16 @@ let write_bundle policy ~index ~(task : _ task) ~status ~failures ~collector =
         (List.rev failures);
       close_out oc;
       (match collector with
-      | Some c -> Forensics.write_trace ~dir c
+      | Some c ->
+        Pcc_trace.Export.write_chrome_json
+          ~path:(Filename.concat dir "trace.json")
+          c;
+        Pcc_trace.Export.write_decision_log
+          ~path:(Filename.concat dir "decisions.log")
+          c;
+        Pcc_metrics.Series_io.write_multi_series
+          ~path:(Filename.concat dir "trace.csv")
+          (Pcc_trace.Export.csv_series c)
       | None -> ());
       Some dir
     with Sys_error _ -> None)
@@ -198,14 +218,10 @@ let attempt_run policy (task : _ task) ~heartbeat =
       (Pcc_trace.Collector.create ~capacity:16384 ());
   Pcc_sim.Task_guard.install ?deadline:policy.deadline
     ?max_events:policy.max_events ~heartbeat ~clock ();
-  (* Drain any leftover ladder steps from this domain so the task is
-     only accounted for its own degradations. *)
-  ignore (Pcc_sim.Degrade.take_tally ());
   let result =
     try Ok (task.run ())
     with exn -> Error (exn, Printexc.get_raw_backtrace ())
   in
-  let degraded = Pcc_sim.Degrade.take_tally () in
   Pcc_sim.Task_guard.uninstall ();
   let failing_collector =
     match result with
@@ -218,18 +234,14 @@ let attempt_run policy (task : _ task) ~heartbeat =
     | Some c -> Pcc_trace.Collector.install c
     | None -> ()
   end;
-  (result, failing_collector, degraded)
+  (result, failing_collector)
 
-let rec is_timeout_exn exn =
+let is_timeout_exn exn =
   Pcc_sim.Task_guard.is_guard_exn exn
   ||
   match exn with
   | Pcc_sim.Engine.Event_error { exn; _ } ->
     Pcc_sim.Task_guard.is_guard_exn exn
-  | Pcc_sim.Shard.Lane_failure { origin; _ } ->
-    (* A lane guard tripping inside a sharded window is still this
-       task's deadline/ceiling: classify as timeout, not crash. *)
-    is_timeout_exn origin
   | _ -> false
 
 (* ---- scheduler state ----------------------------------------------- *)
@@ -272,7 +284,7 @@ let push_retry s ~ready_at ~index ~attempt =
 (* Caller holds the lock. Records the final outcome for task [i] and
    writes its forensics bundle. Bundle IO happens under the lock: it
    only runs on failure paths, where contention is the least concern. *)
-let finalize s i ?(degraded = 0) status collector =
+let finalize s i status collector =
   let task = s.tasks.(i) in
   let forensics =
     if is_failure status then
@@ -288,7 +300,6 @@ let finalize s i ?(degraded = 0) status collector =
         seed = task.seed;
         repro = task.repro;
         status;
-        degraded;
         failures = s.failures.(i);
         forensics;
       };
@@ -297,11 +308,11 @@ let finalize s i ?(degraded = 0) status collector =
 
 (* Caller holds the lock. Settles one finished attempt: success, retry,
    or final failure. *)
-let settle s ~index:i ~attempt ~degraded result collector =
+let settle s ~index:i ~attempt result collector =
   match result with
   | Ok v ->
     s.results.(i) <- Some v;
-    finalize s i ~degraded (Completed { retries = attempt - 1 }) None
+    finalize s i (Completed { retries = attempt - 1 }) None
   | Error (exn, bt) ->
     let f =
       {
@@ -373,7 +384,7 @@ let worker s slot epoch =
       Atomic.set slot.s_beat slot.s_started;
       s.inflight <- s.inflight + 1;
       Mutex.unlock s.m;
-      let result, collector, degraded =
+      let result, collector =
         attempt_run s.policy s.tasks.(i) ~heartbeat:slot.s_beat
       in
       Mutex.lock s.m;
@@ -385,7 +396,7 @@ let worker s slot epoch =
       else begin
         slot.s_task <- -1;
         s.inflight <- s.inflight - 1;
-        settle s ~index:i ~attempt ~degraded result collector;
+        settle s ~index:i ~attempt result collector;
         loop ()
       end
   in
@@ -568,7 +579,6 @@ let report_of s =
             status =
               Crashed
                 { attempt = 0; exn_text = "missing outcome"; backtrace = "" };
-            degraded = 0;
             failures = [];
             forensics = None;
           })
@@ -583,11 +593,6 @@ let report_of s =
     timed_out = count (function Timed_out _ -> true | _ -> false);
     crashed = count (function Crashed _ -> true | _ -> false);
     quarantined = count (function Quarantined _ -> true | _ -> false);
-    degraded =
-      Array.fold_left
-        (fun a (o : outcome) ->
-          if o.degraded > 0 && not (is_failure o.status) then a + 1 else a)
-        0 outcomes;
   }
 
 let failed (r : report) = r.timed_out + r.crashed + r.quarantined > 0
@@ -602,11 +607,8 @@ let summary_line (r : report) =
              (status_name o.status))
   in
   let base =
-    Printf.sprintf "%d/%d task(s) ok%s%s" (r.ok + r.retried) r.total
+    Printf.sprintf "%d/%d task(s) ok%s" (r.ok + r.retried) r.total
       (if r.retried > 0 then Printf.sprintf " (%d after retries)" r.retried
-       else "")
-      (if r.degraded > 0 then
-         Printf.sprintf " (%d on a degraded shard ladder)" r.degraded
        else "")
   in
   if failing = [] then base
@@ -619,13 +621,10 @@ let pp_report fmt (r : report) =
   Format.fprintf fmt "@[<v>";
   Array.iter
     (fun o ->
-      Format.fprintf fmt "%3d %-40s %s%s@,"
+      Format.fprintf fmt "%3d %-40s %s@,"
         o.index
         (if o.label = "" then "(unlabelled)" else o.label)
-        (status_name o.status)
-        (if o.degraded > 0 then
-           Printf.sprintf " (degraded x%d)" o.degraded
-         else ""))
+        (status_name o.status))
     r.outcomes;
   Format.fprintf fmt "@]"
 
@@ -648,7 +647,6 @@ let run ?(policy = default_policy) tasks_list =
         timed_out = 0;
         crashed = 0;
         quarantined = 0;
-        degraded = 0;
       } )
   else begin
     let s =

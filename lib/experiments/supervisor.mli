@@ -53,10 +53,6 @@ type outcome = {
   seed : int option;
   repro : string option;
   status : status;
-  degraded : int;
-      (** Shard-ladder degradation steps the successful attempt consumed
-          (see {!Pcc_sim.Degrade}); [0] for undegraded or failed
-          tasks. *)
   failures : failure list;  (** newest first *)
   forensics : string option;  (** bundle directory, when one was written *)
 }
@@ -69,9 +65,6 @@ type report = {
   timed_out : int;
   crashed : int;
   quarantined : int;
-  degraded : int;
-      (** Completed tasks that only succeeded after the shard
-          degradation ladder stepped down at least once. *)
 }
 
 type policy = {

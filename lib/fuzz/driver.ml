@@ -13,26 +13,15 @@ type summary = { runs : int; failed : failure_report list }
 
 let deep_oracle = function "supervisor-jobs" | "checkpoint" -> true | _ -> false
 
-let shard_oracle = function
-  | "shard-differential" | "shard-build" | "shard-livelock" | "shard-crash"
-  | "chaos-ladder" ->
-    true
-  | _ -> false
-
-let chaos_oracle = function "chaos-ladder" -> true | _ -> false
-
-let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shard_every = 4)
-    ?(chaos_every = 4) ?(shards = 4) ?(shrink_budget = 300) ?corpus_dir ?menu
-    ?(log = fun _ -> ()) ~runs ~seed () =
+let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shrink_budget = 300)
+    ?corpus_dir ?menu ?(log = fun _ -> ()) ~runs ~seed () =
   let failed = ref [] in
   for run = 0 to runs - 1 do
     let run_seed = Pcc_experiments.Runner.derive_seed ~master:seed ~index:run in
     let rng = Rng.create run_seed in
     let scenario = Scenario.generate ?menu ~rng () in
     let deep = deep_every > 0 && run mod deep_every = 0 in
-    let shard = shard_every > 0 && run mod shard_every = 0 in
-    let chaos = chaos_every > 0 && run mod chaos_every = 0 in
-    match Oracle.test ~synth ~deep ~shard ~chaos ~shards scenario with
+    match Oracle.test ~synth ~deep scenario with
     | None -> ()
     | Some failure ->
       log
@@ -40,21 +29,9 @@ let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shard_every = 4)
            (Scenario.describe scenario) failure.Oracle.oracle
            failure.Oracle.detail);
       let deep_shrink = deep_oracle failure.Oracle.oracle in
-      let shard_shrink = shard_oracle failure.Oracle.oracle in
-      let chaos_shrink = chaos_oracle failure.Oracle.oracle in
-      (* A sharded-differential failure only reproduces while the
-         candidate still spans more than one shard: a shrink step that
-         collapses the topology onto a single shard makes the N-shard
-         run degenerate to the 1-shard run and the bug vanishes, so
-         reject such candidates before spending an oracle run on them. *)
-      let check cand =
-        if shard_shrink && Scenario.shard_preview ~shards cand < 2 then None
-        else
-          Oracle.test ~synth ~deep:deep_shrink ~shard:shard_shrink
-            ~chaos:chaos_shrink ~shards cand
-      in
       let shrunk, shrink_checks =
-        Shrink.minimize ~budget:shrink_budget ~check
+        Shrink.minimize ~budget:shrink_budget
+          ~check:(Oracle.test ~synth ~deep:deep_shrink)
           ~oracle:failure.Oracle.oracle scenario
       in
       log
@@ -64,10 +41,7 @@ let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shard_every = 4)
       (* Re-derive the detail from the minimized scenario so the repro's
          header matches its own payload. *)
       let final_detail =
-        match
-          Oracle.test ~synth ~deep:deep_shrink ~shard:shard_shrink
-            ~chaos:chaos_shrink ~shards shrunk
-        with
+        match Oracle.test ~synth ~deep:deep_shrink shrunk with
         | Some f when f.Oracle.oracle = failure.Oracle.oracle ->
           f.Oracle.detail
         | _ -> failure.Oracle.detail
@@ -96,22 +70,16 @@ let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shard_every = 4)
        (if List.length failed = 1 then "" else "s"));
   { runs; failed }
 
-let replay ?(synth = fun _ -> None) ?(shards = 4) path =
+let replay ?(synth = fun _ -> None) path =
   let r = Corpus.load path in
-  match
-    Oracle.test ~synth ~deep:true ~shard:true ~chaos:true ~shards
-      r.Corpus.scenario
-  with
+  match Oracle.test ~synth ~deep:true r.Corpus.scenario with
   | None -> Ok ()
   | Some f -> Error f
 
-let replay_dir ?synth ?(shards = 4) ?(log = fun _ -> ()) dir =
+let replay_dir ?synth ?(log = fun _ -> ()) dir =
   List.filter_map
     (fun (path, (r : Corpus.repro)) ->
-      match
-        Oracle.test ?synth ~deep:true ~shard:true ~chaos:true ~shards
-          r.Corpus.scenario
-      with
+      match Oracle.test ?synth ~deep:true r.Corpus.scenario with
       | None ->
         log (Printf.sprintf "replay %s: ok (was %s)" path r.Corpus.oracle);
         None

@@ -26,9 +26,6 @@ type summary = { runs : int; failed : failure_report list }
 val fuzz :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
   ?deep_every:int ->
-  ?shard_every:int ->
-  ?chaos_every:int ->
-  ?shards:int ->
   ?shrink_budget:int ->
   ?corpus_dir:string ->
   ?menu:string list ->
@@ -43,31 +40,19 @@ val fuzz :
     [deep_every] (default 8) enables the expensive
     supervisor/checkpoint differentials on every Nth run (0 disables
     them); shrinking a deep-oracle failure re-enables them for the
-    minimizer's checks. [shard_every] (default 4) likewise enables the
-    sharded differential ({!Oracle.shard_check} at [shards], default 4)
-    on every Nth run; shrinking a shard-oracle failure keeps it enabled
-    and additionally rejects shrink candidates whose partition collapses
-    onto a single shard ({!Pcc_scenario.Scenario.shard_preview}), so the
-    minimized repro still exercises the cross-shard protocol.
-    [chaos_every] (default 4) likewise enables the chaos-ladder
-    differential ({!Oracle.chaos_ladder_check}) on every Nth run; a
-    chaos-ladder failure shrinks under the same shard-collapse
-    rejection. [log]
-    (default silent) receives one line per failure and a closing summary
-    line. *)
+    minimizer's checks. [log] (default silent) receives one line per
+    failure and a closing summary line. *)
 
 val replay :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
-  ?shards:int ->
   string ->
   (unit, Oracle.failure) result
-(** Replay one repro file under the full oracle suite (deep and sharded
-    checks included). [Ok ()] means every oracle now passes — the state
-    a committed, fixed regression should be in. *)
+(** Replay one repro file under the full oracle suite (deep checks
+    included). [Ok ()] means every oracle now passes — the state a
+    committed, fixed regression should be in. *)
 
 val replay_dir :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
-  ?shards:int ->
   ?log:(string -> unit) ->
   string ->
   (string * Oracle.failure) list

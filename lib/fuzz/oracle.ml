@@ -9,7 +9,7 @@ type stats = { events : int; digest : string }
    events, so hitting this means the simulation ran away. *)
 let max_events = 10_000_000
 
-let digest_gen ~events ~now topo =
+let digest engine topo =
   let b = Buffer.create 256 in
   Array.iteri
     (fun i (f : Topology.built_flow) ->
@@ -24,11 +24,10 @@ let digest_gen ~events ~now topo =
            | None -> "-"
            | Some v -> Printf.sprintf "%h" v)))
     (Topology.flows topo);
-  Buffer.add_string b (Printf.sprintf "events=%d now=%h" events now);
+  Buffer.add_string b
+    (Printf.sprintf "events=%d now=%h" (Engine.executed engine)
+       (Engine.now engine));
   Buffer.contents b
-
-let digest engine topo =
-  digest_gen ~events:(Engine.executed engine) ~now:(Engine.now engine) topo
 
 (* Post-run sweeps over sender/receiver counters: properties that must
    hold for every valid scenario, whatever the network did. *)
@@ -302,150 +301,6 @@ let wrapper_check (s : Scenario.t) (base : stats) =
   else None
 
 (* --------------------------------------------------------------- *)
-(* Sharded differential: rebuild the scenario on a 1-shard and an
-   N-shard hub and require bit-identical digests. Hub runs attach no
-   invariant checker (its sweeps are engine events, which would make
-   event counts incomparable between the two hub runs and the scheduled
-   probe cadence shard-dependent), so the comparison is hub-vs-hub, not
-   hub-vs-monolithic; the monolithic digest is covered by the oracles
-   above and the hub protocol's own determinism is what this one
-   polices. *)
-
-let livelock_detail ~time ~events kind =
-  Printf.sprintf "%s at t=%.6f after %d events"
-    (match kind with
-    | Engine.Stall -> "stall"
-    | Engine.Budget -> "event budget exhausted")
-    time events
-
-let run_hub ~shards (s : Scenario.t) : (stats, failure) result =
-  let hub = Shard.create ~shards () in
-  match Scenario.build_sharded hub s with
-  | exception Invalid_argument m -> Error { oracle = "shard-build"; detail = m }
-  | exception exn ->
-    Error { oracle = "shard-build"; detail = Printexc.to_string exn }
-  | built -> (
-    match Shard.run ~max_events hub ~until:s.Scenario.duration with
-    | () ->
-      built.Scenario.stop ();
-      let events = Shard.executed hub in
-      Ok
-        {
-          events;
-          digest =
-            digest_gen ~events
-              ~now:(Engine.now (Shard.engine hub 0))
-              built.Scenario.topo;
-        }
-    | exception Engine.Livelock { time; events; kind } ->
-      (* The global [max_events] budget propagates unwrapped. *)
-      Error
-        {
-          oracle = "shard-livelock";
-          detail = livelock_detail ~time ~events kind;
-        }
-    | exception
-        Shard.Lane_failure
-          { origin = Engine.Livelock { time; events; kind }; _ } ->
-      (* A stall inside one shard's window arrives wrapped since the
-         hub's containment abort; classify it the same way. *)
-      Error
-        {
-          oracle = "shard-livelock";
-          detail = livelock_detail ~time ~events kind;
-        }
-    | exception exn ->
-      Error { oracle = "shard-crash"; detail = Printexc.to_string exn })
-
-let shard_check ~shards (s : Scenario.t) =
-  if shards < 2 || not (Scenario.shard_applicable s) then None
-  else
-    match (run_hub ~shards:1 s, run_hub ~shards s) with
-    | Error f, _ ->
-      Some
-        {
-          oracle = "shard-differential";
-          detail = "1-shard hub run failed: " ^ f.oracle ^ ": " ^ f.detail;
-        }
-    | _, Error f ->
-      Some
-        {
-          oracle = "shard-differential";
-          detail =
-            Printf.sprintf "%d-shard hub run failed: %s: %s" shards f.oracle
-              f.detail;
-        }
-    | Ok one, Ok many ->
-      if not (String.equal one.digest many.digest) then
-        Some
-          {
-            oracle = "shard-differential";
-            detail =
-              Printf.sprintf
-                "%d-shard digest differs from the 1-shard hub run" shards;
-          }
-      else None
-
-(* --------------------------------------------------------------- *)
-(* Chaos-ladder differential: inject a deterministic lane crash into
-   the N-shard hub run and require the degradation ladder to finish
-   with a digest bit-identical to a clean 1-shard run — the property
-   that makes degraded results trustworthy. The crash targets shard 1
-   at lifetime round 2, so it fires at every rung wider than one shard
-   and the ladder must walk all the way down to sequential. *)
-
-let chaos_spec = { Shard.crash = Some (1, 2); wedge = None }
-
-(* Unlike [run_hub], lets [Shard.Lane_failure] escape so the ladder can
-   catch it; everything else is converted to a failure value. *)
-let chaos_run ~shards (s : Scenario.t) =
-  let hub = Shard.create ~shards () in
-  Shard.configure ~chaos:chaos_spec hub;
-  match Scenario.build_sharded hub s with
-  | exception Invalid_argument m ->
-    Error { oracle = "chaos-ladder"; detail = "build: " ^ m }
-  | built ->
-    Shard.run ~max_events hub ~until:s.Scenario.duration;
-    built.Scenario.stop ();
-    let events = Shard.executed hub in
-    Ok
-      (digest_gen ~events
-         ~now:(Engine.now (Shard.engine hub 0))
-         built.Scenario.topo)
-
-let chaos_ladder_check ~shards (s : Scenario.t) =
-  if shards < 2 || not (Scenario.shard_applicable s) then None
-  else begin
-    let fail detail = Some { oracle = "chaos-ladder"; detail } in
-    match run_hub ~shards:1 s with
-    | Error f ->
-      fail
-        (Printf.sprintf "clean 1-shard run failed: %s: %s" f.oracle f.detail)
-    | Ok clean -> (
-      match
-        (* [enabled:true]: the oracle must exercise the ladder even when
-           the process default was switched off. *)
-        Degrade.run ~enabled:true
-          ~plan:(Degrade.plan ~shards ())
-          (fun (a : Degrade.attempt) -> chaos_run ~shards:a.Degrade.shards s)
-      with
-      | exception exn -> fail ("ladder failed: " ^ Printexc.to_string exn)
-      | { Degrade.value = Error f; _ } -> fail (f.oracle ^ ": " ^ f.detail)
-      | { Degrade.value = Ok digest; attempt; steps } ->
-        if steps = [] then
-          (* The scenario quiesced before round 2, so the injected crash
-             never fired: vacuous, not a failure. *)
-          None
-        else if String.equal digest clean.digest then None
-        else
-          fail
-            (Printf.sprintf
-               "degraded run (%d step(s), finished at %d shard(s)) digest \
-                differs from the clean 1-shard run"
-               (List.length steps) attempt.Degrade.shards))
-  end
-
-(* --------------------------------------------------------------- *)
 (* Deep differentials: cost real wall-clock (domain spawns, temp-file
    IO), so the fuzz loop only enables them on a subset of runs. *)
 
@@ -526,8 +381,7 @@ let deep_checks s base =
 
 (* --------------------------------------------------------------- *)
 
-let test ?(synth = fun _ -> None) ?(deep = true) ?(shard = false)
-    ?(chaos = false) ?(shards = 4) (s : Scenario.t) =
+let test ?(synth = fun _ -> None) ?(deep = true) (s : Scenario.t) =
   match run_once s with
   | Error f -> Some f
   | Ok base -> (
@@ -604,14 +458,4 @@ let test ?(synth = fun _ -> None) ?(deep = true) ?(shard = false)
           | Ok _ -> (
             match wrapper_check s base with
             | Some f -> Some f
-            | None -> (
-              match
-                if shard then shard_check ~shards s else None
-              with
-              | Some f -> Some f
-              | None -> (
-                match
-                  if chaos then chaos_ladder_check ~shards s else None
-                with
-                | Some f -> Some f
-                | None -> if deep then deep_checks s base else None))))))))
+            | None -> if deep then deep_checks s base else None))))))

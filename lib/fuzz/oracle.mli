@@ -36,15 +36,7 @@
       {!Pcc_experiments.Supervisor} task at [jobs = 1] and [jobs = 2]
       yields identical digests;
     - checkpoint transport: a digest written through
-      {!Pcc_experiments.Checkpoint} loads back verbatim;
-    - sharded execution: rebuilding the scenario on a 1-shard and an
-      N-shard {!Pcc_sim.Shard} hub produces bit-identical digests (hub
-      runs attach no invariant checker, so this compares hub-vs-hub and
-      polices the conservative-parallel protocol itself);
-    - chaos ladder: an N-shard hub run with an injected deterministic
-      lane crash must complete via the {!Pcc_sim.Degrade} ladder with a
-      digest bit-identical to a clean 1-shard run — degraded results
-      are trustworthy results.
+      {!Pcc_experiments.Checkpoint} loads back verbatim.
 
     The digest deliberately includes float bit patterns ([%h]) so "close
     enough" drift counts as a failure. *)
@@ -69,39 +61,9 @@ val run_once :
     backend (default: the engine's process default — whatever
     [PCC_SCHEDULER] or {!Pcc_sim.Engine.set_default_scheduler} says). *)
 
-val run_hub :
-  shards:int -> Pcc_scenario.Scenario.t -> (stats, failure) result
-(** Build and run the scenario on a fresh [shards]-shard hub
-    ({!Pcc_scenario.Scenario.build_sharded}) with no invariant checker
-    attached. Never raises: build rejections ("shard-build"), livelocks
-    ("shard-livelock") and event crashes ("shard-crash") come back as
-    failures. The digest's event count is the hub-wide
-    {!Pcc_sim.Shard.executed}. *)
-
-val shard_check :
-  shards:int -> Pcc_scenario.Scenario.t -> failure option
-(** The sharded differential: run the scenario on a 1-shard hub and a
-    [shards]-shard hub and require bit-identical digests (oracle
-    ["shard-differential"]). Returns [None] without running anything when
-    [shards < 2] or the scenario is not
-    {!Pcc_scenario.Scenario.shard_applicable} (link dynamics mutate cut
-    delays mid-run, which would invalidate the partition's lookahead). *)
-
-val chaos_ladder_check :
-  shards:int -> Pcc_scenario.Scenario.t -> failure option
-(** The chaos-ladder differential (oracle ["chaos-ladder"]): inject a
-    crash on shard 1 at barrier round 2 into the [shards]-shard hub run
-    and require {!Pcc_sim.Degrade.run} to walk the ladder down to the
-    chaos-free sequential rung with a digest bit-identical to a clean
-    1-shard run. Vacuously passes when the scenario quiesces before the
-    crash round; applicability gating as {!shard_check}. *)
-
 val test :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
   ?deep:bool ->
-  ?shard:bool ->
-  ?chaos:bool ->
-  ?shards:int ->
   Pcc_scenario.Scenario.t ->
   failure option
 (** Run the full oracle suite; [None] means every oracle passed. [synth]
@@ -111,8 +73,4 @@ val test :
     [deep] (default [true]) additionally runs the supervisor jobs-1/2
     and checkpoint differentials, which spawn domains and touch the
     filesystem; the fuzz loop only enables it on a deterministic subset
-    of runs. [shard] (default [false]) additionally runs
-    {!shard_check} at [shards] (default 4); the fuzz loop enables it
-    every [shard_every]-th run. [chaos] (default [false]) additionally
-    runs {!chaos_ladder_check} at the same width; the fuzz loop enables
-    it every [chaos_every]-th run. *)
+    of runs. *)

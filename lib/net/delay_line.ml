@@ -9,10 +9,6 @@ type t = {
   (* In-flight packets ride pooled slots: one reusable closure per slot
      instead of a fresh capture per packet (see {!Pool}). *)
   inflight : Packet.t Pool.t;
-  (* Sharded boundary endpoint, as on {!Link}: when set, delivery goes
-     through the cross-shard channel at the exact arrival instant. *)
-  mutable remote : (arrival:float -> Packet.t -> unit) option;
-  mutable floor : float;
 }
 
 (* Scrub value for released pool slots; never delivered. *)
@@ -31,47 +27,23 @@ let create engine ?(loss = 0.) ?rng ~delay () =
       rng;
       receiver = (fun _ -> failwith "Delay_line: no receiver attached");
       inflight = Pool.create ~dummy:dummy_packet ();
-      remote = None;
-      floor = 0.;
     }
   in
   Pool.set_fire t.inflight (fun p -> t.receiver p);
-  Engine.add_owned engine (fun () -> Pool.adopt t.inflight);
-  Engine.add_reclaim engine (fun () -> Pool.clear t.inflight);
   t
 
 let set_receiver t f = t.receiver <- f
 
-let set_remote t ~floor f =
-  if not (floor > 0.) then
-    invalid_arg "Delay_line.set_remote: floor must be positive";
-  if floor > t.delay then
-    invalid_arg "Delay_line.set_remote: floor exceeds the line delay";
-  t.remote <- Some f;
-  t.floor <- floor
-
-let deliver_remote t p = t.receiver p
-
 let send t p =
-  (* Loss is decided sender-side in both paths, so the RNG stream is
-     consumed in the same order whether or not the line is cut. *)
   let lost =
     t.loss > 0.
     && match t.rng with Some rng -> Rng.bernoulli rng t.loss | None -> false
   in
   if not lost then
-    match t.remote with
-    | None -> Engine.post_in t.engine ~after:t.delay (Pool.event t.inflight p)
-    | Some send -> send ~arrival:(Engine.now t.engine +. t.delay) p
+    Engine.post_in t.engine ~after:t.delay (Pool.event t.inflight p)
 
 let set_delay t d =
   if d < 0. then invalid_arg "Delay_line.set_delay: must be non-negative";
-  if t.remote <> None && d < t.floor then
-    invalid_arg
-      (Printf.sprintf
-         "Delay_line.set_delay: %g is below the %g lookahead floor of this \
-          cross-shard line"
-         d t.floor);
   t.delay <- d
 
 let set_loss t l =

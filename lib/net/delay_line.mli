@@ -21,19 +21,6 @@ val create :
 val set_receiver : t -> (Packet.t -> unit) -> unit
 (** Attach the downstream delivery callback. *)
 
-val set_remote : t -> floor:float -> (arrival:float -> Packet.t -> unit) -> unit
-(** Turn this line into a cross-shard boundary (see
-    {!Link.set_remote_delivery}): {!send} computes loss sender-side —
-    preserving the RNG stream order — then hands surviving packets to
-    the channel with their exact arrival instant. {!set_delay} below
-    [floor] is rejected.
-    @raise Invalid_argument if [floor] is not positive or exceeds the
-    current delay. *)
-
-val deliver_remote : t -> Packet.t -> unit
-(** Destination-shard delivery: runs the receiver callback. Call only
-    from the shard owning the downstream component, at arrival time. *)
-
 val send : t -> Packet.t -> unit
 (** Forward a packet; it arrives downstream after the configured delay
     unless lost. *)

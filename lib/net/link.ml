@@ -14,13 +14,6 @@ type t = {
   mutable reorder_extra : float;
   q : Queue_disc.t;
   mutable receiver : Packet.t -> unit;
-  (* Sharded boundary endpoint: when set, propagation completion is
-     handed to the cross-shard channel with the exact arrival instant
-     instead of being posted into this engine — see DESIGN.md §13. The
-     floor is the channel's lookahead contract; [set_delay] may not go
-     below it. *)
-  mutable remote : (arrival:float -> Packet.t -> unit) option;
-  mutable floor : float;
   (* Pooled per-slot closures for the two per-packet events (transmit
      complete, propagation complete): no closure or handle allocation
      per packet after warm-up (see {!Pool}). *)
@@ -63,8 +56,6 @@ let create engine ?(name = "link") ?(loss = 0.) ?(jitter = 0.) ~rng ~bandwidth
     q = queue;
     receiver =
       (fun _ -> failwith (name ^ ": no receiver attached"));
-    remote = None;
-    floor = 0.;
     propagating_pool = Pool.create ~dummy:dummy_packet ();
     tx_pool = Pool.create ~dummy:dummy_packet ();
     busy = false;
@@ -84,50 +75,14 @@ let create engine ?(name = "link") ?(loss = 0.) ?(jitter = 0.) ~rng ~bandwidth
       t.delivered_pkts <- t.delivered_pkts + 1;
       t.delivered_bytes <- t.delivered_bytes + p.Packet.size;
       t.receiver p);
-  (* Worker domains executing this engine's windows must own the pools
-     they fire (see Pool, Engine.adopt_owned). *)
-  Engine.add_owned engine (fun () ->
-      Pool.adopt t.propagating_pool;
-      Pool.adopt t.tx_pool);
-  (* On a sharded abort, in-flight records' release events never fire;
-     the hub reclaims them instead of leaking (see Engine.add_reclaim). *)
-  Engine.add_reclaim engine (fun () ->
-      Pool.clear t.propagating_pool;
-      Pool.clear t.tx_pool);
   t
 
 let set_receiver t f = t.receiver <- f
 
-let set_remote_delivery t ~floor f =
-  if not (floor > 0.) then
-    invalid_arg "Link.set_remote_delivery: floor must be positive";
-  if floor > t.delay then
-    invalid_arg "Link.set_remote_delivery: floor exceeds the link delay";
-  t.remote <- Some f;
-  t.floor <- floor
-
-let deliver_remote t (p : Packet.t) =
-  (* Destination-shard half of a boundary link: runs on the shard that
-     owns the receiving node, so the delivery counters are single-writer
-     there (the source shard never takes the local delivery path on a
-     remote link). *)
-  t.delivered_pkts <- t.delivered_pkts + 1;
-  t.delivered_bytes <- t.delivered_bytes + p.Packet.size;
-  t.receiver p
-
 let deliver_after t (p : Packet.t) ~extra =
-  match t.remote with
-  | None ->
-    t.propagating <- t.propagating + 1;
-    Engine.post_in t.engine ~after:(t.delay +. extra)
-      (Pool.event t.propagating_pool p)
-  | Some send ->
-    (* Same float expression as the local path's [post_in]: the arrival
-       instant is bit-identical whether or not the link is cut, which
-       is what keeps sharded runs byte-identical. The [propagating]
-       counter is deliberately not touched — its decrement would land
-       on the destination domain (see {!in_flight_pkts}). *)
-    send ~arrival:(Engine.now t.engine +. (t.delay +. extra)) p
+  t.propagating <- t.propagating + 1;
+  Engine.post_in t.engine ~after:(t.delay +. extra)
+    (Pool.event t.propagating_pool p)
 
 let propagate t (p : Packet.t) =
   if Rng.bernoulli t.rng t.loss then t.channel_losses <- t.channel_losses + 1
@@ -182,12 +137,6 @@ let set_bandwidth t bw =
 
 let set_delay t d =
   if d < 0. then invalid_arg "Link.set_delay: must be non-negative";
-  if t.remote <> None && d < t.floor then
-    invalid_arg
-      (Printf.sprintf
-         "Link.set_delay: %g is below the %g lookahead floor of this \
-          cross-shard link"
-         d t.floor);
   t.delay <- d
 
 let set_loss t l = t.loss <- Float.max 0. (Float.min 1. l)

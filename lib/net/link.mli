@@ -47,24 +47,6 @@ val create :
 val set_receiver : t -> (Packet.t -> unit) -> unit
 (** [set_receiver t f] makes [f] the delivery callback at the far end. *)
 
-val set_remote_delivery :
-  t -> floor:float -> (arrival:float -> Packet.t -> unit) -> unit
-(** Turn this link into a cross-shard boundary: propagation completion
-    calls the given channel-send with the exact arrival instant (the
-    same float expression the local path would post at) instead of
-    scheduling into this engine. [floor] is the channel's lookahead
-    contract: {!set_delay} below it is rejected. The destination shard
-    completes deliveries with {!deliver_remote}.
-    @raise Invalid_argument if [floor] is not positive or exceeds the
-    current delay. *)
-
-val deliver_remote : t -> Packet.t -> unit
-(** Destination-shard half of a boundary link: counts the delivery
-    ({!delivered_pkts}/{!delivered_bytes} are single-writer on the
-    destination domain for a remote link) and runs the receiver
-    callback. Call only from the shard owning the receiving node, at
-    the packet's arrival time. *)
-
 val send : t -> Packet.t -> unit
 (** [send t p] offers [p] to the link's buffer; it is silently dropped if
     the queue discipline rejects it. *)
@@ -120,11 +102,7 @@ val offered_pkts : t -> int
 
 val in_flight_pkts : t -> int
 (** Packets currently being serialized (0 or 1) plus packets propagating
-    toward the receiver (including scheduled duplicates). On a
-    cross-shard link ({!set_remote_delivery}) packets in the channel are
-    not counted — the propagating counter would need writes from two
-    domains — so the conservation invariant is only checked on unsharded
-    runs. *)
+    toward the receiver (including scheduled duplicates). *)
 
 val delivered_pkts : t -> int
 (** Packets that reached the receiver callback (duplicates included). *)

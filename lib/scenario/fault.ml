@@ -103,21 +103,19 @@ let target_of_multihop mh = target_of_topology (Multihop.topology mh)
    snapshot when it ends, so a schedule of non-overlapping faults composes
    with a baseline impairment (e.g. standing 1% loss). Overlapping faults
    on the same knob have last-restorer-wins semantics; {!chaos} generates
-   non-overlapping schedules by construction.
+   non-overlapping schedules by construction. *)
 
-   The compilation is parameterized over the timer primitive so the same
-   fault semantics can ride either plain engine timers (monolithic runs)
-   or hub controls (sharded runs, where engine events would perturb the
-   per-shard event counts the determinism tests compare). *)
-
-let apply_event_gen ~sched tgt ev =
+let apply_event tgt ev =
+  let engine = tgt.engine in
   let each f = Array.iter f tgt.links in
   let on_all_links ~at:t0 ~duration ~apply ~restore =
-    sched ~at:t0 (fun () ->
-        let saved = Array.map (fun l -> restore l) tgt.links in
-        each apply;
-        sched ~at:(t0 +. duration) (fun () ->
-            Array.iteri (fun i l -> saved.(i) l) tgt.links))
+    ignore
+      (Engine.schedule engine ~at:t0 (fun () ->
+           let saved = Array.map (fun l -> restore l) tgt.links in
+           each apply;
+           ignore
+             (Engine.schedule engine ~at:(t0 +. duration) (fun () ->
+                  Array.iteri (fun i l -> saved.(i) l) tgt.links))))
   in
   match ev.kind with
   | Blackout { duration } ->
@@ -162,15 +160,21 @@ let apply_event_gen ~sched tgt ev =
         let saved = Link.jitter l in
         fun l -> Link.set_jitter l saved)
   | Reverse_blackhole { duration } ->
-    sched ~at:ev.at (fun () ->
-        let saved = tgt.rev_loss () in
-        tgt.set_rev_loss 1.;
-        sched ~at:(ev.at +. duration) (fun () -> tgt.set_rev_loss saved))
+    ignore
+      (Engine.schedule engine ~at:ev.at (fun () ->
+           let saved = tgt.rev_loss () in
+           tgt.set_rev_loss 1.;
+           ignore
+             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
+                  tgt.set_rev_loss saved))))
   | Reverse_loss_burst { duration; loss } ->
-    sched ~at:ev.at (fun () ->
-        let saved = tgt.rev_loss () in
-        tgt.set_rev_loss loss;
-        sched ~at:(ev.at +. duration) (fun () -> tgt.set_rev_loss saved))
+    ignore
+      (Engine.schedule engine ~at:ev.at (fun () ->
+           let saved = tgt.rev_loss () in
+           tgt.set_rev_loss loss;
+           ignore
+             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
+                  tgt.set_rev_loss saved))))
   | Duplication_episode { duration; prob } ->
     on_all_links ~at:ev.at ~duration
       ~apply:(fun l -> Link.set_duplication l prob)
@@ -185,24 +189,17 @@ let apply_event_gen ~sched tgt ev =
         (Printf.sprintf "Fault.inject: partition hop %d outside [0,%d)" hop
            (Array.length tgt.links));
     let link = tgt.links.(hop) in
-    sched ~at:ev.at (fun () ->
-        let saved = Link.loss link in
-        Link.set_loss link 1.;
-        sched ~at:(ev.at +. duration) (fun () -> Link.set_loss link saved))
-
-let apply_event tgt ev =
-  apply_event_gen
-    ~sched:(fun ~at f -> ignore (Engine.schedule tgt.engine ~at f))
-    tgt ev
+    ignore
+      (Engine.schedule engine ~at:ev.at (fun () ->
+           let saved = Link.loss link in
+           Link.set_loss link 1.;
+           ignore
+             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
+                  Link.set_loss link saved))))
 
 let inject tgt sched = List.iter (apply_event tgt) sched
 
 let inject_path path sched = inject (target_of_path path) sched
-
-let inject_hub hub tgt sched =
-  List.iter
-    (apply_event_gen ~sched:(fun ~at f -> Shard.at hub ~time:at f) tgt)
-    sched
 
 (* ------------------------------------------------------------------ *)
 (* Seeded chaos generator *)

@@ -108,16 +108,6 @@ val inject : target -> schedule -> unit
 val inject_path : Path.t -> schedule -> unit
 (** [inject_path p s] is [inject (target_of_path p) s]. *)
 
-val inject_hub : Pcc_sim.Shard.t -> target -> schedule -> unit
-(** Like {!inject}, but compiled onto hub {e controls}
-    ({!Pcc_sim.Shard.at}) instead of engine timers: each knob flip fires
-    between barrier windows at its exact fault instant, identically at
-    every shard count, without adding engine events — so sharded and
-    monolithic control timelines stay comparable. Targets whose links
-    span several shards are still driven safely because controls run in
-    the coordinator while every shard is parked at the barrier.
-    @raise Invalid_argument on a {!Partition} hop outside the target. *)
-
 (** {1 Chaos gauntlets} *)
 
 val chaos :

@@ -67,23 +67,21 @@ let describe t =
 
 type built = { topo : Topology.t; stop : unit -> unit }
 
-(* Shared front half of [build]/[build_sharded]: validation and the fixed
-   RNG split order both entry points must reproduce exactly. *)
-let prepare ~what (s : t) =
+let build engine (s : t) =
   if s.duration <= 0. || not (Float.is_finite s.duration) then
-    invalid_arg (what ^ ": duration must be positive");
+    invalid_arg "Scenario.build: duration must be positive";
   let num_links = List.length s.links in
   List.iter
     (fun c ->
       if c.cross_link < 0 || c.cross_link >= num_links then
-        invalid_arg (what ^ ": cross-traffic link out of range"))
+        invalid_arg "Scenario.build: cross-traffic link out of range")
     s.cross;
   let specs =
     List.map
       (fun f ->
         match Transport.of_name f.transport with
         | Ok sp -> sp
-        | Error m -> invalid_arg (what ^ ": " ^ m))
+        | Error m -> invalid_arg ("Scenario.build: " ^ m))
       s.flows
   in
   (* Fixed split order — the determinism contract of the mli. *)
@@ -107,24 +105,15 @@ let prepare ~what (s : t) =
           ~route:f.route sp)
       s.flows specs
   in
-  (topo_rng, dyn_rng, cross_rngs, links, tflows)
-
-let start_cross ~engine_for topo (s : t) cross_rngs =
-  List.map2
-    (fun c crng ->
-      Cross_traffic.onoff (engine_for c) ~rng:crng
-        ~sink:(fun p -> Topology.send_link topo c.cross_link p)
-        ~rate:c.rate ~on_mean:c.on_mean ~off_mean:c.off_mean ())
-    s.cross cross_rngs
-
-let build engine (s : t) =
-  let topo_rng, dyn_rng, cross_rngs, links, tflows =
-    prepare ~what:"Scenario.build" s
-  in
   let topo = Topology.build engine ~rng:topo_rng ~links ~flows:tflows () in
   if s.faults <> [] then Fault.inject (Fault.target_of_topology topo) s.faults;
   let crosses =
-    start_cross ~engine_for:(fun _ -> engine) topo s cross_rngs
+    List.map2
+      (fun c crng ->
+        Cross_traffic.onoff engine ~rng:crng
+          ~sink:(fun p -> Topology.send_link topo c.cross_link p)
+          ~rate:c.rate ~on_mean:c.on_mean ~off_mean:c.off_mean ())
+      s.cross cross_rngs
   in
   let dyn =
     Option.map
@@ -142,56 +131,6 @@ let build engine (s : t) =
         List.iter Cross_traffic.stop crosses;
         Option.iter Dynamics.stop dyn);
   }
-
-let shard_applicable (s : t) = s.dynamics = None
-
-let build_sharded hub (s : t) =
-  if s.dynamics <> None then
-    invalid_arg
-      "Scenario.build_sharded: dynamics drive link delays mid-run and can \
-       invalidate cut-link lookahead; sharded builds reject them";
-  let topo_rng, _dyn_rng, cross_rngs, links, tflows =
-    prepare ~what:"Scenario.build_sharded" s
-  in
-  let topo =
-    Topology.build_sharded hub ~rng:topo_rng ~links ~flows:tflows ()
-  in
-  if s.faults <> [] then
-    Fault.inject_hub hub (Fault.target_of_topology topo) s.faults;
-  (* Each cross-traffic source self-schedules its on/off bursts, so it
-     must live on the engine owning the link queue it feeds. *)
-  let link_arr = Array.of_list s.links in
-  let engine_for c =
-    Shard.engine hub (Topology.shard_of_node topo link_arr.(c.cross_link).src)
-  in
-  let crosses = start_cross ~engine_for topo s cross_rngs in
-  { topo; stop = (fun () -> List.iter Cross_traffic.stop crosses) }
-
-let shard_preview ~shards (s : t) =
-  let max_node =
-    List.fold_left (fun m l -> max m (max l.src l.dst)) 0 s.links
-  in
-  let max_node =
-    List.fold_left
-      (fun m f ->
-        let m = List.fold_left max m f.route in
-        match f.rev_route with
-        | None -> m
-        | Some r -> List.fold_left max m r)
-      max_node s.flows
-  in
-  let input =
-    {
-      Partition.nodes = max_node + 1;
-      edges = List.map (fun l -> (l.src, l.dst, l.delay)) s.links;
-      routes =
-        List.concat_map
-          (fun f ->
-            f.route :: (match f.rev_route with None -> [] | Some r -> [ r ]))
-          s.flows;
-    }
-  in
-  (Partition.partition ~shards input).shards_used
 
 (* ------------------------------------------------------------------ *)
 (* Serialization *)

@@ -92,28 +92,6 @@ val build : Pcc_sim.Engine.t -> t -> built
     [duration], an out-of-range [cross_link]/[dyn_link], or anything
     {!Topology.build}/{!Fault.inject}/{!Dynamics.start} rejects. *)
 
-val shard_applicable : t -> bool
-(** Whether {!build_sharded} accepts this scenario — currently, whether
-    it carries no {!dynamics} block (dynamics retarget link delays
-    mid-run, which could drop a cut link below its lookahead floor). *)
-
-val build_sharded : Pcc_sim.Shard.t -> t -> built
-(** {!build} distributed over a hub's shards: the topology goes through
-    {!Topology.build_sharded}, faults are compiled onto hub controls
-    ({!Fault.inject_hub}) so they fire identically at every shard count
-    without adding engine events, and each cross-traffic source runs on
-    the engine owning the link it feeds. The RNG split order is exactly
-    {!build}'s, so a scenario built on a 1-shard hub runs
-    byte-identically to the same scenario on N shards.
-    @raise Invalid_argument on everything {!build} rejects, or if the
-    scenario has a {!dynamics} block (see {!shard_applicable}). *)
-
-val shard_preview : shards:int -> t -> int
-(** How many shards {!build_sharded} on a [shards]-shard hub would
-    actually populate (via {!Partition.partition} with default
-    parameters) — lets the fuzzer's shrinker keep candidates that still
-    exercise cross-shard channels. *)
-
 (** {1 Serialization} *)
 
 val to_string : t -> string

@@ -75,9 +75,6 @@ type reverse = { line : Delay_line.t option; lossy : bool }
 
 type t = {
   engine : Engine.t;
-      (* Shard 0's engine when sharded; the single engine otherwise. *)
-  hub : Shard.t option;
-  shard_of : int array;  (* node -> shard; all zero when unsharded *)
   num_nodes : int;
   links : Link.t array;
   specs : link_spec array;
@@ -91,42 +88,6 @@ type t = {
   hooks : (float -> unit) list ref array;
   mutable rev_loss : float;
 }
-
-(* Where each piece of the simulation lives. The unsharded backend puts
-   everything on one engine; the sharded backend maps nodes to shard
-   engines and splices a {!Shard.channel} into every boundary element.
-   Component creation order — and therefore the RNG split order — is
-   identical under both, which is what keeps a 1-shard hub run
-   byte-identical to an N-shard one. *)
-type backend = {
-  be_hub : Shard.t option;
-  be_shard : node -> int;
-  be_engine : node -> Engine.t;
-  be_floor : float option;
-      (* Optional cap on channel floors, for callers that intend to
-         lower cut-link delays mid-run (down to the floor, never
-         below). *)
-}
-
-(* Scrub value for boundary-injection pool slots; never delivered. *)
-let dummy_packet =
-  Packet.data ~flow:(-1) ~seq:(-1) ~size:0 ~now:0. ~retx:false
-
-(* A boundary element delivers through a channel: payloads buffered at
-   the hub, injected at the next barrier into a destination-shard pool
-   whose fire completes the delivery. *)
-let wire_channel hub ~src_shard ~dst_shard ~src_engine ~dst_engine ~floor
-    ~deliver =
-  let pool = Pool.create ~dummy:dummy_packet () in
-  Pool.set_fire pool deliver;
-  Engine.add_owned dst_engine (fun () -> Pool.adopt pool);
-  Engine.add_reclaim dst_engine (fun () -> Pool.clear pool);
-  let ch =
-    Shard.channel hub ~src:src_shard ~dst:dst_shard ~floor
-      ~inject:(fun ~arrival ~sent p ->
-        Engine.post_from dst_engine ~sent ~at:arrival (Pool.event pool p))
-  in
-  fun ~arrival p -> Shard.send ch ~now:(Engine.now src_engine) ~arrival p
 
 let rec make_queue kind ~capacity =
   match kind with
@@ -240,7 +201,7 @@ let validate_flow ~num_nodes ~edges def =
 
 (* ------------------------------------------------------------------ *)
 
-let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
+let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
   let computed_nodes =
     1 + List.fold_left (fun acc s -> max acc (max s.src s.dst)) 0 specs
   in
@@ -275,40 +236,12 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
     Array.of_list
       (List.mapi
          (fun i (s : link_spec) ->
-           Link.create (be.be_engine s.src) ~name:names.(i) ~loss:s.loss
-             ~jitter:s.jitter ~rng:(Rng.split rng) ~bandwidth:s.bandwidth
-             ~delay:s.delay
+           Link.create engine ~name:names.(i) ~loss:s.loss ~jitter:s.jitter
+             ~rng:(Rng.split rng) ~bandwidth:s.bandwidth ~delay:s.delay
              ~queue:(make_queue s.queue ~capacity:s.buffer)
              ())
          specs)
   in
-  (* Boundary links deliver through hub channels. The floor is the
-     link's (initial) propagation delay — its conservative lookahead. *)
-  (match be.be_hub with
-  | None -> ()
-  | Some hub ->
-    Array.iteri
-      (fun i l ->
-        let s = specs_a.(i) in
-        let ss = be.be_shard s.src and ds = be.be_shard s.dst in
-        if ss <> ds then begin
-          let floor =
-            match be.be_floor with
-            | None -> s.delay
-            | Some f -> Float.min s.delay f
-          in
-          if not (floor > 0.) then
-            fail
-              "Topology.build_sharded: link %s crosses shards with zero \
-               delay (no lookahead); lower the shard count or raise \
-               min_cut_delay"
-              names.(i);
-          Link.set_remote_delivery l ~floor
-            (wire_channel hub ~src_shard:ss ~dst_shard:ds
-               ~src_engine:(be.be_engine s.src) ~dst_engine:(be.be_engine s.dst)
-               ~floor ~deliver:(Link.deliver_remote l))
-        end)
-      links);
   let fwd_tables = Array.init num_nodes (fun _ -> Hashtbl.create 8) in
   let rev_tables = Array.init num_nodes (fun _ -> Hashtbl.create 8) in
   Array.iteri
@@ -332,10 +265,6 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
   List.iteri
     (fun i (def, (fwd_ids, rev_ids)) ->
       routes.(i) <- fwd_ids;
-      let head = List.hd def.route in
-      let tail = List.nth def.route (List.length def.route - 1) in
-      let head_engine = be.be_engine head in
-      let tail_engine = be.be_engine tail in
       let prop ids =
         Array.fold_left (fun acc id -> acc +. specs_a.(id).delay) 0. ids
       in
@@ -344,31 +273,14 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
         match rev_ids with
         | None ->
           (* Ideal reverse: matching propagation delay plus this flow's
-             extra share, lossy iff the flow opted in. Lives where the
-             acks originate (the receiver's shard); when the sender is
-             elsewhere, delivery crosses back through a hub channel
-             whose floor is the line's delay — at least the cut links'
-             delays, since it matches the forward path's propagation. *)
+             extra share, lossy iff the flow opted in. *)
           let delay = fwd_prop +. (def.extra_rtt /. 2.) in
           let rev =
             if def.rev_lossy then
-              Delay_line.create tail_engine ~loss:rev_loss ~rng:(Rng.split rng)
+              Delay_line.create engine ~loss:rev_loss ~rng:(Rng.split rng)
                 ~delay ()
-            else Delay_line.create tail_engine ~delay ()
+            else Delay_line.create engine ~delay ()
           in
-          (match be.be_hub with
-          | Some hub when be.be_shard head <> be.be_shard tail ->
-            let floor =
-              match be.be_floor with
-              | None -> delay
-              | Some f -> Float.min delay f
-            in
-            Delay_line.set_remote rev ~floor
-              (wire_channel hub ~src_shard:(be.be_shard tail)
-                 ~dst_shard:(be.be_shard head) ~src_engine:tail_engine
-                 ~dst_engine:head_engine ~floor
-                 ~deliver:(Delay_line.deliver_remote rev))
-          | Some _ | None -> ());
           (Some rev, Delay_line.send rev, (2. *. fwd_prop) +. def.extra_rtt)
         | Some ids ->
           ( None,
@@ -377,7 +289,7 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
       in
       revs.(i) <-
         { line = rev_line; lossy = def.rev_lossy && Option.is_some rev_line };
-      let receiver = Receiver.create tail_engine ~ack_out in
+      let receiver = Receiver.create engine ~ack_out in
       let fwd : (Packet.t -> unit) ref = ref (fun _ -> ()) in
       let on_complete at =
         match built.(i) with
@@ -391,7 +303,7 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
         | None -> ()
       in
       let sender =
-        Transport.build head_engine ~rng:(Rng.split rng) ?size:def.size
+        Transport.build engine ~rng:(Rng.split rng) ?size:def.size
           ~on_complete ~rtt_hint def.transport
           ~out:(fun pkt -> !fwd pkt)
       in
@@ -400,7 +312,7 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
       let first_link = links.(fwd_ids.(0)) in
       (if def.extra_rtt > 0. then begin
          let access =
-           Delay_line.create head_engine ~delay:(def.extra_rtt /. 2.) ()
+           Delay_line.create engine ~delay:(def.extra_rtt /. 2.) ()
          in
          Delay_line.set_receiver access (Link.send first_link);
          fwd := Delay_line.send access
@@ -430,11 +342,11 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
       | None, Some ids, Some rroute ->
         let final =
           if def.extra_rtt > 0. then begin
-            let tail_line =
-              Delay_line.create head_engine ~delay:(def.extra_rtt /. 2.) ()
+            let tail =
+              Delay_line.create engine ~delay:(def.extra_rtt /. 2.) ()
             in
-            Delay_line.set_receiver tail_line ack_handler;
-            Delay_line.send tail_line
+            Delay_line.set_receiver tail ack_handler;
+            Delay_line.send tail
           end
           else ack_handler
         in
@@ -449,33 +361,29 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
       | None, _, _ -> assert false);
       built.(i) <- Some { def; sender; receiver; fct = None };
       ignore
-        (Engine.schedule head_engine ~at:def.start_at (fun () ->
+        (Engine.schedule engine ~at:def.start_at (fun () ->
              if Pcc_trace.Collector.enabled () then
                Pcc_trace.Collector.emit Pcc_trace.Event.Flow_start
-                 ~time:(Engine.now head_engine) ~id:fid ~a:0. ~b:0. ~i:0;
+                 ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
              sender.Sender.start ()));
       match def.stop_at with
       | Some at ->
         ignore
-          (Engine.schedule head_engine ~at (fun () ->
+          (Engine.schedule engine ~at (fun () ->
                if Pcc_trace.Collector.enabled () then
                  Pcc_trace.Collector.emit Pcc_trace.Event.Flow_stop
-                   ~time:(Engine.now head_engine) ~id:fid ~a:0. ~b:0. ~i:0;
+                   ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
                sender.Sender.stop ()))
       | None -> ())
     (List.combine defs flow_routes);
   (* Periodic link-queue occupancy samples. The probe reschedules itself
      without end, so it is armed only while a collector is installed in
-     this domain — traced runs are always time-bounded ([run ~until]).
-     Unsharded, the probe chain rides the engine; sharded, it becomes a
-     recurring hub control, so it samples every link at a barrier (all
-     shards fenced at the probe instant) and — controls not being
-     engine events — leaves event counts identical at every shard
-     count. *)
+     this domain — traced runs are always time-bounded ([run ~until]). *)
   (match Pcc_trace.Collector.current () with
   | Some c when Pcc_trace.Collector.wants c Pcc_trace.Event.cat_link ->
     let dt = Pcc_trace.Collector.probe_interval c in
-    let sample now =
+    let rec probe () =
+      let now = Engine.now engine in
       Array.iter
         (fun l ->
           let q = Link.queue l in
@@ -484,31 +392,14 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
             ~a:(float_of_int (q.Queue_disc.len_bytes ()))
             ~b:0.
             ~i:(q.Queue_disc.len_pkts ()))
-        links
+        links;
+      Engine.post_in engine ~after:dt probe
     in
-    (match be.be_hub with
-    | None ->
-      let e = be.be_engine 0 in
-      let rec probe () =
-        sample (Engine.now e);
-        Engine.post_in e ~after:dt probe
-      in
-      Engine.post_in e ~after:dt probe
-    | Some hub ->
-      let rec probe at () =
-        sample at;
-        Shard.at hub ~time:(at +. dt) (probe (at +. dt))
-      in
-      Shard.at hub ~time:dt (probe dt))
+    Engine.post_in engine ~after:dt probe
   | Some _ | None -> ());
   let strip = function Some x -> x | None -> assert false in
   {
-    engine =
-      (match be.be_hub with
-      | None -> be.be_engine 0
-      | Some hub -> Shard.engine hub 0);
-    hub = be.be_hub;
-    shard_of = Array.init num_nodes be.be_shard;
+    engine;
     num_nodes;
     links;
     specs = specs_a;
@@ -523,82 +414,10 @@ let build_with be ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
     rev_loss;
   }
 
-let build engine ~rng ?nodes ~links ?rev_loss ~flows () =
-  build_with
-    {
-      be_hub = None;
-      be_shard = (fun _ -> 0);
-      be_engine = (fun _ -> engine);
-      be_floor = None;
-    }
-    ~rng ?nodes ~links ?rev_loss ~flows ()
-
-let default_min_cut_delay = 0.0005
-
-let build_sharded hub ~rng ?nodes ?(min_cut_delay = default_min_cut_delay)
-    ?delay_floor ~links:specs ?rev_loss ~flows:defs () =
-  if not (min_cut_delay > 0.) then
-    fail "Topology.build_sharded: min_cut_delay must be positive";
-  (match delay_floor with
-  | Some f when not (f > 0.) ->
-    fail "Topology.build_sharded: delay_floor must be positive"
-  | _ -> ());
-  (* Validate before partitioning, so rejections carry the build errors
-     (and, as in [build], precede any RNG consumption). *)
-  let computed_nodes =
-    1 + List.fold_left (fun acc s -> max acc (max s.src s.dst)) 0 specs
-  in
-  let num_nodes =
-    match nodes with
-    | None -> computed_nodes
-    | Some n ->
-      if n < computed_nodes then
-        fail "Topology.build: %d nodes but a link reaches node %d" n
-          (computed_nodes - 1);
-      n
-  in
-  let edges = validate_links ~num_nodes specs in
-  List.iter (fun def -> ignore (validate_flow ~num_nodes ~edges def)) defs;
-  let part =
-    Partition.partition ~min_cut_delay ~shards:(Shard.shards hub)
-      {
-        Partition.nodes = num_nodes;
-        edges = List.map (fun (s : link_spec) -> (s.src, s.dst, s.delay)) specs;
-        routes =
-          List.concat_map
-            (fun def ->
-              def.route :: (match def.rev_route with Some r -> [ r ] | None -> []))
-            defs;
-      }
-  in
-  let shard_of = part.Partition.shard_of in
-  build_with
-    {
-      be_hub = Some hub;
-      be_shard = (fun n -> shard_of.(n));
-      be_engine = (fun n -> Shard.engine hub shard_of.(n));
-      be_floor = delay_floor;
-    }
-    ~rng ~nodes:num_nodes ~links:specs ?rev_loss ~flows:defs ()
-
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
 
 let engine t = t.engine
-let hub t = t.hub
-let shard_of_node t n =
-  if n < 0 || n >= t.num_nodes then
-    fail "Topology.shard_of_node: node %d outside [0,%d)" n t.num_nodes;
-  t.shard_of.(n)
-
-let run ?mode ?max_events ?clock t ~until =
-  match t.hub with
-  | None ->
-    ignore clock;
-    ignore mode;
-    Engine.run ?max_events ~until t.engine
-  | Some hub -> Shard.run ?mode ?max_events ?clock hub ~until
-
 let flows t = t.built
 let num_nodes t = t.num_nodes
 let num_links t = Array.length t.links
@@ -703,24 +522,6 @@ let describe t =
   let b = Buffer.create 512 in
   Printf.bprintf b "topology: %d nodes, %d links, %d flows\n" t.num_nodes
     (Array.length t.links) (Array.length t.built);
-  (match t.hub with
-  | None -> ()
-  | Some hub ->
-    let cut =
-      Array.to_list t.specs
-      |> List.filter (fun (s : link_spec) ->
-             t.shard_of.(s.src) <> t.shard_of.(s.dst))
-      |> List.length
-    in
-    let la = Shard.lookahead hub in
-    Printf.bprintf b
-      "  sharded over %d shards (%d cut links, lookahead %s)\n"
-      (Shard.shards hub) cut
-      (if la < infinity then Printf.sprintf "%.3g ms" (la *. 1e3)
-       else "unbounded");
-    Printf.bprintf b "  shard of node:";
-    Array.iteri (fun n s -> Printf.bprintf b " %d:%d" n s) t.shard_of;
-    Buffer.add_char b '\n');
   Array.iteri
     (fun i l ->
       let s = t.specs.(i) in

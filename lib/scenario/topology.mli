@@ -137,64 +137,9 @@ val build :
     with no link, a node outside the graph, or a reverse route that does
     not run from the forward route's last node back to its first. *)
 
-val build_sharded :
-  Pcc_sim.Shard.t ->
-  rng:Pcc_sim.Rng.t ->
-  ?nodes:int ->
-  ?min_cut_delay:float ->
-  ?delay_floor:float ->
-  links:link_spec list ->
-  ?rev_loss:float ->
-  flows:flow_def list ->
-  unit ->
-  t
-(** [build_sharded hub ~rng ~links ~flows ()] is {!build} distributed
-    over the hub's shards: nodes are assigned by {!Partition.partition}
-    (edges faster than [min_cut_delay], default 0.5 ms, are never cut),
-    every component lands on the shard owning its node, and each
-    boundary element — a cut link, or the ideal reverse line of a flow
-    whose endpoints sit on different shards — delivers through a
-    {!Pcc_sim.Shard.channel} whose lookahead floor is its (initial)
-    propagation delay, capped at [delay_floor] when given (for callers
-    that intend to lower cut delays mid-run; lowering below the floor
-    raises).
-
-    The RNG split order, validation and flow lifecycle are exactly
-    {!build}'s; a seeded scenario built on a 1-shard hub therefore runs
-    byte-identically to the same scenario on N shards (see {!Shard} for
-    the protocol and the one tie-break caveat).
-
-    Queue-occupancy trace probes are registered as recurring hub
-    controls rather than engine events, so event counts also match
-    across shard counts.
-    @raise Invalid_argument for everything {!build} rejects, plus a
-    non-positive [min_cut_delay]/[delay_floor], or a cut link whose
-    floor would be zero. *)
-
 (** {1 Accessors} *)
 
 val engine : t -> Pcc_sim.Engine.t
-(** The engine — shard 0's engine when built with {!build_sharded}
-    (drive those through {!run} or the hub, not this engine alone). *)
-
-val hub : t -> Pcc_sim.Shard.t option
-(** The hub this topology was built on, if sharded. *)
-
-val shard_of_node : t -> node -> int
-(** The shard owning a node (always 0 when unsharded).
-    @raise Invalid_argument if the node is out of range. *)
-
-val run :
-  ?mode:Pcc_sim.Shard.mode ->
-  ?max_events:int ->
-  ?clock:(unit -> float) ->
-  t ->
-  until:float ->
-  unit
-(** Advance the simulation to [until]: {!Pcc_sim.Shard.run} when
-    sharded (honouring [mode]), plain {!Pcc_sim.Engine.run} otherwise
-    ([mode] and [clock] are then ignored). *)
-
 val flows : t -> built_flow array
 val num_nodes : t -> int
 val num_links : t -> int

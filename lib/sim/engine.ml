@@ -44,15 +44,6 @@ type t = {
   mutable stall_budget : int;
   mutable stall_count : int;
   mutable executed : int;
-  mutable owned : (unit -> unit) list;
-      (* Domain-adoption thunks (typically [Pool.adopt] closures) run by
-         [adopt_owned] when a sharded runner moves this engine's window
-         execution onto a worker domain. *)
-  mutable reclaim : (unit -> unit) list;
-      (* Abort-path reclamation thunks (typically [Pool.clear] closures)
-         run by [reclaim_owned] when a sharded runner aborts a window
-         after a lane failure: checked-out pooled records whose release
-         events will never fire must be reclaimed, not leaked. *)
 }
 
 type timer = Handle.t
@@ -115,22 +106,16 @@ let create ?(now = 0.) ?(stall_budget = default_stall_budget)
     stall_budget;
     stall_count = 0;
     executed = 0;
-    owned = [];
-    reclaim = [];
   }
 
 let scheduler t = match t.q with Q_heap _ -> Heap | Q_wheel _ -> Wheel
 
 let now t = t.clock
 
-(* Every local push carries the posting clock as the [sent] tie-break
-   component: posts happen in clock order, so local dispatch stays the
-   classic (time, seq) while [post_from] can interleave a cross-engine
-   event at its true source-side posting instant. *)
 let q_push t ~time f =
   match t.q with
-  | Q_heap q -> Event_heap.push q ~time ~sent:t.clock f
-  | Q_wheel q -> Timing_wheel.push q ~time ~sent:t.clock f
+  | Q_heap q -> Event_heap.push q ~time f
+  | Q_wheel q -> Timing_wheel.push q ~time f
 
 let q_pop t =
   match t.q with
@@ -169,8 +154,8 @@ let schedule_in t ~after f =
 
 let q_push_unit t ~time f =
   match t.q with
-  | Q_heap q -> Event_heap.push_unit q ~time ~sent:t.clock f
-  | Q_wheel q -> Timing_wheel.push_unit q ~time ~sent:t.clock f
+  | Q_heap q -> Event_heap.push_unit q ~time f
+  | Q_wheel q -> Timing_wheel.push_unit q ~time f
 
 let post t ~at f =
   if at < t.clock then
@@ -182,28 +167,9 @@ let post_in t ~after f =
   let after = if after < 0. then 0. else after in
   q_push_unit t ~time:(t.clock +. after) f
 
-let post_from t ~sent ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.post_from: time %.9f is before now %.9f" at
-         t.clock);
-  if sent > at then
-    invalid_arg
-      (Printf.sprintf
-         "Engine.post_from: sent instant %.9f lies after the event time %.9f"
-         sent at);
-  match t.q with
-  | Q_heap q -> Event_heap.push_unit q ~time:at ~sent f
-  | Q_wheel q -> Timing_wheel.push_unit q ~time:at ~sent f
-
 let cancel = Handle.cancel
 
 let pending t = q_size t
-let next_time t = q_peek_time t
-let add_owned t f = t.owned <- f :: t.owned
-let adopt_owned t = List.iter (fun f -> f ()) t.owned
-let add_reclaim t f = t.reclaim <- f :: t.reclaim
-let reclaim_owned t = List.iter (fun f -> f ()) t.reclaim
 
 let set_stall_budget t n =
   if n <= 0 then invalid_arg "Engine.set_stall_budget: must be positive";

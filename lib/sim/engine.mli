@@ -40,15 +40,9 @@ type scheduler =
       (** Hierarchical timing wheel ({!Timing_wheel}): O(1) schedule and
           near-O(1) dispatch at millions of pending events. *)
 
-(** Both backends dispatch in the identical exact
-    [(time, sent, sequence)] order, where [sent] is the engine clock at
-    the moment the event was pushed. For events posted by this engine
-    the extra component is inert — posts happen in clock order, so ties
-    break in scheduling order exactly as under a plain [(time, seq)]
-    key — but it lets {!post_from} interleave a cross-engine boundary
-    event at its true source-side posting instant (see {!Shard}). A
-    seeded simulation produces byte-identical output under either
-    backend. The
+(** Both backends dispatch in the identical exact [(time, sequence)]
+    order — time ties break in scheduling order — so a seeded
+    simulation produces byte-identical output under either. The
     per-engine choice resolves, in priority order: the [?scheduler]
     argument to {!create}, {!set_default_scheduler} (the CLI's
     [--scheduler]), the [PCC_SCHEDULER] environment variable
@@ -125,15 +119,6 @@ val post : t -> at:float -> (unit -> unit) -> unit
 val post_in : t -> after:float -> (unit -> unit) -> unit
 (** {!schedule_in}, handle-free (see {!post}). *)
 
-val post_from : t -> sent:float -> at:float -> (unit -> unit) -> unit
-(** [post_from t ~sent ~at f] posts a handle-free event carrying an
-    explicit send instant into the dispatch key: the event sorts
-    exactly where a local [post ~at] issued when the clock read [sent]
-    would have. This is how {!Shard}'s barrier loop injects boundary
-    messages so that same-float-time ties against local events resolve
-    identically at any shard count.
-    @raise Invalid_argument if [at] is in the past or [sent > at]. *)
-
 val cancel : timer -> unit
 (** [cancel timer] prevents a pending event from firing. Cancelling an
     already-fired or already-cancelled timer is harmless. *)
@@ -141,39 +126,6 @@ val cancel : timer -> unit
 val pending : t -> int
 (** Number of live events still queued. Exact: cancelled timers stop
     counting immediately, even while still buried in the heap. *)
-
-val next_time : t -> float option
-(** Scheduled time of the earliest pending event, or [None] when the
-    queue is empty. This is the engine's safe lower bound for
-    conservative synchronization: no state change can occur before it.
-    Never earlier than {!now}. *)
-
-val add_owned : t -> (unit -> unit) -> unit
-(** Register a domain-adoption thunk — typically [fun () -> Pool.adopt p]
-    for a {!Pool} whose events this engine dispatches. {!Shard.run}
-    replays the registry on whichever domain executes this engine's
-    windows, so pooled events fire on their owner domain. *)
-
-val adopt_owned : t -> unit
-(** Run every thunk registered with {!add_owned} on the calling domain.
-    Idempotent per domain; called by the sharded runner before the first
-    window a domain executes and again by the coordinator after a
-    parallel run, handing ownership back. *)
-
-val add_reclaim : t -> (unit -> unit) -> unit
-(** Register an abort-path reclamation thunk — typically
-    [fun () -> Pool.clear p] for a {!Pool} whose release events this
-    engine dispatches. When a sharded run aborts after a lane failure,
-    in-flight pooled records' release events will never fire;
-    {!Shard.run}'s abort path replays this registry (after
-    {!adopt_owned}) so those records are reclaimed rather than leaked.
-    Never run on the success path: across incremental [run] calls a pool
-    legitimately holds in-flight records. *)
-
-val reclaim_owned : t -> unit
-(** Run every thunk registered with {!add_reclaim}. Called only by the
-    sharded runner's abort path; the engine and its pools must be
-    considered dead for simulation purposes afterwards. *)
 
 val set_stall_budget : t -> int -> unit
 (** Adjust the livelock watchdog's per-instant event budget.

@@ -1,19 +1,11 @@
-(* Binary min-heap on parallel arrays.
+(* Binary min-heap on two parallel arrays.
 
-   [times] and [sents] are plain [float array]s so the hot comparison
-   path reads unboxed floats straight out of the arrays; [cells]
-   carries the sequence number (final tie-break), the cancellation
-   handle and the payload. A mixed record holding the key would box the
-   floats and cost a pointer chase per comparison — with the key split
-   out, sift loops touch [cells] only to break exact double ties.
-
-   The key is (time, sent, seq): [sent] is the simulated instant the
-   event was posted (the engine clock at push). For a single engine
-   pushing with its own clock the extra component is inert — posts
-   happen in clock order, so (time, seq) and (time, sent, seq) agree —
-   but it lets a cross-engine injector (Shard's barrier loop) place a
-   boundary event exactly where the event would have sorted had it been
-   posted locally at its source-side send instant. See Engine.post_from.
+   [times] is a plain [float array] so the hot comparison path reads
+   unboxed floats straight out of the array; [cells] carries the
+   sequence number (FIFO tie-break), the cancellation handle and the
+   payload. A mixed record holding the key would box the float and cost
+   a pointer chase per comparison — with the key split out, sift loops
+   touch [cells] only to break exact ties.
 
    Cancellation stays lazy (dead entries surface and are dropped at the
    root), but the heap maintains an exact live count so [size] and
@@ -25,7 +17,6 @@ type 'a cell = { seq : int; h : handle; v : 'a }
 
 type 'a t = {
   mutable times : float array;
-  mutable sents : float array;
   mutable cells : 'a cell array;
   mutable len : int;  (* slots used, including dead entries *)
   mutable next_seq : int;
@@ -33,70 +24,48 @@ type 'a t = {
 }
 
 let create () =
-  {
-    times = [||];
-    sents = [||];
-    cells = [||];
-    len = 0;
-    next_seq = 0;
-    live = ref 0;
-  }
+  { times = [||]; cells = [||]; len = 0; next_seq = 0; live = ref 0 }
 
 let is_empty t = !(t.live) = 0
 let size t = !(t.live)
 
-(* Is key (time, sent, c) strictly before slot [j]? *)
-let before_slot t time sent (c : 'a cell) j =
-  time < t.times.(j)
-  || (time = t.times.(j)
-      && (sent < t.sents.(j)
-          || (sent = t.sents.(j) && c.seq < t.cells.(j).seq)))
+(* Is key (time, c) strictly before slot [j]? *)
+let before_slot t time (c : 'a cell) j =
+  time < t.times.(j) || (time = t.times.(j) && c.seq < t.cells.(j).seq)
 
-(* Is slot [i] strictly before slot [j]? *)
-let slot_before t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j)
-      && (t.sents.(i) < t.sents.(j)
-          || (t.sents.(i) = t.sents.(j) && t.cells.(i).seq < t.cells.(j).seq)))
-
-let ensure_capacity t time sent c =
+let ensure_capacity t time c =
   let cap = Array.length t.cells in
   if t.len >= cap then begin
     let ncap = if cap = 0 then 64 else cap * 2 in
     (* Unused slots are seeded with the entry being inserted; they are
        never read before being overwritten. *)
     let ntimes = Array.make ncap time in
-    let nsents = Array.make ncap sent in
     let ncells = Array.make ncap c in
     Array.blit t.times 0 ntimes 0 t.len;
-    Array.blit t.sents 0 nsents 0 t.len;
     Array.blit t.cells 0 ncells 0 t.len;
     t.times <- ntimes;
-    t.sents <- nsents;
     t.cells <- ncells
   end
 
-(* Move the hole at [i] up until (time, sent, c) fits, then place it.
-   One write per visited level instead of a four-write swap. *)
-let sift_up t i time sent c =
+(* Move the hole at [i] up until (time, c) fits, then place it. One
+   write per visited level instead of a three-write swap. *)
+let sift_up t i time c =
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before_slot t time sent c parent then begin
+    if before_slot t time c parent then begin
       t.times.(!i) <- t.times.(parent);
-      t.sents.(!i) <- t.sents.(parent);
       t.cells.(!i) <- t.cells.(parent);
       i := parent
     end
     else continue := false
   done;
   t.times.(!i) <- time;
-  t.sents.(!i) <- sent;
   t.cells.(!i) <- c
 
-(* Move the hole at [i] down until (time, sent, c) fits, then place it. *)
-let sift_down t i time sent c =
+(* Move the hole at [i] down until (time, c) fits, then place it. *)
+let sift_down t i time c =
   let i = ref i in
   let continue = ref true in
   while !continue do
@@ -104,12 +73,20 @@ let sift_down t i time sent c =
     if l >= t.len then continue := false
     else begin
       let r = l + 1 in
-      let child = if r < t.len && slot_before t r l then r else l in
-      (* Distinct seqs make the order total, so child < key is exactly
-         [not (key < child)]. *)
-      if not (before_slot t time sent c child) then begin
+      let child =
+        if
+          r < t.len
+          && (t.times.(r) < t.times.(l)
+             || (t.times.(r) = t.times.(l)
+                && t.cells.(r).seq < t.cells.(l).seq))
+        then r
+        else l
+      in
+      if
+        t.times.(child) < time
+        || (t.times.(child) = time && t.cells.(child).seq < c.seq)
+      then begin
         t.times.(!i) <- t.times.(child);
-        t.sents.(!i) <- t.sents.(child);
         t.cells.(!i) <- t.cells.(child);
         i := child
       end
@@ -117,39 +94,36 @@ let sift_down t i time sent c =
     end
   done;
   t.times.(!i) <- time;
-  t.sents.(!i) <- sent;
   t.cells.(!i) <- c
 
-let push t ~time ?(sent = neg_infinity) v =
+let push t ~time v =
   let h = Handle.make t.live in
   let c = { seq = t.next_seq; h; v } in
   t.next_seq <- t.next_seq + 1;
-  ensure_capacity t time sent c;
+  ensure_capacity t time c;
   t.len <- t.len + 1;
   incr t.live;
-  sift_up t (t.len - 1) time sent c;
+  sift_up t (t.len - 1) time c;
   h
 
 (* A single always-pending handle shared by every uncancellable entry;
    pop recognizes it physically and skips the state write. *)
 let unit_handle : handle = Handle.make (ref 0)
 
-let push_unit t ~time ?(sent = neg_infinity) v =
+let push_unit t ~time v =
   let c = { seq = t.next_seq; h = unit_handle; v } in
   t.next_seq <- t.next_seq + 1;
-  ensure_capacity t time sent c;
+  ensure_capacity t time c;
   t.len <- t.len + 1;
   incr t.live;
-  sift_up t (t.len - 1) time sent c
+  sift_up t (t.len - 1) time c
 
 (* Remove the root, refilling the hole from the last slot. *)
 let remove_root t =
   t.len <- t.len - 1;
   if t.len > 0 then begin
-    let time = t.times.(t.len)
-    and sent = t.sents.(t.len)
-    and c = t.cells.(t.len) in
-    sift_down t 0 time sent c
+    let time = t.times.(t.len) and c = t.cells.(t.len) in
+    sift_down t 0 time c
   end
 
 let rec pop t =

@@ -1,14 +1,7 @@
 (** Binary min-heap of timestamped events.
 
-    Keys are [(time, sent, sequence)] triples: ties on time break on
-    [sent] (the simulated instant the event was posted), then in
-    insertion order, which keeps simultaneous events deterministic. A
-    single poster pushing with its own monotone clock never observes the
-    [sent] component — posts happen in clock order, so the order is the
-    classic [(time, sequence)] — but a cross-engine injector
-    ({!Engine.post_from}, used by the Shard barrier loop) can supply a
-    foreign [sent] to place a boundary event exactly where it would have
-    sorted had it been posted locally at its source-side send instant. Cancellation is
+    Keys are [(time, sequence)] pairs: ties on time break in insertion
+    order, which keeps simultaneous events deterministic. Cancellation is
     lazy — a cancelled event stays in the heap until it surfaces at the
     root, which is O(1) per cancellation and fine for timer-heavy
     workloads such as TCP retransmission timers — but the heap maintains
@@ -37,14 +30,11 @@ val size : 'a t -> int
 (** Number of live events currently stored — exact even when cancelled
     entries are still buried in the middle of the heap. O(1). *)
 
-val push : 'a t -> time:float -> ?sent:float -> 'a -> handle
-(** [push t ~time ?sent v] inserts [v] at key [(time, sent)] and returns
-    a cancellation handle. [sent] defaults to [neg_infinity], which
-    sorts before every explicit posting instant; pushers that never mix
-    defaulted and explicit [sent] values (the common case) get pure
-    insertion-order tie-breaking either way. *)
+val push : 'a t -> time:float -> 'a -> handle
+(** [push t ~time v] inserts [v] at key [time] and returns a cancellation
+    handle. *)
 
-val push_unit : 'a t -> time:float -> ?sent:float -> 'a -> unit
+val push_unit : 'a t -> time:float -> 'a -> unit
 (** Like {!push} but uncancellable and handle-free — fire-and-forget
     events skip the per-entry handle allocation. Dispatch order is
     identical to {!push} (same sequence counter). *)

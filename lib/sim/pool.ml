@@ -12,8 +12,8 @@
    the per-packet path after warm-up.
 
    Discipline: every closure returned by [event] must be run exactly
-   once. Running it twice would fire a later packet's payload (or the
-   dummy); never running it leaks the slot until [clear]. Scheduling it
+   once. Running it twice raises [Double_release]; never running it
+   leaks the slot. Scheduling it
    via {!Engine.post}/{!Engine.post_in} satisfies this — posted events
    cannot be cancelled and run exactly once.
 
@@ -33,7 +33,7 @@ let () =
     | Cross_domain_release ->
       Some
         "Pool.Cross_domain_release: a pooled event fired on a domain that \
-         does not own the pool (missing Pool.adopt / Engine.adopt_owned?)"
+         does not own the pool (it was created on another domain)"
     | _ -> None)
 
 type 'a t = {
@@ -45,12 +45,9 @@ type 'a t = {
   mutable free : int array;  (* stack of free slot indices *)
   mutable free_top : int;  (* number of valid entries in [free] *)
   mutable in_use : int;
-  mutable owner : Domain.id;
-      (* The domain whose engine dispatches this pool's events. Checkout
-         ([event]) from another domain is the documented hand-off (the
-         sharded coordinator injects boundary packets between windows,
-         while every engine is parked at a barrier); the *fire* must
-         happen on the owner. *)
+  owner : Domain.id;
+      (* The creating domain: an engine and its components live and run
+         on one domain, so a fire anywhere else is a wiring bug. *)
 }
 
 let create ~dummy () =
@@ -67,7 +64,6 @@ let create ~dummy () =
   }
 
 let set_fire t f = t.fire <- f
-let adopt t = t.owner <- Domain.self ()
 
 let make_event t i () =
   if Domain.self () <> t.owner then raise Cross_domain_release;
@@ -112,14 +108,3 @@ let event t v =
 
 let in_use t = t.in_use
 let capacity t = Array.length t.slots
-
-let clear t =
-  let cap = Array.length t.slots in
-  Array.fill t.slots 0 cap t.dummy;
-  Array.fill t.live 0 cap false;
-  t.free_top <- 0;
-  for i = cap - 1 downto 0 do
-    t.free.(t.free_top) <- i;
-    t.free_top <- t.free_top + 1
-  done;
-  t.in_use <- 0

@@ -13,13 +13,10 @@
     {!Engine.post_in} (which run each posted event exactly once and
     admit no cancellation) satisfies this by construction.
 
-    {b Domain ownership.} A pool belongs to the domain that created it
-    (re-assignable with {!adopt}); firing a pooled event from any other
-    domain raises {!Cross_domain_release}. Checking a payload {e in}
-    ({!event}) from a foreign domain is the one sanctioned hand-off: the
-    sharded coordinator injects boundary packets between windows, while
-    every engine is parked at a barrier, and the event then fires later
-    on the owner domain. See {!Shard} and DESIGN.md §13. *)
+    {b Domain ownership.} A pool belongs to the domain that created it;
+    firing a pooled event from any other domain raises
+    {!Cross_domain_release}. An engine and everything wired to it run on
+    one domain, so the check only fires on a wiring bug. *)
 
 type 'a t
 
@@ -28,9 +25,8 @@ exception Double_release
     a bug in the caller (the exactly-once discipline was violated). *)
 
 exception Cross_domain_release
-(** A pooled event fired on a domain that does not own the pool —
-    usually a missing {!adopt} / {!Engine.adopt_owned} when moving an
-    engine's dispatch onto a worker domain. *)
+(** A pooled event fired on a domain that does not own the pool — a
+    component built on one domain was driven from another. *)
 
 val create : dummy:'a -> unit -> 'a t
 (** [create ~dummy ()] is an empty pool. [dummy] seeds the payload
@@ -51,16 +47,7 @@ val event : 'a t -> 'a -> unit -> unit
     @raise Cross_domain_release if the closure runs on a domain that
     does not own the pool. *)
 
-val adopt : 'a t -> unit
-(** Make the calling domain the pool's owner. Only safe while no other
-    domain can concurrently fire this pool's events — in practice, at a
-    sharded barrier or before any parallel run starts. *)
-
 val in_use : 'a t -> int
 (** Slots currently checked out (events scheduled but not yet run). *)
 
 val capacity : 'a t -> int
-
-val clear : 'a t -> unit
-(** Release every slot and scrub payloads. Only safe when no checked-out
-    closure can still run (e.g. the owning engine was discarded). *)

@@ -103,10 +103,6 @@ let on_event () =
           (Event_budget_exceeded { events = g.events; limit = g.max_events });
       if g.events mod check_period = 0 then check g
 
-let stamp () =
-  if Atomic.get hint then
-    match !(slot ()) with None -> () | Some g -> check g
-
 let events () = match !(slot ()) with Some g -> g.events | None -> 0
 
 let is_guard_exn = function

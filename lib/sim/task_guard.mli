@@ -49,14 +49,6 @@ val on_event : unit -> unit
     @raise Deadline_exceeded or @raise Event_budget_exceeded when a
     limit is hit. *)
 
-val stamp : unit -> unit
-(** Publish a heartbeat and enforce the deadline {e now}, regardless of
-    event count. The sharded hub calls this once per barrier window so a
-    lane that executes only a handful of events per window still
-    heartbeats — and honours its wall-clock deadline — at window
-    granularity. No-op when no guard is installed.
-    @raise Deadline_exceeded when past the installed deadline. *)
-
 val events : unit -> int
 (** Events counted by the current domain's guard (0 when none). *)
 

@@ -15,10 +15,8 @@
    ahead) waits in an overflow heap and is drained into the wheel when
    the cursor's epoch reaches it.
 
-   Exact ordering contract: dispatch order is exactly (time, sent, seq)
-   — the same total order as {!Event_heap} — even though ticks quantize
-   time ([sent] is the posting instant; see Event_heap on why the key
-   carries it).
+   Exact ordering contract: dispatch order is exactly (time, seq) — the
+   same total order as {!Event_heap} — even though ticks quantize time.
    Every entry funnels through a small "ready" binary heap keyed on the
    exact event time (sequence number breaking ties): harvesting a
    level-0 slot moves entries whose tick equals the cursor into
@@ -67,12 +65,11 @@ let horizon_bits = bits * levels (* 48 *)
 let mask_words = 2048 (* slots / 32 *)
 let summary_words = 64 (* mask_words / 32 *)
 
-(* A binary min-heap on (time, sent, seq) with the arena index along
-   for the ride. Keys are copied in so sift compares stay inside these unboxed
+(* A binary min-heap on (time, seq) with the arena index along for the
+   ride. Keys are copied in so sift compares stay inside these unboxed
    arrays — no pointers, hence no GC write barrier per sift move. *)
 type kheap = {
   mutable ktimes : float array;
-  mutable ksents : float array;
   mutable kseqs : int array; (* tagged: (seq lsl 1) lor has-handle *)
   mutable kidx : int array;
   mutable klen : int;
@@ -80,7 +77,6 @@ type kheap = {
 
 type 'a t = {
   mutable times : float array;
-  mutable sents : float array;
   (* meta.(2i) = chain / free-list link (-1 ends);
      meta.(2i+1) = (seq lsl 1) lor 1-if-cancellable. *)
   mutable meta : int array;
@@ -100,8 +96,7 @@ type 'a t = {
   live : int ref;
 }
 
-let mk_kheap () =
-  { ktimes = [||]; ksents = [||]; kseqs = [||]; kidx = [||]; klen = 0 }
+let mk_kheap () = { ktimes = [||]; kseqs = [||]; kidx = [||]; klen = 0 }
 
 (* [dummy] seeds the payload arena ([Array.make] needs a value of type
    ['a] before any payload exists) and replaces freed slots' payloads so
@@ -112,7 +107,6 @@ let mk_kheap () =
 let create ~dummy () =
   {
     times = [||];
-    sents = [||];
     meta = [||];
     handles = [||];
     payloads = [||];
@@ -157,27 +151,16 @@ let ctz32 w = ctz_table.((((w land -w) * debruijn) land 0xFFFFFFFF) lsr 27)
 
 (* ---- key heap ---------------------------------------------------- *)
 
-(* Key order: (time, sent, tagged seq). Seqs are unique, so the tag
-   bit never decides. *)
-let kh_key_before time sent seq (h : kheap) j =
-  time < h.ktimes.(j)
-  || (time = h.ktimes.(j)
-      && (sent < h.ksents.(j)
-          || (sent = h.ksents.(j) && seq < h.kseqs.(j))))
-
-let kh_push (h : kheap) time sent seq i =
+let kh_push (h : kheap) time seq i =
   if h.klen >= Array.length h.kidx then begin
     let ncap = if h.klen = 0 then 64 else h.klen * 2 in
     let nt = Array.make ncap time in
-    let nst = Array.make ncap sent in
     let ns = Array.make ncap seq in
     let ni = Array.make ncap i in
     Array.blit h.ktimes 0 nt 0 h.klen;
-    Array.blit h.ksents 0 nst 0 h.klen;
     Array.blit h.kseqs 0 ns 0 h.klen;
     Array.blit h.kidx 0 ni 0 h.klen;
     h.ktimes <- nt;
-    h.ksents <- nst;
     h.kseqs <- ns;
     h.kidx <- ni
   end;
@@ -186,9 +169,11 @@ let kh_push (h : kheap) time sent seq i =
   let continue = ref true in
   while !continue && !pos > 0 do
     let parent = (!pos - 1) / 2 in
-    if kh_key_before time sent seq h parent then begin
+    if
+      time < h.ktimes.(parent)
+      || (time = h.ktimes.(parent) && seq < h.kseqs.(parent))
+    then begin
       h.ktimes.(!pos) <- h.ktimes.(parent);
-      h.ksents.(!pos) <- h.ksents.(parent);
       h.kseqs.(!pos) <- h.kseqs.(parent);
       h.kidx.(!pos) <- h.kidx.(parent);
       pos := parent
@@ -196,7 +181,6 @@ let kh_push (h : kheap) time sent seq i =
     else continue := false
   done;
   h.ktimes.(!pos) <- time;
-  h.ksents.(!pos) <- sent;
   h.kseqs.(!pos) <- seq;
   h.kidx.(!pos) <- i
 
@@ -205,7 +189,6 @@ let kh_remove_root (h : kheap) =
   h.klen <- h.klen - 1;
   if h.klen > 0 then begin
     let time = h.ktimes.(h.klen)
-    and sent = h.ksents.(h.klen)
     and seq = h.kseqs.(h.klen)
     and i = h.kidx.(h.klen) in
     let pos = ref 0 in
@@ -216,15 +199,18 @@ let kh_remove_root (h : kheap) =
       else begin
         let r = l + 1 in
         let child =
-          if r < h.klen && kh_key_before h.ktimes.(r) h.ksents.(r) h.kseqs.(r) h l
+          if
+            r < h.klen
+            && (h.ktimes.(r) < h.ktimes.(l)
+               || (h.ktimes.(r) = h.ktimes.(l) && h.kseqs.(r) < h.kseqs.(l)))
           then r
           else l
         in
-        (* Distinct seqs make the order total, so child < key is
-           exactly [not (key < child)]. *)
-        if not (kh_key_before time sent seq h child) then begin
+        if
+          h.ktimes.(child) < time
+          || (h.ktimes.(child) = time && h.kseqs.(child) < seq)
+        then begin
           h.ktimes.(!pos) <- h.ktimes.(child);
-          h.ksents.(!pos) <- h.ksents.(child);
           h.kseqs.(!pos) <- h.kseqs.(child);
           h.kidx.(!pos) <- h.kidx.(child);
           pos := child
@@ -233,7 +219,6 @@ let kh_remove_root (h : kheap) =
       end
     done;
     h.ktimes.(!pos) <- time;
-    h.ksents.(!pos) <- sent;
     h.kseqs.(!pos) <- seq;
     h.kidx.(!pos) <- i
   end
@@ -246,17 +231,14 @@ let grow t =
   let cap = Array.length t.payloads in
   let ncap = if cap = 0 then 64 else cap * 2 in
   let ntimes = Array.make ncap 0. in
-  let nsents = Array.make ncap 0. in
   let nmeta = Array.make (2 * ncap) (-1) in
   let nhandles = Array.make ncap dummy_handle in
   let npayloads = Array.make ncap t.dummy in
   Array.blit t.times 0 ntimes 0 cap;
-  Array.blit t.sents 0 nsents 0 cap;
   Array.blit t.meta 0 nmeta 0 (2 * cap);
   Array.blit t.handles 0 nhandles 0 cap;
   Array.blit t.payloads 0 npayloads 0 cap;
   t.times <- ntimes;
-  t.sents <- nsents;
   t.meta <- nmeta;
   t.handles <- nhandles;
   t.payloads <- npayloads;
@@ -265,12 +247,11 @@ let grow t =
     t.free <- i
   done
 
-let alloc t time sent tagged_seq v =
+let alloc t time tagged_seq v =
   if t.free < 0 then grow t;
   let i = t.free in
   t.free <- t.meta.(2 * i);
   t.times.(i) <- time;
-  t.sents.(i) <- sent;
   t.meta.(2 * i) <- -1;
   t.meta.((2 * i) + 1) <- tagged_seq;
   t.payloads.(i) <- v;
@@ -307,9 +288,9 @@ let link_slot t level idx i =
 let place t i =
   let time = t.times.(i) in
   let tk = tick_of_time time in
-  if tk <= t.cur then kh_push t.ready time t.sents.(i) t.meta.((2 * i) + 1) i
+  if tk <= t.cur then kh_push t.ready time t.meta.((2 * i) + 1) i
   else if tk lsr horizon_bits <> t.cur lsr horizon_bits then
-    kh_push t.overflow time t.sents.(i) t.meta.((2 * i) + 1) i
+    kh_push t.overflow time t.meta.((2 * i) + 1) i
   else begin
     let l = ref 0 in
     while tk lsr (bits * (!l + 1)) <> t.cur lsr (bits * (!l + 1)) do
@@ -366,12 +347,11 @@ let sweep_kheap t (h : kheap) =
   let kept = ref [] in
   for pos = 0 to h.klen - 1 do
     let i = h.kidx.(pos) in
-    if entry_live t i then
-      kept := (h.ktimes.(pos), h.ksents.(pos), h.kseqs.(pos), i) :: !kept
+    if entry_live t i then kept := (h.ktimes.(pos), h.kseqs.(pos), i) :: !kept
     else free_slot t i
   done;
   h.klen <- 0;
-  List.iter (fun (time, sent, seq, i) -> kh_push h time sent seq i) !kept
+  List.iter (fun (time, seq, i) -> kh_push h time seq i) !kept
 
 let maybe_sweep t =
   let dead = t.in_use - !(t.live) in
@@ -388,14 +368,14 @@ let check_time time =
   if not (time >= 0.) then
     invalid_arg "Timing_wheel.push: time must be non-negative"
 
-let push t ~time ?(sent = neg_infinity) v =
+let push t ~time v =
   check_time time;
   maybe_sweep t;
   let h = Handle.make t.live in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   incr t.live;
-  let i = alloc t time sent ((seq lsl 1) lor 1) v in
+  let i = alloc t time ((seq lsl 1) lor 1) v in
   t.handles.(i) <- h;
   place t i;
   h
@@ -403,13 +383,13 @@ let push t ~time ?(sent = neg_infinity) v =
 (* Uncancellable push: no handle is allocated or stored; the entry is
    live until dispatched. Ordering is identical to {!push} (same
    sequence counter). *)
-let push_unit t ~time ?(sent = neg_infinity) v =
+let push_unit t ~time v =
   check_time time;
   maybe_sweep t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   incr t.live;
-  let i = alloc t time sent (seq lsl 1) v in
+  let i = alloc t time (seq lsl 1) v in
   place t i
 
 (* ---- advancement ------------------------------------------------- *)

@@ -2,9 +2,8 @@
 
     Drop-in alternative to {!Event_heap} with the same interface and —
     crucially — the same exact dispatch order: events come out in
-    [(time, sent, sequence)] order (time ties breaking on the posting
-    instant, then in insertion order — see {!Event_heap}), bit-for-bit
-    identical to the heap's. Internally events live in a
+    [(time, sequence)] order, time ties breaking in insertion order,
+    bit-for-bit identical to the heap's. Internally events live in a
     flat structure-of-arrays arena chained into 3 levels of 65536 slots
     (1 µs ticks, 2^48 ticks ≈ 8.9 simulated years of horizon); same-tick
     events
@@ -43,17 +42,16 @@ val is_empty : 'a t -> bool
 val size : 'a t -> int
 (** Live (non-cancelled) entries; exact, O(1). *)
 
-val push : 'a t -> time:float -> ?sent:float -> 'a -> handle
-(** See {!Event_heap.push} for the [(time, sent)] key contract. *)
+val push : 'a t -> time:float -> 'a -> handle
 
-val push_unit : 'a t -> time:float -> ?sent:float -> 'a -> unit
+val push_unit : 'a t -> time:float -> 'a -> unit
 (** Like {!push} but uncancellable: no handle is allocated or stored,
     which keeps the dominant fire-and-forget events (packet deliveries)
     allocation-free. Dispatch order is identical to {!push} — both draw
     from the same sequence counter. *)
 
 val pop : 'a t -> (float * 'a) option
-(** Earliest live event in exact [(time, sent, seq)] order. *)
+(** Earliest live event in exact [(time, seq)] order. *)
 
 val pop_cb : 'a t -> (float -> 'a -> unit) -> bool
 (** {!pop} in continuation style: calls [k time v] on the earliest live

@@ -35,24 +35,6 @@ let make_renumber c =
   in
   { get; label }
 
-(* A sharded run records events in barrier-window execution order: each
-   engine drains its own window in turn, so records from different shards
-   interleave non-chronologically (though still time-sorted per shard).
-   Sorting the full record — every field, not just the timestamp — gives
-   one canonical order that is independent of the shard count, which is
-   what lets CI [cmp] a 1-shard trace against a 4-shard one. The sort is
-   stable, so fully identical records cannot reorder, and renumbering by
-   first appearance stays deterministic because it runs on the sorted
-   stream. *)
-let ordered_events ~canonical c =
-  if not canonical then Collector.events c
-  else begin
-    let evs = Array.copy (Collector.events c) in
-    let key (e : Event.record) = (e.time, e.kind, e.id, e.a, e.b, e.i) in
-    Array.stable_sort (fun x y -> compare (key x) (key y)) evs;
-    evs
-  end
-
 (* Fixed float formats keep artifacts byte-stable; non-finite values
    (a utility of -inf from a zero-throughput log term) must not produce
    invalid JSON. *)
@@ -63,8 +45,7 @@ let ts time = Printf.sprintf "%.3f" (time *. 1e6)
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON *)
 
-let chrome_json ?(canonical = false) c =
-  let events = ordered_events ~canonical c in
+let chrome_json c =
   let r = make_renumber c in
   let buf = Buffer.create 8192 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
@@ -197,7 +178,7 @@ let chrome_json ?(canonical = false) c =
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":%s}"
              name tid t args))
-    events;
+    (Collector.events c);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
@@ -206,14 +187,12 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let write_chrome_json ?(canonical = false) ~path c =
-  write_file path (chrome_json ~canonical c)
+let write_chrome_json ~path c = write_file path (chrome_json c)
 
 (* ------------------------------------------------------------------ *)
 (* Decision log *)
 
-let decision_log ?(canonical = false) c =
-  let events = ordered_events ~canonical c in
+let decision_log c =
   let r = make_renumber c in
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
@@ -273,17 +252,15 @@ let decision_log ?(canonical = false) c =
       | Event.Dispatch | Event.Enqueue | Event.Drop | Event.Queue_sample
       | Event.Cwnd ->
         ())
-    events;
+    (Collector.events c);
   Buffer.contents buf
 
-let write_decision_log ?(canonical = false) ~path c =
-  write_file path (decision_log ~canonical c)
+let write_decision_log ~path c = write_file path (decision_log c)
 
 (* ------------------------------------------------------------------ *)
 (* CSV time series *)
 
-let csv_series ?(canonical = false) c =
-  let events = ordered_events ~canonical c in
+let csv_series c =
   let r = make_renumber c in
   let series : (string, (float * float) list ref) Hashtbl.t =
     Hashtbl.create 16
@@ -315,7 +292,7 @@ let csv_series ?(canonical = false) c =
       | Event.Flow_start | Event.Flow_stop | Event.Flow_complete
       | Event.Utility_switch ->
         ())
-    events;
+    (Collector.events c);
   List.rev_map
     (fun name ->
       let l = !(Hashtbl.find series name) in

@@ -5,20 +5,9 @@
     byte-identical run to run even though the underlying ids come from
     process-global counters. Floating-point fields are printed with
     fixed [Printf] formats — no locale, no environment dependence —
-    which is what lets CI diff two runs' artifacts for equality.
+    which is what lets CI diff two runs' artifacts for equality. *)
 
-    Every exporter takes a [?canonical] flag (default [false]). A
-    sharded run ({!Pcc_sim.Shard}) records events in barrier-window
-    execution order, so records from different shards interleave
-    non-chronologically and the interleaving depends on the shard
-    count. [~canonical:true] first stable-sorts the ring by the full
-    record — timestamp, kind, subject id and payload fields — giving
-    one canonical order (and hence byte-identical artifacts) at every
-    shard count; renumbering then runs on the sorted stream. Leave it
-    off for monolithic runs so existing golden artifacts are
-    unaffected. *)
-
-val chrome_json : ?canonical:bool -> Collector.t -> string
+val chrome_json : Collector.t -> string
 (** The Chrome trace-event JSON format (the ["traceEvents"] array
     form), loadable in Perfetto / [chrome://tracing]. Flows become
     threads of process 1 (monitor intervals as B/E spans, rate and cwnd
@@ -27,17 +16,16 @@ val chrome_json : ?canonical:bool -> Collector.t -> string
     process 0 counters. Timestamps are microseconds, non-negative and
     monotone non-decreasing in file order. *)
 
-val write_chrome_json : ?canonical:bool -> path:string -> Collector.t -> unit
+val write_chrome_json : path:string -> Collector.t -> unit
 
-val decision_log : ?canonical:bool -> Collector.t -> string
+val decision_log : Collector.t -> string
 (** Human-readable per-decision log: flow lifecycle, MI open / result /
     discard, and controller rate transitions with phase, direction and
     ladder step — one line per event, chronological. *)
 
-val write_decision_log : ?canonical:bool -> path:string -> Collector.t -> unit
+val write_decision_log : path:string -> Collector.t -> unit
 
-val csv_series :
-  ?canonical:bool -> Collector.t -> (string * (float * float) array) list
+val csv_series : Collector.t -> (string * (float * float) array) list
 (** Per-subject time series suitable for
     [Pcc_metrics.Series_io.write_multi_series]: [rate:<flow>] (Mbps),
     [utility:<flow>], [cwnd:<flow>] (packets), [queue:<link>] (bytes),

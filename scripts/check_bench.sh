@@ -21,14 +21,6 @@
 # they contribute wall time with no events and would skew the pooled
 # events/sec arbitrarily.
 #
-# When the fresh run carries a "sharding" section (bench --shards), two
-# further gates apply to it alone (no baseline join): every sharded run
-# must report identical=true (digest identity with the 1-shard run is
-# unconditional), and — only on hosts reporting >= 4 cores — the
-# 4-shard run must sustain at least MIN_SHARD_SPEEDUP (default 2.0)
-# times the 1-shard events/sec. Few-core hosts record their honest
-# numbers and skip the speedup gate.
-#
 # When the fresh run carries a "controllers" section (bench
 # --controllers), its gate checks that each controller's control plane
 # actually ran: every controller must complete monitor intervals and
@@ -47,7 +39,6 @@ baseline=${1:?$usage}
 fresh=${2:?$usage}
 max_reg=${3:-0.30}
 max_reg_each=${4:-0.50}
-min_shard_speedup=${MIN_SHARD_SPEEDUP:-2.0}
 
 for f in "$baseline" "$fresh"; do
   if [ ! -f "$f" ]; then
@@ -138,53 +129,6 @@ slow=$(jq -r --slurpfile b "$baseline" --argjson t "$each_threshold" '
   fi
 } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
 
-# --- Sharding gate (fresh file only) -------------------------------
-shard_ok=yes
-if jq -e '.sharding' "$fresh" >/dev/null 2>&1; then
-  cores=$(jq -r '.sharding.cores' "$fresh")
-  nonidentical=$(jq -r \
-    '[.sharding.runs[] | select(.identical | not) | "\(.shards)"] | join(", ")' \
-    "$fresh")
-  speedup=$(jq -r '
-    (.sharding.runs | map({(.shards|tostring): .}) | add) as $r
-    | if $r["1"] and $r["4"] and ($r["1"].events_per_sec > 0)
-      then ($r["4"].events_per_sec / $r["1"].events_per_sec)
-      else "n/a" end' "$fresh")
-  # Verdicts computed here, not inside the tee pipeline — a piped group
-  # is a subshell, so assignments made there would be lost.
-  [ -n "$nonidentical" ] && shard_ok=no
-  speedup_ok=skip
-  if [ "$cores" -ge 4 ] && [ "$speedup" != "n/a" ]; then
-    if awk -v s="$speedup" -v m="$min_shard_speedup" 'BEGIN { exit !(s >= m) }'; then
-      speedup_ok=yes
-    else
-      speedup_ok=no
-      shard_ok=no
-    fi
-  fi
-  {
-    echo ""
-    echo "## Sharding gate"
-    echo ""
-    echo "| shards | ev/s | balance | barrier overhead | identical |"
-    echo "|---:|---:|---:|---:|---|"
-    jq -r '.sharding.runs[]
-      | "| \(.shards) | \(.events_per_sec) | \(.balance) | \(.barrier_overhead) | \(.identical) |"' \
-      "$fresh"
-    echo ""
-    if [ -n "$nonidentical" ]; then
-      echo "**Sharded digests diverge from the 1-shard run at shard count(s): $nonidentical.**"
-    else
-      echo "All sharded digests identical to the 1-shard run."
-    fi
-    case "$speedup_ok" in
-      yes) echo "4-shard speedup ${speedup}x >= ${min_shard_speedup}x on a ${cores}-core host: within budget." ;;
-      no) echo "**4-shard speedup ${speedup}x < ${min_shard_speedup}x on a ${cores}-core host.**" ;;
-      skip) echo "Speedup gate skipped (cores=$cores; needs >= 4 and a 1- and 4-shard run)." ;;
-    esac
-  } | tee -a "${GITHUB_STEP_SUMMARY:-/dev/null}"
-fi
-
 # --- Controller-family gate (fresh file only) ----------------------
 ctrl_ok=yes
 if jq -e '.controllers' "$fresh" >/dev/null 2>&1; then
@@ -231,5 +175,4 @@ fi
 digests_ok=yes
 "$(dirname "$0")/check_digests.sh" || digests_ok=no
 
-[ "$ok" = yes ] && [ -z "$slow" ] && [ "$shard_ok" = yes ] && [ "$ctrl_ok" = yes ] \
-  && [ "$digests_ok" = yes ]
+[ "$ok" = yes ] && [ -z "$slow" ] && [ "$ctrl_ok" = yes ] && [ "$digests_ok" = yes ]

@@ -8,5 +8,4 @@ let () =
    @ Test_persist.suites @ Test_fuzz.suites
    @ Test_multihop.suites @ Test_topology.suites @ Test_robustness.suites
    @ Test_fault.suites
-   @ Test_experiments.suites @ Test_runner.suites @ Test_trace.suites
-   @ Test_shard.suites)
+   @ Test_experiments.suites @ Test_runner.suites @ Test_trace.suites)

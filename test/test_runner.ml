@@ -450,54 +450,6 @@ let test_supervised_tables_byte_identical () =
   Alcotest.(check string) "supervised jobs=1 = plain sequential" seq (render 1);
   Alcotest.(check string) "supervised jobs=4 = plain sequential" seq (render 4)
 
-(* A completed task that only succeeded after the shard degradation
-   ladder stepped down is accounted as degraded — per task and in the
-   sweep totals — while still counting as Completed. *)
-let test_degraded_accounting () =
-  let module Shard = Pcc_sim.Shard in
-  let module Degrade = Pcc_sim.Degrade in
-  ignore (Degrade.take_tally ());
-  let chaotic () =
-    let outcome =
-      Degrade.run
-        ~plan:(Degrade.plan ~shards:2 ())
-        (fun (a : Degrade.attempt) ->
-          let hub = Shard.create ~shards:a.Degrade.shards () in
-          Shard.configure
-            ~chaos:{ Shard.crash = Some (1, 1); wedge = None }
-            hub;
-          Array.iter
-            (fun e -> Pcc_sim.Engine.post e ~at:0.1 (fun () -> ()))
-            (Shard.engines hub);
-          Shard.run hub ~until:1.0;
-          Shard.executed hub)
-    in
-    List.length outcome.Degrade.steps
-  in
-  let results, report =
-    Supervisor.run
-      [
-        Exp_common.task ~label:"chaotic" chaotic;
-        Exp_common.task ~label:"clean" (fun () -> 0);
-      ]
-  in
-  Alcotest.(check (list (option int)))
-    "ladder stepped once, clean task untouched"
-    [ Some 1; Some 0 ]
-    results;
-  Alcotest.(check int) "sweep counts one degraded task" 1
-    report.Supervisor.degraded;
-  (match report.Supervisor.outcomes.(0) with
-  | { Supervisor.status = Supervisor.Completed _; degraded; _ } ->
-    Alcotest.(check int) "task records its degradation steps" 1 degraded
-  | o ->
-    Alcotest.failf "expected completion, got %s"
-      (Supervisor.status_name o.Supervisor.status));
-  Alcotest.(check int) "clean task undegraded" 0
-    report.Supervisor.outcomes.(1).Supervisor.degraded;
-  Alcotest.(check bool) "degradation is not failure" false
-    (Supervisor.failed report)
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned frames, truncation tolerance, identity. *)
 
@@ -618,8 +570,6 @@ let suites =
         Alcotest.test_case "non-transient crash not retried" `Quick
           test_non_transient_crash_not_retried;
         Alcotest.test_case "empty sweep" `Quick test_empty_sweep;
-        Alcotest.test_case "degraded ladder accounting" `Quick
-          test_degraded_accounting;
         Alcotest.test_case "supervised tables byte-identical jobs 1/4" `Slow
           test_supervised_tables_byte_identical;
       ] );

@@ -349,6 +349,80 @@ let prop_rng_shuffle_multiset =
       Rng.shuffle rng a;
       List.sort compare (Array.to_list a) = List.sort compare l)
 
+(* ------------------------------------------------------------------ *)
+(* Pool: exactly-once release and domain ownership *)
+
+let test_pool_double_release () =
+  let p = Pool.create ~dummy:0 () in
+  Pool.set_fire p (fun _ -> ());
+  let ev = Pool.event p 7 in
+  ev ();
+  Alcotest.check_raises "second fire raises" Pool.Double_release ev
+
+let test_pool_cross_domain () =
+  let p = Pool.create ~dummy:0 () in
+  Pool.set_fire p (fun _ -> ());
+  let ev = Pool.event p 7 in
+  let raised =
+    Domain.join
+      (Domain.spawn (fun () ->
+           try
+             ev ();
+             false
+           with Pool.Cross_domain_release -> true))
+  in
+  Alcotest.(check bool) "foreign fire rejected" true raised;
+  (* The slot is still checked out — the rejected fire released
+     nothing — and the owner can still run it. *)
+  Alcotest.(check int) "slot still live" 1 (Pool.in_use p);
+  ev ();
+  Alcotest.(check int) "owner fire drains" 0 (Pool.in_use p)
+
+(* Pooled events posted into an engine all come back to the free list,
+   and capacity tracks the in-flight peak rather than the total. Runs
+   on a worker domain too: a pool created where its engine runs is
+   owned there. *)
+let test_pool_no_leak () =
+  let run () =
+    let engine = Engine.create () in
+    let pool = Pool.create ~dummy:(-1) () in
+    let seen = ref 0 in
+    Pool.set_fire pool (fun _ -> incr seen);
+    let n = 500 in
+    for i = 0 to n - 1 do
+      Engine.post engine ~at:(0.001 *. float_of_int i) (fun () ->
+          Engine.post_in engine ~after:0.002 (Pool.event pool i))
+    done;
+    Engine.run engine;
+    (!seen, Pool.in_use pool, Pool.capacity pool)
+  in
+  let check where (seen, in_use, cap) =
+    Alcotest.(check int) (where ^ ": every event fired") 500 seen;
+    Alcotest.(check int) (where ^ ": no slot leaked") 0 in_use;
+    Alcotest.(check bool) (where ^ ": capacity bounded by in-flight peak")
+      true (cap <= 16)
+  in
+  check "main domain" (run ());
+  check "worker domain" (Domain.join (Domain.spawn run))
+
+(* The process-wide event tally sums engines running on several
+   domains at once. *)
+let test_total_executed_across_domains () =
+  let run () =
+    let engine = Engine.create () in
+    for i = 1 to 1000 do
+      Engine.post engine ~at:(float_of_int i) ignore
+    done;
+    Engine.run engine;
+    Engine.executed engine
+  in
+  let before = Engine.total_executed () in
+  let workers = List.init 2 (fun _ -> Domain.spawn run) in
+  let per = List.map Domain.join workers in
+  Alcotest.(check (list int)) "each engine ran its events" [ 1000; 1000 ] per;
+  Alcotest.(check int) "process-wide counter covers both domains" 2000
+    (Engine.total_executed () - before)
+
 let q = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -386,6 +460,14 @@ let suites =
         Alcotest.test_case "event budget" `Quick test_engine_event_budget;
         Alcotest.test_case "watchdog spares bursts" `Quick
           test_engine_watchdog_spares_bursts;
+        Alcotest.test_case "total_executed" `Quick
+          test_total_executed_across_domains;
+      ] );
+    ( "sim.pool",
+      [
+        Alcotest.test_case "double release" `Quick test_pool_double_release;
+        Alcotest.test_case "cross-domain release" `Quick test_pool_cross_domain;
+        Alcotest.test_case "no leak" `Quick test_pool_no_leak;
       ] );
     ( "sim.rng",
       [
