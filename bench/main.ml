@@ -111,8 +111,45 @@ let micro () =
     in
     Pcc_sim.Engine.run ~until:1.0 engine
   in
+  let scoreboard_bench () =
+    (* A 5k-packet window with 500 holes, 450 of them resent and still
+       young, then 1,000 SACKs above it, each followed by loss detection
+       that finds nothing due. Setup is inside the run. *)
+    let open Pcc_net in
+    let sb = Scoreboard.create () in
+    let ack seq =
+      Packet.
+        {
+          acked_seq = seq;
+          cum_ack = -1;
+          recv_bytes = 0;
+          data_sent_at = 0.;
+          data_retx = false;
+        }
+    in
+    for _ = 0 to 5_999 do
+      match Scoreboard.fresh_seq sb with
+      | Some seq -> Scoreboard.record_send sb seq ~now:0.
+      | None -> ()
+    done;
+    for seq = 0 to 4_999 do
+      if seq mod 10 <> 0 then ignore (Scoreboard.on_ack sb (ack seq))
+    done;
+    ignore (Scoreboard.detect_losses sb ~now:1.0 ~min_age:0.5);
+    for _ = 1 to 450 do
+      match Scoreboard.take_retx sb with
+      | Some seq -> Scoreboard.record_send sb seq ~now:1.0
+      | None -> ()
+    done;
+    for seq = 5_000 to 5_999 do
+      ignore (Scoreboard.on_ack sb (ack seq));
+      ignore (Scoreboard.detect_losses sb ~now:1.1 ~min_age:0.5)
+    done
+  in
   let tests =
     [
+      Test.make ~name:"scoreboard: loss detection"
+        (Staged.stage scoreboard_bench);
       Test.make ~name:"engine: 100-event cascade" (Staged.stage engine_bench);
       Test.make ~name:"engine: 10k-event drain" (Staged.stage engine_drain_bench);
       Test.make ~name:"event_heap: 100 push+pop" (Staged.stage heap_bench);

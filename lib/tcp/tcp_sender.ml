@@ -22,51 +22,26 @@ let default_config variant =
     initial_rtt = 0.05;
   }
 
-(* Per-sequence tracking lives in flat arrays indexed by sequence number
-   (sequences are dense from 0). [state] packs, per sequence, a kind in
-   the low two bits — 0 none, 1 outstanding (sent, unacked, not marked
-   lost), 2 selectively acked above [high_ack] — and "queued for
-   retransmission" in bit 2. [sent_at] keeps the last transmission time;
-   entries for resolved sequences go stale, but every read is guarded by
-   an outstanding check, so staleness is unobservable. [min_out] is a
-   monotone cursor below which nothing is outstanding.
-
-   Loss detection needs "outstanding sequences at or below the SACK
-   frontier minus dupthresh" on every ack. Scanning the window for them
-   would be O(cwnd) per ack, so candidates are tracked incrementally in
-   [cand] (bit 3 of [state] marks membership): a sequence enters when
-   the frontier first passes it (the frontier advance scans only the
-   newly covered delta, amortized O(1) per sequence) or when it is
-   retransmitted below the frontier, and leaves when it resolves or is
-   declared lost. [cand] therefore holds exactly the holes — typically
-   a handful of entries. *)
+(* Per-sequence state (outstanding, SACKed, loss candidates, the
+   retransmission queue and the transfer bound) lives in the shared
+   [Scoreboard]; this module keeps only the window, recovery and RTO
+   logic. *)
 
 type t = {
   engine : Engine.t;
   cfg : config;
   out : Packet.t -> unit;
   flow : int;
-  total_pkts : int option;
+  sb : Scoreboard.t;
   est : Rtt_estimator.t;
   ctx : Variant.ctx;
   mutable running : bool;
-  mutable next_seq : int;
-  mutable high_ack : int;
-  mutable state : Bytes.t;
-  mutable sent_at : float array;
-  mutable min_out : int;
-  mutable inflight : int;
-  mutable highest_sacked : int;
-  mutable cand : int array;  (* loss candidates (unsorted) *)
-  mutable cand_len : int;
-  retx : int Queue.t;
   mutable in_recovery : bool;
   mutable recover_seq : int;
   mutable rto_timer : Engine.timer option;
   mutable pacing_pending : bool;
   mutable last_send : float;
   mutable sent_pkts : int;
-  mutable acked_pkts : int;
   mutable timeouts : int;
   mutable fast_retransmits : int;
   mutable completed : bool;
@@ -103,101 +78,30 @@ let create engine cfg ?size ?on_complete ~out () =
   let flow = Packet.fresh_flow_id () in
   Pcc_trace.Collector.register Pcc_trace.Event.Flow_scope ~id:flow
     cfg.variant.Variant.name;
+  let sb = Scoreboard.create ~dupthresh:cfg.dupthresh () in
+  Option.iter
+    (fun bytes -> Scoreboard.limit_pkts sb (Units.packets_of_bytes bytes))
+    size;
   {
     engine;
     cfg;
     out;
     flow;
-    total_pkts = Option.map Units.packets_of_bytes size;
+    sb;
     est;
     ctx = make_ctx engine cfg est;
     running = false;
-    next_seq = 0;
-    high_ack = -1;
-    state = Bytes.make 1024 '\000';
-    sent_at = Array.make 1024 0.;
-    min_out = 0;
-    inflight = 0;
-    highest_sacked = -1;
-    cand = Array.make 16 0;
-    cand_len = 0;
-    retx = Queue.create ();
     in_recovery = false;
     recover_seq = 0;
     rto_timer = None;
     pacing_pending = false;
     last_send = neg_infinity;
     sent_pkts = 0;
-    acked_pkts = 0;
     timeouts = 0;
     fast_retransmits = 0;
     completed = false;
     on_complete;
   }
-
-let ensure t seq =
-  let cap = Bytes.length t.state in
-  if seq >= cap then begin
-    let ncap = ref (cap * 2) in
-    while seq >= !ncap do
-      ncap := !ncap * 2
-    done;
-    let nstate = Bytes.make !ncap '\000' in
-    Bytes.blit t.state 0 nstate 0 cap;
-    t.state <- nstate;
-    let nsent = Array.make !ncap 0. in
-    Array.blit t.sent_at 0 nsent 0 cap;
-    t.sent_at <- nsent
-  end
-
-(* Every sequence below [next_seq] has been through [do_send] and hence
-   [ensure], so unguarded accesses in that range are in bounds. *)
-let kind t seq = Char.code (Bytes.unsafe_get t.state seq) land 3
-
-let set_kind t seq k =
-  let b = Char.code (Bytes.unsafe_get t.state seq) in
-  Bytes.unsafe_set t.state seq (Char.unsafe_chr (b land 12 lor k))
-
-let retx_queued t seq = Char.code (Bytes.unsafe_get t.state seq) land 4 <> 0
-
-let set_retx_queued t seq q =
-  let b = Char.code (Bytes.unsafe_get t.state seq) in
-  Bytes.unsafe_set t.state seq
-    (Char.unsafe_chr (if q then b lor 4 else b land 11))
-
-let untrack t seq =
-  let b = Char.code (Bytes.unsafe_get t.state seq) in
-  Bytes.unsafe_set t.state seq (Char.unsafe_chr (b land 7))
-
-(* Add [seq] to the loss-candidate set unless already tracked. *)
-let track t seq =
-  let b = Char.code (Bytes.unsafe_get t.state seq) in
-  if b land 8 = 0 then begin
-    Bytes.unsafe_set t.state seq (Char.unsafe_chr (b lor 8));
-    if t.cand_len = Array.length t.cand then begin
-      let ncand = Array.make (2 * t.cand_len) 0 in
-      Array.blit t.cand 0 ncand 0 t.cand_len;
-      t.cand <- ncand
-    end;
-    t.cand.(t.cand_len) <- seq;
-    t.cand_len <- t.cand_len + 1
-  end
-
-(* The SACK frontier moved from [old_hs] to [t.highest_sacked]: any
-   still-outstanding sequence in the newly covered band becomes a loss
-   candidate. Bands are disjoint across calls, so the total scan work
-   over a connection is O(highest sequence). *)
-let frontier_advanced t old_hs =
-  let lo = max t.min_out (old_hs - t.cfg.dupthresh + 1) in
-  let hi = t.highest_sacked - t.cfg.dupthresh in
-  for s = max 0 lo to hi do
-    if kind t s = 1 then track t s
-  done
-
-let advance_min_out t =
-  while t.min_out < t.next_seq && kind t t.min_out <> 1 do
-    t.min_out <- t.min_out + 1
-  done
 
 let cancel_rto t =
   match t.rto_timer with
@@ -209,8 +113,6 @@ let cancel_rto t =
 let effective_cwnd t =
   int_of_float (Float.min t.ctx.Variant.cwnd t.cfg.max_cwnd)
 
-let already_delivered t seq = seq <= t.high_ack || kind t seq = 2
-
 (* Trace: congestion-window change. [cause] 0 = ack-clocked growth,
    1 = fast-recovery entry, 2 = retransmission timeout. *)
 let trace_cwnd t ~cause =
@@ -221,26 +123,13 @@ let trace_cwnd t ~cause =
 
 (* Next sequence to put on the wire: pending retransmissions first, then
    fresh data (bounded by the transfer size). *)
-let rec next_to_send t =
-  match Queue.take_opt t.retx with
-  | Some seq ->
-    set_retx_queued t seq false;
-    if already_delivered t seq then next_to_send t else Some (seq, true)
-  | None -> (
-    match t.total_pkts with
-    | Some n when t.next_seq >= n -> None
-    | Some _ | None ->
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      Some (seq, false))
-
-let has_data t =
-  (not (Queue.is_empty t.retx))
-  ||
-  match t.total_pkts with Some n -> t.next_seq < n | None -> true
+let next_to_send t =
+  match Scoreboard.take_retx t.sb with
+  | Some seq -> Some (seq, true)
+  | None -> Option.map (fun seq -> (seq, false)) (Scoreboard.fresh_seq t.sb)
 
 let rec arm_rto t =
-  if t.rto_timer = None && t.inflight > 0 && t.running then begin
+  if t.rto_timer = None && Scoreboard.inflight t.sb > 0 && t.running then begin
     let timer =
       Engine.schedule_in t.engine ~after:(Rtt_estimator.rto t.est) (fun () ->
           t.rto_timer <- None;
@@ -252,20 +141,9 @@ let rec arm_rto t =
 and on_timeout t =
   if t.running && not t.completed then begin
     t.timeouts <- t.timeouts + 1;
-    let flight_at_timeout = t.inflight in
+    let flight_at_timeout = Scoreboard.inflight t.sb in
     (* Go-back-N: everything unacked is presumed lost. *)
-    advance_min_out t;
-    for seq = t.min_out to t.next_seq - 1 do
-      if kind t seq = 1 then begin
-        set_kind t seq 0;
-        if (not (already_delivered t seq)) && not (retx_queued t seq) then begin
-          set_retx_queued t seq true;
-          Queue.push seq t.retx
-        end
-      end
-    done;
-    t.min_out <- t.next_seq;
-    t.inflight <- 0;
+    Scoreboard.go_back_n t.sb;
     t.in_recovery <- false;
     t.ctx.Variant.ssthresh <-
       Float.max (float_of_int flight_at_timeout /. 2.) Variant.min_cwnd;
@@ -279,12 +157,7 @@ and on_timeout t =
 and do_send t seq retx =
   let now = Engine.now t.engine in
   let pkt = Packet.data ~flow:t.flow ~seq ~size:Units.mss ~now ~retx in
-  ensure t seq;
-  t.sent_at.(seq) <- now;
-  set_kind t seq 1;
-  if seq <= t.highest_sacked - t.cfg.dupthresh then track t seq;
-  if seq < t.min_out then t.min_out <- seq;
-  t.inflight <- t.inflight + 1;
+  Scoreboard.record_send t.sb seq ~now;
   t.sent_pkts <- t.sent_pkts + 1;
   t.last_send <- now;
   t.out pkt;
@@ -296,7 +169,10 @@ and try_send t =
     else begin
       let continue = ref true in
       while !continue do
-        if t.inflight < effective_cwnd t && has_data t then begin
+        if
+          Scoreboard.inflight t.sb < effective_cwnd t
+          && Scoreboard.has_data t.sb
+        then begin
           match next_to_send t with
           | Some (seq, retx) -> do_send t seq retx
           | None -> continue := false
@@ -306,7 +182,10 @@ and try_send t =
     end
 
 and pace_send t =
-  if (not t.pacing_pending) && t.inflight < effective_cwnd t && has_data t
+  if
+    (not t.pacing_pending)
+    && Scoreboard.inflight t.sb < effective_cwnd t
+    && Scoreboard.has_data t.sb
   then begin
     let now = Engine.now t.engine in
     let spacing =
@@ -318,7 +197,9 @@ and pace_send t =
     ignore
       (Engine.schedule t.engine ~at (fun () ->
            t.pacing_pending <- false;
-           if t.running && (not t.completed) && t.inflight < effective_cwnd t
+           if
+             t.running && (not t.completed)
+             && Scoreboard.inflight t.sb < effective_cwnd t
            then begin
              match next_to_send t with
              | Some (seq, retx) ->
@@ -338,127 +219,41 @@ let complete t =
     | None -> ()
   end
 
-let detect_losses t =
-  (* A hole is declared lost once [dupthresh] packets above it have been
-     selectively acknowledged — the SACK analogue of 3 dup-acks. The age
-     guard keeps an in-flight retransmission (necessarily below the SACK
-     frontier) from being re-declared lost on every subsequent ack. *)
-  if t.cand_len = 0 then []
-  else begin
-    let now = Engine.now t.engine in
-    let min_age = 0.8 *. Rtt_estimator.srtt_or t.est t.cfg.initial_rtt in
-    let n = t.cand_len in
-    (* In-place insertion sort: [cand] is small (it holds only the
-       holes), and ascending order fixes the retransmission-queue push
-       order below, which must match the tree-based implementation. *)
-    for i = 1 to n - 1 do
-      let v = t.cand.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && t.cand.(!j) > v do
-        t.cand.(!j + 1) <- t.cand.(!j);
-        decr j
-      done;
-      t.cand.(!j + 1) <- v
-    done;
-    (* Ascending walk, consed into a descending list: processing order
-       (and hence retx push order) matches the original exactly. Entries
-       that resolved since being tracked drop out here. *)
-    let candidates = ref [] in
-    for i = 0 to n - 1 do
-      let seq = t.cand.(i) in
-      if kind t seq = 1 then candidates := seq :: !candidates
-      else untrack t seq
-    done;
-    t.cand_len <- 0;
-    let newly_lost = ref [] in
-    List.iter
-      (fun seq ->
-        if now -. t.sent_at.(seq) >= min_age then begin
-          set_kind t seq 0;
-          untrack t seq;
-          t.inflight <- t.inflight - 1;
-          newly_lost := seq :: !newly_lost;
-          if not (retx_queued t seq) then begin
-            set_retx_queued t seq true;
-            Queue.push seq t.retx
-          end
-        end
-        else begin
-          (* Too young to declare lost: stays a candidate. *)
-          t.cand.(t.cand_len) <- seq;
-          t.cand_len <- t.cand_len + 1
-        end)
-      !candidates;
-    (* Survivors were appended in descending order; restore ascending
-       so the next drain's insertion sort stays linear (only entries
-       tracked by a retransmission since then can be out of place). *)
-    let i = ref 0 and j = ref (t.cand_len - 1) in
-    while !i < !j do
-      let tmp = t.cand.(!i) in
-      t.cand.(!i) <- t.cand.(!j);
-      t.cand.(!j) <- tmp;
-      incr i;
-      decr j
-    done;
-    !newly_lost
-  end
-
 let handle_ack t (a : Packet.ack) =
   if t.running then begin
     (* Karn's rule: no RTT sample from a retransmitted packet. *)
     if not a.Packet.data_retx then
       Rtt_estimator.sample t.est (Engine.now t.engine -. a.Packet.data_sent_at);
-    let newly = ref 0 in
-    let seq = a.Packet.acked_seq in
-    ensure t seq;
-    if seq > t.high_ack && kind t seq <> 2 then begin
-      if kind t seq = 1 then t.inflight <- t.inflight - 1;
-      set_kind t seq 2;
-      incr newly;
-      if seq > t.highest_sacked then begin
-        let old_hs = t.highest_sacked in
-        t.highest_sacked <- seq;
-        frontier_advanced t old_hs
-      end
-    end;
-    if a.Packet.cum_ack > t.high_ack then begin
-      ensure t a.Packet.cum_ack;
-      for s = t.high_ack + 1 to a.Packet.cum_ack do
-        (match kind t s with
-        | 2 -> ()
-        | k ->
-          incr newly;
-          if k = 1 then t.inflight <- t.inflight - 1);
-        set_kind t s 0
-      done;
-      t.high_ack <- a.Packet.cum_ack;
-      if t.min_out <= t.high_ack then t.min_out <- t.high_ack + 1
-    end;
-    if !newly > 0 then begin
-      t.acked_pkts <- t.acked_pkts + !newly;
+    let newly = List.length (Scoreboard.on_ack t.sb a) in
+    if newly > 0 then begin
       Rtt_estimator.reset_backoff t.est;
       cancel_rto t;
       (* cwnd growth is suppressed during recovery, as in fast recovery. *)
       if not t.in_recovery then begin
-        t.cfg.variant.Variant.on_ack t.ctx ~newly_acked:!newly;
+        t.cfg.variant.Variant.on_ack t.ctx ~newly_acked:newly;
         if t.ctx.Variant.cwnd > t.cfg.max_cwnd then
           t.ctx.Variant.cwnd <- t.cfg.max_cwnd;
         trace_cwnd t ~cause:0
       end
     end;
-    let lost = detect_losses t in
+    (* A hole is declared lost once [dupthresh] packets above it have been
+       selectively acknowledged — the SACK analogue of 3 dup-acks. Fast
+       retransmit resends the newly lost holes highest first. *)
+    let lost =
+      Scoreboard.detect_losses ~highest_first:true t.sb
+        ~now:(Engine.now t.engine)
+        ~min_age:(0.8 *. Rtt_estimator.srtt_or t.est t.cfg.initial_rtt)
+    in
     if lost <> [] && not t.in_recovery then begin
       t.in_recovery <- true;
-      t.recover_seq <- t.next_seq;
+      t.recover_seq <- Scoreboard.next_seq t.sb;
       t.fast_retransmits <- t.fast_retransmits + 1;
       t.cfg.variant.Variant.on_loss t.ctx;
       trace_cwnd t ~cause:1
     end;
-    if t.in_recovery && t.high_ack >= t.recover_seq then
+    if t.in_recovery && Scoreboard.high_ack t.sb >= t.recover_seq then
       t.in_recovery <- false;
-    (match t.total_pkts with
-    | Some n when t.high_ack >= n - 1 -> complete t
-    | Some _ | None -> ());
+    if Scoreboard.complete t.sb then complete t;
     arm_rto t;
     try_send t
   end
@@ -490,16 +285,13 @@ let sender t =
       stop = (fun () -> stop t);
       handle_ack = (fun a -> handle_ack t a);
       rate_estimate = (fun () -> rate_estimate t);
-      acked_bytes = (fun () -> t.acked_pkts * Units.mss);
+      acked_bytes = (fun () -> Scoreboard.acked_pkts t.sb * Units.mss);
       srtt = (fun () -> Rtt_estimator.srtt_or t.est t.cfg.initial_rtt);
       sent_pkts = (fun () -> t.sent_pkts);
       is_complete = (fun () -> t.completed);
     }
 
 let cwnd t = t.ctx.Variant.cwnd
-let ssthresh t = t.ctx.Variant.ssthresh
-let in_flight t = t.inflight
-let in_recovery t = t.in_recovery
 let timeouts t = t.timeouts
 let fast_retransmits t = t.fast_retransmits
 let srtt t = Rtt_estimator.srtt t.est

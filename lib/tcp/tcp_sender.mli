@@ -3,10 +3,12 @@
     Owns everything the paper calls TCP's architecture except the
     hardwired event→response mapping itself, which is supplied as a
     {!Variant.t}: transmission clocked by a congestion window, per-packet
-    SACK scoreboard, fast retransmit after three selective acks above a
+    SACK loss detection on the shared {!Pcc_net.Scoreboard}, fast
+    retransmit (highest hole first) after three selective acks above a
     hole, one window reduction per recovery episode, RTO with exponential
-    backoff and a configurable floor, go-back-N after a timeout, and
-    optional packet pacing (the "TCP Pacing" baseline of §4.1.6). *)
+    backoff and a configurable floor, go-back-N (lowest first) after a
+    timeout, and optional packet pacing (the "TCP Pacing" baseline of
+    §4.1.6). *)
 
 type config = {
   variant : Variant.t;
@@ -42,9 +44,6 @@ val sender : t -> Pcc_net.Sender.t
 (** {1 Introspection (tests, debugging)} *)
 
 val cwnd : t -> float
-val ssthresh : t -> float
-val in_flight : t -> int
-val in_recovery : t -> bool
 val timeouts : t -> int
 val fast_retransmits : t -> int
 val srtt : t -> float option

@@ -440,6 +440,302 @@ let prop_scoreboard_never_negative_inflight =
         events;
       Scoreboard.inflight sb >= 0)
 
+(* Reference scoreboard for the differential test: the byte-scan loss
+   detection the candidate heap replaced. [detect_losses] walks every
+   sequence from the lowest to [highest_sacked - dupthresh] and queues
+   the lost ones in walk order (reversed for [~highest_first]). *)
+module Ref_sb = struct
+  type t = {
+    mutable high_ack : int;
+    mutable highest_sacked : int;
+    kind : int array;  (* 0 untracked, 1 outstanding, 2 SACKed *)
+    queued : bool array;
+    sent_at : float array;
+    mutable inflight : int;
+    retx_q : int Queue.t;
+    mutable next : int;
+  }
+
+  let dupthresh = 3
+
+  let create cap =
+    {
+      high_ack = -1;
+      highest_sacked = -1;
+      kind = Array.make cap 0;
+      queued = Array.make cap false;
+      sent_at = Array.make cap 0.;
+      inflight = 0;
+      retx_q = Queue.create ();
+      next = 0;
+    }
+
+  let fresh_seq t =
+    t.next <- t.next + 1;
+    t.next - 1
+
+  let delivered t seq = seq <= t.high_ack || t.kind.(seq) = 2
+
+  let remove_outstanding t seq =
+    if t.kind.(seq) = 1 then begin
+      t.kind.(seq) <- 0;
+      t.inflight <- t.inflight - 1
+    end
+
+  let record_send t seq ~now =
+    t.sent_at.(seq) <- now;
+    if (not (delivered t seq)) && t.kind.(seq) <> 1 then begin
+      t.kind.(seq) <- 1;
+      t.inflight <- t.inflight + 1
+    end
+
+  let on_ack t (a : Packet.ack) =
+    let newly = ref [] in
+    let seq = a.Packet.acked_seq in
+    if seq > t.high_ack && t.kind.(seq) <> 2 then begin
+      newly := seq :: !newly;
+      remove_outstanding t seq;
+      t.kind.(seq) <- 2;
+      t.highest_sacked <- max t.highest_sacked seq
+    end;
+    for s = t.high_ack + 1 to a.Packet.cum_ack do
+      if t.kind.(s) = 2 then t.kind.(s) <- 0
+      else begin
+        newly := s :: !newly;
+        remove_outstanding t s
+      end
+    done;
+    t.high_ack <- max t.high_ack a.Packet.cum_ack;
+    List.rev !newly
+
+  let queue_retx t seq =
+    if not t.queued.(seq) then begin
+      t.queued.(seq) <- true;
+      Queue.push seq t.retx_q
+    end
+
+  let due t seq ~now ~min_age =
+    t.kind.(seq) = 1 && now -. t.sent_at.(seq) >= min_age
+
+  let detect_losses ?(highest_first = false) t ~now ~min_age =
+    let lost = ref [] in
+    for seq = 0 to min (t.highest_sacked - dupthresh) (t.next - 1) do
+      if due t seq ~now ~min_age then begin
+        remove_outstanding t seq;
+        lost := seq :: !lost
+      end
+    done;
+    let lost = List.rev !lost in
+    List.iter (queue_retx t) (if highest_first then List.rev lost else lost);
+    lost
+
+  let mark_lost t seq ~now ~min_age =
+    due t seq ~now ~min_age
+    && begin
+      remove_outstanding t seq;
+      queue_retx t seq;
+      true
+    end
+
+  let sweep_stale t ~now ~min_age =
+    let stale = ref [] in
+    for seq = 0 to t.next - 1 do
+      if due t seq ~now ~min_age then stale := seq :: !stale
+    done;
+    List.iter
+      (fun seq ->
+        remove_outstanding t seq;
+        queue_retx t seq)
+      !stale;
+    List.rev !stale
+
+  let go_back_n t =
+    for seq = 0 to t.next - 1 do
+      if t.kind.(seq) = 1 then begin
+        remove_outstanding t seq;
+        queue_retx t seq
+      end
+    done
+
+  let rec take_retx t =
+    match Queue.take_opt t.retx_q with
+    | None -> None
+    | Some seq ->
+      t.queued.(seq) <- false;
+      if delivered t seq then take_retx t else Some seq
+end
+
+type sb_op =
+  | Send
+  | Retx
+  | Sack of int
+  | Sack_recent of int
+  | Cum of int * int
+  | Mark of int * float
+  | Sweep of float
+  | Go_back_n
+  | Detect of float * bool
+  | Tick of float
+
+let show_sb_op = function
+  | Send -> "send"
+  | Retx -> "retx"
+  | Sack k -> Printf.sprintf "sack %d" k
+  | Sack_recent k -> Printf.sprintf "sack-recent %d" k
+  | Cum (k, c) -> Printf.sprintf "cum %d/%d" k c
+  | Mark (k, a) -> Printf.sprintf "mark %d %g" k a
+  | Sweep a -> Printf.sprintf "sweep %g" a
+  | Go_back_n -> "go-back-n"
+  | Detect (a, h) -> Printf.sprintf "detect %g%s" a (if h then " hi" else "")
+  | Tick dt -> Printf.sprintf "tick %g" dt
+
+(* Ages and ticks are drawn from a coarse grid so that sends, acks and
+   due times often coincide exactly. [min_age] is drawn afresh for each
+   call, so it rises and falls across a run. *)
+let sb_op_gen =
+  let open QCheck.Gen in
+  let age = map (fun k -> 0.05 *. float_of_int k) (int_bound 8) in
+  let idx = int_bound 1000 in
+  frequency
+    [
+      (5, return Send);
+      (3, return Retx);
+      (2, map (fun k -> Sack k) idx);
+      (4, map (fun k -> Sack_recent k) (int_bound 7));
+      (1, map2 (fun k c -> Cum (k, c)) idx idx);
+      (1, map2 (fun k a -> Mark (k, a)) idx age);
+      (1, map (fun a -> Sweep a) age);
+      (1, return Go_back_n);
+      (4, map2 (fun a h -> Detect (a, h)) age bool);
+      (4, map (fun k -> Tick (0.05 *. float_of_int k)) (int_bound 4));
+    ]
+
+(* Run [ops] against both scoreboards; [Error] names the first
+   divergence. Sequence arguments are taken modulo the number issued;
+   [Sack_recent k] acks the k-th most recent one, which keeps the SACK
+   frontier sliding over a window of holes and resends. *)
+let sb_differential ops =
+  let max_ops = List.length ops in
+  let sb = Scoreboard.create () and rf = Ref_sb.create (max_ops + 1) in
+  let now = ref 0. in
+  let pick k = k mod rf.Ref_sb.next in
+  let ack ~cum seq =
+    Packet.
+      {
+        acked_seq = seq;
+        cum_ack = cum;
+        recv_bytes = 0;
+        data_sent_at = 0.;
+        data_retx = false;
+      }
+  in
+  let step op =
+    let issued = rf.Ref_sb.next > 0 in
+    let same what pp a b =
+      if a = b then Ok ()
+      else Error (Printf.sprintf "%s: %s vs %s" what (pp a) (pp b))
+    in
+    let ints l = String.concat "," (List.map string_of_int l) in
+    let opt = function None -> "-" | Some s -> string_of_int s in
+    match op with
+    | Send ->
+      let seq = Ref_sb.fresh_seq rf in
+      ignore (Scoreboard.fresh_seq sb);
+      Ref_sb.record_send rf seq ~now:!now;
+      Scoreboard.record_send sb seq ~now:!now;
+      Ok ()
+    | Retx ->
+      let r = Ref_sb.take_retx rf and s = Scoreboard.take_retx sb in
+      Option.iter (fun seq -> Ref_sb.record_send rf seq ~now:!now) r;
+      Option.iter (fun seq -> Scoreboard.record_send sb seq ~now:!now) s;
+      same "take_retx" opt r s
+    | Sack k when issued ->
+      let a = ack ~cum:rf.Ref_sb.high_ack (pick k) in
+      same "on_ack" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
+    | Sack_recent k when issued ->
+      let a = ack ~cum:rf.Ref_sb.high_ack (max 0 (rf.Ref_sb.next - 1 - k)) in
+      same "on_ack" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
+    | Cum (k, c) when issued ->
+      let a = ack ~cum:(pick c) (pick k) in
+      same "on_ack cum" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
+    | Mark (k, min_age) when issued ->
+      let seq = pick k in
+      same "mark_lost" string_of_bool
+        (Ref_sb.mark_lost rf seq ~now:!now ~min_age)
+        (Scoreboard.mark_lost sb seq ~now:!now ~min_age)
+    | Sweep min_age ->
+      same "sweep_stale" ints
+        (Ref_sb.sweep_stale rf ~now:!now ~min_age)
+        (Scoreboard.sweep_stale sb ~now:!now ~min_age)
+    | Go_back_n ->
+      Ref_sb.go_back_n rf;
+      Scoreboard.go_back_n sb;
+      Ok ()
+    | Detect (min_age, highest_first) ->
+      same "detect_losses" ints
+        (Ref_sb.detect_losses ~highest_first rf ~now:!now ~min_age)
+        (Scoreboard.detect_losses ~highest_first sb ~now:!now ~min_age)
+    | Tick dt ->
+      now := !now +. dt;
+      Ok ()
+    | Sack _ | Sack_recent _ | Cum _ | Mark _ -> Ok ()
+  in
+  let rec go i = function
+    | [] ->
+      let rec drain () =
+        match (Ref_sb.take_retx rf, Scoreboard.take_retx sb) with
+        | None, None -> Ok ()
+        | r, s when r = s -> drain ()
+        | _ -> Error "final take_retx drain order"
+      in
+      drain ()
+    | op :: rest -> (
+      match step op with
+      | Error e -> Error (Printf.sprintf "op %d (%s): %s" i (show_sb_op op) e)
+      | Ok () when Ref_sb.(rf.inflight) <> Scoreboard.inflight sb ->
+        Error (Printf.sprintf "op %d (%s): inflight" i (show_sb_op op))
+      | Ok () -> go (i + 1) rest)
+  in
+  go 0 ops
+
+let prop_scoreboard_matches_byte_scan =
+  QCheck.Test.make ~name:"heap detection matches byte scan" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_sb_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 300) sb_op_gen))
+    (fun ops ->
+      match sb_differential ops with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+(* The stale-key path: a candidate resent after go-back-N keeps its heap
+   entry from the first send, so the pop must re-key it, not declare it
+   lost on the old send time. *)
+let test_scoreboard_resent_candidate () =
+  let ops =
+    [ Send; Send; Send; Send; Send; Sack 1; Sack 2; Sack 3; Sack 4 ]
+    @ [ Tick 0.2; Go_back_n; Retx; Tick 0.1; Detect (0.15, false) ]
+    @ [ Tick 0.1; Detect (0.15, false) ]
+  in
+  (match sb_differential ops with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let sb = Scoreboard.create () in
+  for seq = 0 to 4 do
+    ignore (Scoreboard.fresh_seq sb);
+    Scoreboard.record_send sb seq ~now:0.
+  done;
+  List.iter (fun s -> ignore (Scoreboard.on_ack sb (ack s))) [ 1; 2; 3; 4 ];
+  Scoreboard.go_back_n sb;
+  Alcotest.(check int) "nothing in flight" 0 (Scoreboard.inflight sb);
+  Alcotest.(check (option int)) "requeued" (Some 0) (Scoreboard.take_retx sb);
+  Scoreboard.record_send sb 0 ~now:0.2;
+  Alcotest.(check (list int)) "young resend spared" []
+    (Scoreboard.detect_losses sb ~now:0.3 ~min_age:0.15);
+  Alcotest.(check (list int)) "old resend declared" [ 0 ]
+    (Scoreboard.detect_losses sb ~now:0.4 ~min_age:0.15)
+
 let q = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -497,6 +793,9 @@ let suites =
         Alcotest.test_case "limit and complete" `Quick
           test_scoreboard_limit_and_complete;
         Alcotest.test_case "sweep stale" `Quick test_scoreboard_sweep_stale;
+        Alcotest.test_case "resent candidate re-keyed" `Quick
+          test_scoreboard_resent_candidate;
         q prop_scoreboard_never_negative_inflight;
+        q prop_scoreboard_matches_byte_scan;
       ] );
   ]

@@ -1,6 +1,7 @@
 open Pcc_sim
 open Pcc_tcp
 module Sender = Pcc_net.Sender
+module Packet = Pcc_net.Packet
 
 (* ------------------------------------------------------------------ *)
 (* Rtt_estimator *)
@@ -468,6 +469,66 @@ let test_tcp_pacing_spreads_sends () =
     Alcotest.(check (float 1e-3)) "second spaced" 0.05 t1
   | _ -> Alcotest.fail "expected at least 2 sends"
 
+(* A ten-packet transfer whose acks the test delivers by hand; returns
+   the sender and the retransmitted sequences in wire order. *)
+let retx_harness engine =
+  let retx = ref [] in
+  let cfg = Tcp_sender.default_config (Newreno.make ()) in
+  let cfg = { cfg with Tcp_sender.init_cwnd = 10.; initial_rtt = 0.1 } in
+  let t =
+    Tcp_sender.create engine cfg ~size:(10 * Units.mss)
+      ~out:(fun p ->
+        match p.Packet.kind with
+        | Packet.Data { retx = true } -> retx := p.Packet.seq :: !retx
+        | Packet.Data _ | Packet.Ack _ -> ())
+      ()
+  in
+  let s = Tcp_sender.sender t in
+  (* Karn's rule keeps these acks from sampling the RTT, so the loss age
+     guard stays at 0.8 x [initial_rtt]. *)
+  let acks_at at l =
+    ignore
+      (Engine.schedule engine ~at (fun () ->
+           List.iter
+             (fun (seq, cum) ->
+               s.Sender.handle_ack
+                 Packet.
+                   {
+                     acked_seq = seq;
+                     cum_ack = cum;
+                     recv_bytes = 0;
+                     data_sent_at = 0.;
+                     data_retx = true;
+                   })
+             l))
+  in
+  s.Sender.start ();
+  (t, acks_at, fun () -> List.rev !retx)
+
+let test_tcp_fast_retransmit_highest_first () =
+  let engine = Engine.create () in
+  let t, acks_at, retx = retx_harness engine in
+  (* Holes at 1, 3 and 5 with three SACKs above each. At 50 ms they are
+     too young for the age guard; the ack at 100 ms declares all three. *)
+  acks_at 0.05 [ (0, 0); (2, 0); (4, 0); (6, 0); (7, 0); (8, 0) ];
+  acks_at 0.1 [ (9, 0) ];
+  Engine.run ~until:0.2 engine;
+  Alcotest.(check int) "one recovery" 1 (Tcp_sender.fast_retransmits t);
+  Alcotest.(check (list int)) "highest first" [ 5; 3; 1 ] (retx ())
+
+let test_tcp_go_back_n_lowest_first () =
+  let engine = Engine.create () in
+  let t, acks_at, retx = retx_harness engine in
+  (* Two SACKs leave every hole short of dupthresh, so only the RTO (1 s
+     after the last ack re-armed it) recovers. Afterwards cwnd is 2; the
+     acks for 0 and 1, back before the age guard could flag either
+     resend, open it to 4. *)
+  acks_at 0.05 [ (4, -1); (6, -1) ];
+  acks_at 1.1 [ (0, 0); (1, 1) ];
+  Engine.run ~until:1.15 engine;
+  Alcotest.(check int) "one timeout" 1 (Tcp_sender.timeouts t);
+  Alcotest.(check (list int)) "lowest first" [ 0; 1; 2; 3; 5; 7 ] (retx ())
+
 let suites =
   [
     ( "tcp.rtt_estimator",
@@ -518,5 +579,9 @@ let suites =
         Alcotest.test_case "timeout on blackhole" `Quick
           test_tcp_timeout_on_blackhole;
         Alcotest.test_case "pacing" `Quick test_tcp_pacing_spreads_sends;
+        Alcotest.test_case "fast retransmit highest first" `Quick
+          test_tcp_fast_retransmit_highest_first;
+        Alcotest.test_case "go-back-N lowest first" `Quick
+          test_tcp_go_back_n_lowest_first;
       ] );
   ]
