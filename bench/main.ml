@@ -736,13 +736,28 @@ let () =
                              amortize the domain pool]\n%!"
                 e.name;
             let t0 = now_s () in
-            (* A raising experiment must not take the rest of the sweep
-               down: record it, keep going, fail the run at the end. *)
-            match e.render ?pool ?dump_dir ~scale:!scale ~seed:!seed () with
-            | exception exn ->
+            (* A failing experiment must not take the rest of the sweep
+               down: record it, keep going, fail the run at the end. Task
+               failures come back as holes in the rendered tables and
+               land in the executor's tally; anything else raises. *)
+            Runner.reset_failures ();
+            let rendered =
+              match e.render ?pool ?dump_dir ~scale:!scale ~seed:!seed () with
+              | exception exn -> Error (Printexc.to_string exn)
+              | out -> (
+                match Runner.failures () with
+                | [] -> Ok out
+                | failures ->
+                  Error
+                    (Printf.sprintf "%d task(s) failed: %s"
+                       (List.length failures)
+                       (String.concat ", "
+                          (List.map Runner.describe failures))))
+            in
+            match rendered with
+            | Error msg ->
               let wall = now_s () -. t0 in
               let events = Pcc_sim.Engine.total_executed () - e0 in
-              let msg = Printexc.to_string exn in
               crashed := e.name :: !crashed;
               Printf.printf "[%s FAILED after %.1fs: %s]\n%!" e.name wall msg;
               Some
@@ -754,7 +769,7 @@ let () =
                   b_identical = None;
                   b_error = Some msg;
                 }
-            | rendered ->
+            | Ok rendered ->
               let wall = now_s () -. t0 in
               let events = Pcc_sim.Engine.total_executed () - e0 in
               print_string rendered;
@@ -800,7 +815,6 @@ let () =
       if !run_controllers then controller_bench ~seed:!seed else []
     in
     let total_wall = now_s () -. t_start in
-    (match pool with Some p -> Runner.shutdown p | None -> ());
     write_bench_json ~path:!out ~scale:!scale ~seed:!seed ~jobs:!jobs
       ~total_wall ~scheduler ~controllers records;
     Printf.printf "\n[bench results written to %s]\n%!" !out;

@@ -22,36 +22,6 @@ let transport_conv =
 
 (* ------------------------------------------------------------------ *)
 
-(* The scheduler choice must land before any command body runs (engines
-   are created early in several commands), so the converter applies it
-   as a side effect of parsing: cmdliner converts every argument before
-   it evaluates a term. [with_scheduler] then only has to thread the
-   option through so the flag is parsed and documented. *)
-let scheduler_conv =
-  let parse s =
-    match Engine.scheduler_of_string (String.lowercase_ascii s) with
-    | Some sch ->
-      Engine.set_default_scheduler sch;
-      Ok sch
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown scheduler %s (heap, wheel)" s))
-  in
-  let print fmt s = Format.pp_print_string fmt (Engine.scheduler_name s) in
-  Arg.conv (parse, print)
-
-let scheduler_arg =
-  Arg.(
-    value
-    & opt (some scheduler_conv) None
-    & info [ "scheduler" ] ~docv:"BACKEND"
-        ~doc:
-          "Event-queue backend: $(b,wheel) (hierarchical timing wheel, the \
-           default) or $(b,heap) (binary heap). Both dispatch in the same \
-           deterministic order; this only changes performance. Equivalent \
-           to setting $(b,PCC_SCHEDULER).")
-
-let with_scheduler term = Term.(const (fun _sched r -> r) $ scheduler_arg $ term)
-
 let queue_of_string = function
   | "droptail" -> Some Path.Droptail
   | "codel" -> Some Path.Codel
@@ -497,7 +467,7 @@ let selftest_entry : Pcc_experiments.Exp_registry.entry =
     descr = "supervision self-test: ok / hang / crash / ok (PCC_TEST_HANG)";
     parallel = true;
     render =
-      (fun ?pool ?policy ?dump_dir:_ ~scale:_ ~seed:_ () ->
+      (fun ?pool ?dump_dir:_ ~scale:_ ~seed:_ () ->
         let hang () =
           (* An engine that reschedules itself forever: only a Task_guard
              deadline or event ceiling gets us out. *)
@@ -518,7 +488,7 @@ let selftest_entry : Pcc_experiments.Exp_registry.entry =
             Exp_common.task ~label:"selftest/ok-after" (fun () -> 2.);
           ]
         in
-        let results = Exp_common.run_tasks_opt ?pool ?policy tasks in
+        let results = Exp_common.run_tasks_opt ?pool tasks in
         Exp_common.render_table
           {
             Exp_common.title = "supervision self-test";
@@ -650,20 +620,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
               t)
             ckpt_path
         in
-        Supervisor.reset_failures ();
-        let policy =
-          {
-            Supervisor.default_policy with
-            Supervisor.jobs;
-            deadline;
-            max_events;
-            retries;
-            backoff;
-            transient = (fun _ -> retries > 0);
-            forensics_dir = Some forensics;
-            forensic_trace;
-          }
-        in
+        Runner.reset_failures ();
         let exit_after =
           Option.bind (Sys.getenv_opt "PCC_TEST_EXIT_AFTER") int_of_string_opt
         in
@@ -678,16 +635,15 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
                 Printf.eprintf "exp: %s restored from checkpoint\n%!" e.name;
                 out
               | None ->
-                let policy =
-                  {
-                    policy with
-                    Supervisor.repro_context =
-                      Some
-                        (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
-                           e.name scale seed);
-                  }
+                let pool =
+                  Runner.create ~jobs ?deadline ?max_events ~retries ~backoff
+                    ~forensics_dir:forensics ~forensic_trace
+                    ~repro_context:
+                      (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
+                         e.name scale seed)
+                    ()
                 in
-                let out = e.render ~policy ?dump_dir ~scale ~seed () in
+                let out = e.render ~pool ?dump_dir ~scale ~seed () in
                 Option.iter
                   (fun t -> Checkpoint.append t ~name:e.name ~output:out)
                   ckpt;
@@ -714,17 +670,11 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
         | _ -> ());
         (* Partial results were printed above; now make the failure
            visible in the exit status with a one-line summary. *)
-        (match Supervisor.failures () with
+        (match Runner.failures () with
         | [] -> `Ok ()
         | failures ->
           let shown = List.filteri (fun i _ -> i < 6) failures in
-          let names =
-            List.map
-              (fun (o : Supervisor.outcome) ->
-                Printf.sprintf "%s (%s)" o.Supervisor.label
-                  (Supervisor.status_name o.Supervisor.status))
-              shown
-          in
+          let names = List.map Runner.describe shown in
           let suffix =
             if List.length failures > List.length shown then ", ..." else ""
           in
@@ -1211,41 +1161,41 @@ let cmds =
   [
     Cmd.v
       (Cmd.info "run" ~doc:"Simulate flows sharing one bottleneck link")
-      (with_scheduler run_term);
+      run_term;
     Cmd.v
       (Cmd.info "exp"
          ~doc:
            "Reproduce the paper's experiments (optionally in parallel with \
             --jobs)")
-      (with_scheduler exp_term);
+      exp_term;
     Cmd.v
       (Cmd.info "topo"
          ~doc:
            "Simulate flows on a graph topology (multi-hop chains, congested \
             reverse paths)")
-      (with_scheduler topo_term);
+      topo_term;
     Cmd.v
       (Cmd.info "trace"
          ~doc:
            "Run a scenario with the structured tracer on and export \
             Perfetto-loadable JSON, CSV series and a decision log")
-      (with_scheduler trace_term);
+      trace_term;
     Cmd.v
       (Cmd.info "chaos"
          ~doc:
            "Run a transport through a seeded fault gauntlet and report \
             per-fault recovery")
-      (with_scheduler chaos_term);
+      chaos_term;
     Cmd.v
       (Cmd.info "game" ~doc:"Run the Sec. 2.2 game dynamics (Theorems 1-2)")
-      (with_scheduler game_term);
+      game_term;
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
            "Generate random scenarios, test them against invariant and \
             differential oracles, and minimize any failure into a replayable \
             repro file")
-      (with_scheduler fuzz_term);
+      fuzz_term;
     Cmd.v
       (Cmd.info "list" ~doc:"List transports and queue disciplines")
       Term.(ret (const list_cmd $ const ()));

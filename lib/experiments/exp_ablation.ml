@@ -48,8 +48,8 @@ let tasks ?(scale = 1.) ?(seed = 42) () =
 
 let collect results = Exp_common.present results
 
-let run ?pool ?policy ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ()))
+let run ?pool ?scale ?seed () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   Exp_common.
@@ -68,6 +68,3 @@ let table rows =
            as 10% loss); larger MIs help the literal formula at the cost \
            of decision latency.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -43,8 +43,8 @@ let collect results =
       | _ -> invalid_arg "Exp_buffer.collect: 3 measurements per buffer")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?buffers () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?buffers ()))
+let run ?pool ?scale ?seed ?buffers () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?buffers ()))
 
 let table rows =
   Exp_common.
@@ -67,6 +67,3 @@ let table rows =
           "Paper: PCC reaches 90% capacity with 6 MSS of buffer; CUBIC \
            needs 13x more; even paced TCP needs 25x more.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

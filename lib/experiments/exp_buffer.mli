@@ -26,7 +26,6 @@ val collect : (int * float) option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?buffers:int list ->
@@ -35,4 +34,3 @@ val run :
 (** Base duration 100 s per point. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -54,12 +54,12 @@ let print_table t =
 
 (* ------------------------------------------------------------------ *)
 (* Task plumbing: every experiment describes its independent simulation
-   runs as a list of tasks, executed sequentially or fanned out over a
-   Runner pool. Results always come back in task order, so [collect]
-   functions may rely on position. *)
+   runs as a list of tasks, executed on a Runner executor. Results always
+   come back in task order, so [collect] functions may rely on
+   position. *)
 
 module Task = struct
-  type 'a t = 'a Supervisor.task = {
+  type 'a t = 'a Runner.task = {
     label : string;
     seed : int option;
     repro : string option;
@@ -75,17 +75,13 @@ let task_label (t : _ task) = t.Task.label
 
 let run_tasks ?pool tasks =
   match pool with
-  | Some p when Runner.jobs p > 1 ->
-    Runner.map_list p (fun t -> t.Task.run ()) tasks
-  | _ -> List.map (fun t -> t.Task.run ()) tasks
+  | Some p -> Runner.map_list p (fun t -> t.Task.run ()) tasks
+  | None -> List.map (fun t -> t.Task.run ()) tasks
 
-(* Supervised variant: with a policy, failures yield [None] slots (and
-   land in the supervisor's report/tally) instead of tearing down the
-   sweep; without one, behaves exactly like [run_tasks]. *)
-let run_tasks_opt ?pool ?policy tasks =
-  match policy with
-  | Some policy -> fst (Supervisor.run ~policy tasks)
-  | None -> List.map Option.some (run_tasks ?pool tasks)
+(* Failures yield [None] slots (and land in the Runner's report and
+   tally) instead of tearing down the sweep. *)
+let run_tasks_opt ?(pool = Runner.create ~jobs:1 ()) tasks =
+  fst (Runner.run pool tasks)
 
 let value_or_nan = function Some v -> v | None -> Float.nan
 let present l = List.filter_map Fun.id l

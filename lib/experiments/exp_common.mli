@@ -3,8 +3,8 @@
     Every experiment module follows the same convention: a [run] function
     parameterized by a [scale] (multiplying the paper's measurement
     durations, so tests can run cheap versions) and a [seed], returning
-    structured rows, plus a [print] that renders the paper-shaped table to
-    stdout. *)
+    structured rows, plus a [table] that shapes them like the paper's
+    figure. *)
 
 type table = {
   title : string;
@@ -26,11 +26,12 @@ val print_table : table -> unit
     description of its independent simulation runs — all randomness
     derived from the seed at construction time) and [collect] (folds the
     per-task results, {e in task order}, back into rows). {!run_tasks}
-    executes a task list either sequentially or on a {!Runner} pool; by
-    the Runner's determinism contract both give identical results. *)
+    and {!run_tasks_opt} execute a task list on a {!Runner} executor; by
+    the Runner's determinism contract the results do not depend on its
+    job count. *)
 
 module Task : sig
-  type 'a t = 'a Supervisor.task = {
+  type 'a t = 'a Runner.task = {
     label : string;
     seed : int option;
     repro : string option;
@@ -42,24 +43,23 @@ type 'a task = 'a Task.t
 (** One independent simulation run. The [label] identifies it in logs
     and forensics; [seed]/[repro] feed crash bundles. (The record lives
     in {!Task} so its fields don't shadow experiment row fields under
-    local opens of this module; it is equal to {!Supervisor.task} so
-    experiments run unchanged under supervision.) *)
+    local opens of this module; it is equal to {!Runner.task}.) *)
 
 val task : ?label:string -> ?seed:int -> ?repro:string -> (unit -> 'a) -> 'a task
 val task_label : 'a task -> string
 
 val run_tasks : ?pool:Runner.t -> 'a task list -> 'a list
 (** Execute the tasks and return their results in task order. With no
-    [pool] (or a 1-worker pool) runs sequentially in the calling
-    domain. Strict: the first task exception propagates. *)
+    [pool], a plain [List.map] in the calling domain; with one,
+    {!Runner.map_list}. Strict: the lowest-indexed task exception
+    propagates. *)
 
-val run_tasks_opt :
-  ?pool:Runner.t -> ?policy:Supervisor.policy -> 'a task list -> 'a option list
-(** Like {!run_tasks}, but positional-with-holes. With a [policy], tasks
-    run under {!Supervisor.run}: a failing task yields [None] in its
-    slot (its outcome lands in the supervisor report and process-wide
-    tally) and the rest of the sweep completes. Without a [policy],
-    identical to [run_tasks] with every result wrapped in [Some]. *)
+val run_tasks_opt : ?pool:Runner.t -> 'a task list -> 'a option list
+(** Like {!run_tasks}, but positional-with-holes: tasks run under
+    {!Runner.run} with the [pool]'s settings (default: one worker, no
+    limits), a failing task yields [None] in its slot (its outcome lands
+    in the process-wide tally, {!Runner.failures}) and the rest of the
+    sweep completes. *)
 
 val value_or_nan : float option -> float
 (** [None] becomes [nan] — pair with the NaN-aware formatters below so a

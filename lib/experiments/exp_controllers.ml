@@ -171,14 +171,14 @@ let collect_head results =
       { workload = wname; tputs = List.map (fun (_, c, v) -> (c, v)) cells })
     (Exp_common.group_by (fun (w, _, _) -> w) present)
 
-let run ?pool ?policy ?(scale = 1.) ?(seed = 42) () =
+let run ?pool ?(scale = 1.) ?(seed = 42) () =
   let head =
     collect_head
-      (Exp_common.run_tasks_opt ?pool ?policy (head_tasks ~scale ~seed))
+      (Exp_common.run_tasks_opt ?pool (head_tasks ~scale ~seed))
   in
   let phases =
     Exp_common.present
-      (Exp_common.run_tasks_opt ?pool ?policy (phase_tasks ~scale ~seed))
+      (Exp_common.run_tasks_opt ?pool (phase_tasks ~scale ~seed))
   in
   (head, phases)
 
@@ -228,8 +228,3 @@ let phase_table rows =
            and reclaim the bandwidth after it leaves; Vivace (contrast \
            row) keeps competing throughout.";
     }
-
-let print ?pool ?scale ?seed () =
-  let head, phases = run ?pool ?scale ?seed () in
-  Exp_common.print_table (table head);
-  Exp_common.print_table (phase_table phases)

@@ -29,7 +29,6 @@ val controllers : unit -> (string * Pcc_scenario.Transport.spec) list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   unit ->
@@ -40,4 +39,3 @@ val run :
 
 val table : row list -> Exp_common.table
 val phase_table : phase_row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

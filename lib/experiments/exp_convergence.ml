@@ -78,8 +78,8 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(flows = 4) () =
 
 let collect results = Exp_common.present results
 
-let run ?pool ?policy ?scale ?seed ?flows () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?flows ()))
+let run ?pool ?scale ?seed ?flows () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?flows ()))
 
 let table results =
   let header =
@@ -105,6 +105,3 @@ let table results =
           "Paper: PCC's Jain index beats CUBIC/New Reno at every time \
            scale; PCC rate variance is a fraction of CUBIC's.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -29,7 +29,6 @@ val collect : protocol_result option list -> protocol_result list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?flows:int ->
@@ -39,4 +38,3 @@ val run :
     Protocols: PCC, CUBIC, New Reno. *)
 
 val table : protocol_result list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -72,8 +72,8 @@ let collect results =
   let present = Exp_common.present results in
   (List.map fst present, List.map snd present)
 
-let run ?pool ?policy ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ()))
+let run ?pool ?scale ?seed () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   Exp_common.
@@ -97,7 +97,3 @@ let table rows =
           "Paper: PCC 83% of optimal over 500 s; CUBIC 14x and Illinois \
            5.6x worse than PCC.";
     }
-
-let print ?pool ?scale ?seed () =
-  let rows, _ = run ?pool ?scale ?seed () in
-  Exp_common.print_table (table rows)

@@ -30,7 +30,6 @@ val collect :
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   unit ->
@@ -40,4 +39,3 @@ val run :
     rate) for rate-tracking plots. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -68,8 +68,8 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(loads = [ 0.05; 0.25; 0.5; 0.75 ]) () =
 
 let collect results = Exp_common.present results
 
-let run ?pool ?policy ?scale ?seed ?loads () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?loads ()))
+let run ?pool ?scale ?seed ?loads () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?loads ()))
 
 let table rows =
   Exp_common.
@@ -94,6 +94,3 @@ let table rows =
           "Paper: PCC matches TCP's median and 95th-percentile FCT up to \
            75% load (95th pct ~20% above TCP at 75%).";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -28,7 +28,6 @@ val collect : row option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?loads:float list ->
@@ -37,4 +36,3 @@ val run :
 (** Arrival horizon 120 s · scale per point. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

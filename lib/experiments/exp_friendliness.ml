@@ -86,9 +86,9 @@ let collect ?(selfish_counts = [ 1; 2; 4; 8 ]) results =
     cells
     (Exp_common.chunk 2 results)
 
-let run ?pool ?policy ?scale ?seed ?selfish_counts () =
+let run ?pool ?scale ?seed ?selfish_counts () =
   collect ?selfish_counts
-    (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?selfish_counts ()))
+    (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?selfish_counts ()))
 
 let table rows =
   Exp_common.
@@ -123,6 +123,3 @@ let table rows =
            (paper: PCC friendlier for most configurations, more so as \
            units increase).";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

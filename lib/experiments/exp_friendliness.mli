@@ -32,7 +32,6 @@ val collect : ?selfish_counts:int list -> float option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?selfish_counts:int list ->
@@ -42,4 +41,3 @@ val run :
     (100 Mbps, 10 ms); 100 s · scale each. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -70,8 +70,8 @@ let tasks ?(seed = 42) ?(ns = [ 2; 3; 5; 10; 20 ]) () =
 
 let collect results = Exp_common.present results
 
-let run ?pool ?policy ?seed ?ns () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?seed ?ns ()))
+let run ?pool ?seed ?ns () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?seed ?ns ()))
 
 let table rows =
   Exp_common.
@@ -110,6 +110,3 @@ let table rows =
            T - x.L utility's equilibrium loss grows toward 50% with n, \
            motivating the sigmoid cut-off.";
     }
-
-let print ?pool ?seed () =
-  Exp_common.print_table (table (run ?pool ?seed ()))

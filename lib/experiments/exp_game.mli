@@ -28,6 +28,5 @@ val tasks : ?seed:int -> ?ns:int list -> unit -> row Exp_common.task list
 val collect : row option list -> row list
 (** Identity — each task already yields a finished row. *)
 
-val run : ?pool:Runner.t -> ?policy:Supervisor.policy -> ?seed:int -> ?ns:int list -> unit -> row list
+val run : ?pool:Runner.t -> ?seed:int -> ?ns:int list -> unit -> row list
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?seed:int -> unit -> unit

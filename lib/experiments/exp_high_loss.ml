@@ -64,8 +64,8 @@ let collect results =
       | _ -> invalid_arg "Exp_high_loss.collect: 3 measurements per loss")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?losses () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?losses ()))
+let run ?pool ?scale ?seed ?losses () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?losses ()))
 
 let table rows =
   Exp_common.
@@ -101,6 +101,3 @@ let table rows =
            loss; 151x CUBIC at 10% loss. The safe utility collapses past \
            its 5% cap, as designed.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -25,7 +25,6 @@ val collect : (float * float) option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?losses:float list ->
@@ -33,4 +32,3 @@ val run :
   row list
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

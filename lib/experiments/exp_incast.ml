@@ -92,9 +92,9 @@ let collect samples =
          in
          { senders = n; block; pcc = of_proto "pcc"; tcp = of_proto "tcp" })
 
-let run ?pool ?policy ?scale ?seed ?senders ?blocks () =
+let run ?pool ?scale ?seed ?senders ?blocks () =
   collect
-    (Exp_common.run_tasks_opt ?pool ?policy
+    (Exp_common.run_tasks_opt ?pool
        (tasks ?scale ?seed ?senders ?blocks ()))
 
 let table rows =
@@ -120,6 +120,3 @@ let table rows =
           "Paper: with >=10 senders PCC holds 60-80% of line rate, 7-8x \
            TCP, and stays flat as senders increase.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

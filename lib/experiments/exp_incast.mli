@@ -40,7 +40,6 @@ val collect : sample option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?senders:int list ->
@@ -50,4 +49,3 @@ val run :
 (** [scale] controls the number of averaged rounds (15·scale, min 2). *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

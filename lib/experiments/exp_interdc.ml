@@ -66,8 +66,8 @@ let collect results =
     pairs
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ()))
+let run ?pool ?scale ?seed () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   let avg f =
@@ -105,6 +105,3 @@ let table rows =
           "Paper: PCC 624-818 Mbps on every pair; 5.2x Illinois on \
            average; SABUL within ~15% of PCC.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -25,8 +25,7 @@ val tasks :
 
 val collect : float option list -> row list
 
-val run : ?pool:Runner.t -> ?policy:Supervisor.policy -> ?scale:float -> ?seed:int -> unit -> row list
+val run : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> row list
 (** Base duration 100 s per pair and protocol. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

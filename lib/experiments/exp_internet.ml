@@ -60,8 +60,8 @@ let collect results =
       | _ -> invalid_arg "Exp_internet.collect: 4 measurements per pair")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?pairs () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?pairs ()))
+let run ?pool ?scale ?seed ?pairs () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?pairs ()))
 
 let summarize results =
   let mk baseline extract =
@@ -119,6 +119,3 @@ let table results =
           "Paper: vs CUBIC median 5.52x, >=10x on 41% of pairs; vs SABUL \
            1.41x median; vs PCP 4.58x median.";
     }
-
-let print ?pool ?scale ?seed ?pairs () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ?pairs ()))

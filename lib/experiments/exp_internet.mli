@@ -39,7 +39,6 @@ val collect :
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?pairs:int ->
@@ -49,5 +48,3 @@ val run :
 
 val summarize : pair_result list -> summary list
 val table : pair_result list -> Exp_common.table
-val print :
-  ?pool:Runner.t -> ?scale:float -> ?seed:int -> ?pairs:int -> unit -> unit

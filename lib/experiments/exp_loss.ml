@@ -52,8 +52,8 @@ let collect results =
       | _ -> invalid_arg "Exp_loss.collect: 4 measurements per loss point")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?losses () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?losses ()))
+let run ?pool ?scale ?seed ?losses () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?losses ()))
 
 let table rows =
   Exp_common.
@@ -78,6 +78,3 @@ let table rows =
           "Paper: PCC >95% capacity to 1% loss, graceful to 2%, collapse by \
            6% (5% utility cap); CUBIC 10x below PCC at 0.1%.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -30,7 +30,6 @@ val collect : (float * float) option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?losses:float list ->
@@ -41,4 +40,3 @@ val run :
     with and without it. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

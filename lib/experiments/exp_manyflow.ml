@@ -6,8 +6,8 @@ open Pcc_scenario
    output is not a protocol comparison but that the simulator sustains
    tens of thousands of concurrent flows — hundreds of thousands of
    pending timers — and stays deterministic while doing so. The table
-   is pure simulation state (no wall-clock), so a run under the heap
-   and the wheel backend must render byte-identically. *)
+   is pure simulation state (no wall-clock), so a fixed seed renders
+   byte-identically at any job count. *)
 
 type row = {
   flows : int;
@@ -55,8 +55,7 @@ let round ~seed ~n ~bandwidth ~rtt =
   in
   let horizon = 10. +. (8. *. ideal) in
   (* Sample the queue depth on a fixed grid: the samples are simulation
-     events themselves, so the peak is deterministic and identical under
-     every scheduler backend. *)
+     events themselves, so the peak is deterministic. *)
   let peak = ref 0 in
   let samples = int_of_float (horizon /. 0.05) in
   for k = 0 to samples do
@@ -121,8 +120,8 @@ let tasks ?(scale = 1.) ?(seed = 42) ?flows () =
         round ~seed ~n ~bandwidth:default_bandwidth ~rtt:default_rtt);
   ]
 
-let run ?pool ?policy ?scale ?seed ?flows () =
-  Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?flows ())
+let run ?pool ?scale ?seed ?flows () =
+  Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?flows ())
   |> Exp_common.present
 
 let table rows =
@@ -147,8 +146,5 @@ let table rows =
         Some
           "Not a paper figure: scale proof for the timing-wheel scheduler \
            and pooled packet path. Output is simulation state only, so it \
-           is byte-identical under --scheduler heap and wheel.";
+           is byte-identical at any --jobs.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

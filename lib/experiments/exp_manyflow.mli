@@ -6,8 +6,8 @@
     through the scheduler, pooled packet events on every hop, and a
     deterministic outcome. The rendered table contains only simulation
     state (completions, goodput, queue high-water mark, event count), so
-    a fixed seed renders byte-identically under both the heap and the
-    timing-wheel backend. The round fails (for the supervisor to catch)
+    a fixed seed renders byte-identically at any job count. The round
+    fails (for the executor to catch)
     if fewer than 90% of flows complete, aggregate goodput exceeds the
     bottleneck capacity, or the peak event-queue depth is implausibly
     small for the flow count. *)
@@ -40,7 +40,6 @@ val flows_for_scale : float -> int
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?flows:int ->
@@ -49,4 +48,3 @@ val run :
 (** [flows] overrides the [scale]-derived population. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -69,8 +69,8 @@ let tasks ?(scale = 1.) ?(seed = 42) () =
 
 let collect results = Exp_common.present results
 
-let run ?pool ?policy ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ()))
+let run ?pool ?scale ?seed () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   let find name =
@@ -110,6 +110,3 @@ let table rows =
           rows;
       note;
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

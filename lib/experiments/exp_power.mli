@@ -21,8 +21,7 @@ val tasks : ?scale:float -> ?seed:int -> unit -> row Exp_common.task list
 val collect : row option list -> row list
 (** Identity — each task already yields a finished row. *)
 
-val run : ?pool:Runner.t -> ?policy:Supervisor.policy -> ?scale:float -> ?seed:int -> unit -> row list
+val run : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> row list
 (** Base duration 60 s · scale per combination. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

@@ -22,7 +22,6 @@ type entry = {
           byte-identical. *)
   render :
     ?pool:Runner.t ->
-    ?policy:Supervisor.policy ->
     ?dump_dir:string ->
     scale:float ->
     seed:int ->
@@ -31,10 +30,11 @@ type entry = {
       (** Runs the experiment and returns the rendered tables. The
           result is a pure function of [scale] and [seed] (plus
           [dump_dir] note lines) — never of the pool's job count or
-          scheduling. With a [policy], simulations run under
-          {!Supervisor.run}: failed measurements render as ["n/a"] (or
-          drop their row) and the failures land in the supervisor's
-          process-wide tally instead of raising. *)
+          scheduling. Simulations run under {!Runner.run} with the
+          [pool]'s settings (default: one worker, no limits): failed
+          measurements render as ["n/a"] (or drop their row) and the
+          failures land in the process-wide tally ({!Runner.failures})
+          instead of raising. *)
 }
 
 val all : entry list

@@ -62,8 +62,8 @@ let collect results =
       | _ -> invalid_arg "Exp_rtt_fairness.collect: 3 measurements per RTT")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?rtts () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?rtts ()))
+let run ?pool ?scale ?seed ?rtts () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?rtts ()))
 
 let table rows =
   Exp_common.
@@ -84,6 +84,3 @@ let table rows =
           "Ratio of long-RTT to short-RTT throughput; 1.0 = fair. Paper: \
            PCC near 1, CUBIC below, New Reno worst.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -27,7 +27,6 @@ val collect : (float * float) option list -> row list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?rtts:float list ->
@@ -36,4 +35,3 @@ val run :
 (** Base measurement 500 s per point (paper), scaled. *)
 
 val table : row list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

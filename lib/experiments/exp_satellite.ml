@@ -62,8 +62,8 @@ let collect results =
       | _ -> invalid_arg "Exp_satellite.collect: 5 measurements per buffer")
     (Exp_common.chunk (List.length (specs ())) results)
 
-let run ?pool ?policy ?scale ?seed ?buffers () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?buffers ()))
+let run ?pool ?scale ?seed ?buffers () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?buffers ()))
 
 let table rows =
   Exp_common.
@@ -90,6 +90,3 @@ let table rows =
           "Paper: PCC ~90% of capacity from 7.5 KB buffers; Hybla 17x and \
            Illinois 54x below PCC at 1 MB.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

@@ -94,8 +94,8 @@ let collect samples =
            stddev = Stats.mean (Array.of_list (List.map (fun s -> s.s_sd) cell));
          })
 
-let run ?pool ?policy ?scale ?seed ?trials () =
-  collect (Exp_common.run_tasks_opt ?pool ?policy (tasks ?scale ?seed ?trials ()))
+let run ?pool ?scale ?seed ?trials () =
+  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?trials ()))
 
 let table points =
   Exp_common.
@@ -121,6 +121,3 @@ let table points =
            points; RCT cuts variance up to 35% for ~3% extra convergence \
            time at Tm=1.0.";
     }
-
-let print ?pool ?scale ?seed () =
-  Exp_common.print_table (table (run ?pool ?scale ?seed ()))

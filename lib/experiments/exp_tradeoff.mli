@@ -33,7 +33,6 @@ val collect : sample option list -> point list
 
 val run :
   ?pool:Runner.t ->
-  ?policy:Supervisor.policy ->
   ?scale:float ->
   ?seed:int ->
   ?trials:int ->
@@ -42,4 +41,3 @@ val run :
 (** [trials] (default max 2 (15·scale)) runs are averaged per point. *)
 
 val table : point list -> Exp_common.table
-val print : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> unit

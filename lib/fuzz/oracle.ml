@@ -137,8 +137,8 @@ let first_violation violations =
         detail = Printf.sprintf "t=%.6f %s" v.Invariant.time v.Invariant.detail;
       }
 
-let run_once ?scheduler (s : Scenario.t) : (stats, failure) result =
-  let engine = Engine.create ?scheduler () in
+let run_once (s : Scenario.t) : (stats, failure) result =
+  let engine = Engine.create () in
   let violations = ref [] in
   match
     guarded_run engine ~duration:s.Scenario.duration ~violations (fun () ->
@@ -311,23 +311,22 @@ let supervisor_check (s : Scenario.t) (base : stats) =
     | Error f -> "fail:" ^ f.oracle ^ ":" ^ f.detail
   in
   let run_jobs jobs =
-    let policy = { Supervisor.default_policy with Supervisor.jobs } in
     let results, report =
-      Supervisor.run ~policy
+      Runner.run (Runner.create ~jobs ())
         [
           {
-            Supervisor.label = Printf.sprintf "fuzz-digest-j%d" jobs;
+            Runner.label = Printf.sprintf "fuzz-digest-j%d" jobs;
             seed = Some s.Scenario.seed;
             repro = None;
             run = digest_task;
           };
         ]
     in
-    if Supervisor.failed report then Error (Supervisor.summary_line report)
+    if Runner.failed report then Error (Runner.summary_line report)
     else
       match results with
       | [ Some d ] -> Ok d
-      | _ -> Error "supervisor returned no result"
+      | _ -> Error "executor returned no result"
   in
   match (run_jobs 1, run_jobs 2) with
   | Error m, _ | _, Error m ->
@@ -401,36 +400,6 @@ let test ?(synth = fun _ -> None) ?(deep = true) (s : Scenario.t) =
         Some
           { oracle = "determinism"; detail = "same-seed digests differ" }
       | Ok _ -> (
-        (* Scheduler differential: the engine's tie-break contract says
-           heap and wheel dispatch in the same exact (time, seq) order,
-           so the digest must be bit-identical under the backend the
-           base run did NOT use. Campaigns under PCC_SCHEDULER=heap and
-           =wheel therefore cross-check each other. *)
-        let other =
-          match Engine.default_scheduler () with
-          | Engine.Heap -> Engine.Wheel
-          | Engine.Wheel -> Engine.Heap
-        in
-        match run_once ~scheduler:other s with
-        | Error f ->
-          Some
-            {
-              oracle = "scheduler-differential";
-              detail =
-                Printf.sprintf "%s run failed: %s: %s"
-                  (Engine.scheduler_name other)
-                  f.oracle f.detail;
-            }
-        | Ok sw when sw.digest <> base.digest ->
-          Some
-            {
-              oracle = "scheduler-differential";
-              detail =
-                Printf.sprintf "%s digest differs from %s run"
-                  (Engine.scheduler_name other)
-                  (Engine.scheduler_name (Engine.default_scheduler ()));
-            }
-        | Ok _ -> (
         (* Serialization roundtrip, structurally and behaviourally. *)
         match Scenario.of_string (Scenario.to_string s) with
         | exception Persist.Corrupt m ->
@@ -458,4 +427,4 @@ let test ?(synth = fun _ -> None) ?(deep = true) (s : Scenario.t) =
           | Ok _ -> (
             match wrapper_check s base with
             | Some f -> Some f
-            | None -> if deep then deep_checks s base else None))))))
+            | None -> if deep then deep_checks s base else None)))))

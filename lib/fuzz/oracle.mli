@@ -23,17 +23,12 @@
       patterns, event counts);
     - serialization: [of_string (to_string s)] is structurally equal to
       [s] and runs to an identical digest;
-    - scheduler equivalence: re-running the scenario on the event-queue
-      backend the base run did {e not} use (binary heap vs hierarchical
-      timing wheel — see {!Pcc_sim.Engine.scheduler}) must produce an
-      identical digest, upholding the engine's exact [(time, seq)]
-      dispatch-order contract;
     - wrapper equivalence: a scenario expressible through the flat
       {!Pcc_scenario.Path} (single dumbbell link) or
       {!Pcc_scenario.Multihop} (droptail chain) wrappers must run
       bit-identically through them;
     - supervised execution: running the scenario as a
-      {!Pcc_experiments.Supervisor} task at [jobs = 1] and [jobs = 2]
+      {!Pcc_experiments.Runner} task at [jobs = 1] and [jobs = 2]
       yields identical digests;
     - checkpoint transport: a digest written through
       {!Pcc_experiments.Checkpoint} loads back verbatim.
@@ -51,15 +46,10 @@ type stats = { events : int; digest : string }
 val digest : Pcc_sim.Engine.t -> Pcc_scenario.Topology.t -> string
 (** The exact-match run summary the differential oracles compare. *)
 
-val run_once :
-  ?scheduler:Pcc_sim.Engine.scheduler ->
-  Pcc_scenario.Scenario.t ->
-  (stats, failure) result
+val run_once : Pcc_scenario.Scenario.t -> (stats, failure) result
 (** Build and run the scenario once under the invariant checker and the
     semantic sweeps. Never raises: build errors, livelocks and event
-    crashes come back as failures. [scheduler] pins the event-queue
-    backend (default: the engine's process default — whatever
-    [PCC_SCHEDULER] or {!Pcc_sim.Engine.set_default_scheduler} says). *)
+    crashes come back as failures. *)
 
 val test :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
@@ -70,7 +60,7 @@ val test :
     is a synthetic-failure hook (the fuzzer wires [PCC_FUZZ_SYNTH]
     through it): returning [Some detail] yields an ["synthetic"] failure
     — how CI exercises the shrink-and-repro pipeline without a real bug.
-    [deep] (default [true]) additionally runs the supervisor jobs-1/2
+    [deep] (default [true]) additionally runs the executor jobs-1/2
     and checkpoint differentials, which spawn domains and touch the
     filesystem; the fuzz loop only enables it on a deterministic subset
     of runs. *)

@@ -26,19 +26,9 @@ let () =
            events time)
     | _ -> None)
 
-type scheduler = Heap | Wheel
-
-(* One engine runs on exactly one queue backend. Both issue the shared
-   {!Handle} type and dispatch in the identical exact (time, seq)
-   order, so the choice is invisible to seeded simulations (asserted by
-   the differential tests and the fuzz oracle). *)
-type queue =
-  | Q_heap of (unit -> unit) Event_heap.t
-  | Q_wheel of (unit -> unit) Timing_wheel.t
-
 type t = {
   mutable clock : float;
-  q : queue;
+  q : (unit -> unit) Timing_wheel.t;
   mutable on_error : error_policy;
   mutable errors : (float * exn) list;  (* newest first *)
   mutable stall_budget : int;
@@ -48,59 +38,15 @@ type t = {
 
 type timer = Handle.t
 
-let scheduler_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-let scheduler_name = function Heap -> "heap" | Wheel -> "wheel"
-
-(* Process-wide default backend: [Engine.create ()] call sites are
-   scattered through experiments and scenarios, so selection flows
-   through this rather than a threaded parameter. Resolution order:
-   explicit [set_default_scheduler] (CLI) beats PCC_SCHEDULER in the
-   environment beats the built-in default. *)
-let builtin_default = Wheel
-
-let env_default () =
-  match Sys.getenv_opt "PCC_SCHEDULER" with
-  | None -> builtin_default
-  | Some s -> (
-    match scheduler_of_string (String.lowercase_ascii s) with
-    | Some sch -> sch
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "PCC_SCHEDULER=%s: expected \"heap\" or \"wheel\"" s))
-
-(* 0 = unset, 1 = Heap, 2 = Wheel; an Atomic because worker domains
-   read it while the main domain may be applying a CLI override. *)
-let default_cell = Atomic.make 0
-
-let set_default_scheduler sch =
-  Atomic.set default_cell (match sch with Heap -> 1 | Wheel -> 2)
-
-let default_scheduler () =
-  match Atomic.get default_cell with
-  | 1 -> Heap
-  | 2 -> Wheel
-  | _ -> env_default ()
-
 let default_stall_budget = 1_000_000
 
 let create ?(now = 0.) ?(stall_budget = default_stall_budget)
-    ?(on_error = Raise) ?scheduler () =
+    ?(on_error = Raise) () =
   if stall_budget <= 0 then
     invalid_arg "Engine.create: stall_budget must be positive";
-  let scheduler =
-    match scheduler with Some s -> s | None -> default_scheduler ()
-  in
   {
     clock = now;
-    q =
-      (match scheduler with
-      | Heap -> Q_heap (Event_heap.create ())
-      | Wheel -> Q_wheel (Timing_wheel.create ~dummy:ignore ()));
+    q = Timing_wheel.create ~dummy:ignore ();
     on_error;
     errors = [];
     stall_budget;
@@ -108,68 +54,31 @@ let create ?(now = 0.) ?(stall_budget = default_stall_budget)
     executed = 0;
   }
 
-let scheduler t = match t.q with Q_heap _ -> Heap | Q_wheel _ -> Wheel
-
 let now t = t.clock
-
-let q_push t ~time f =
-  match t.q with
-  | Q_heap q -> Event_heap.push q ~time f
-  | Q_wheel q -> Timing_wheel.push q ~time f
-
-let q_pop t =
-  match t.q with
-  | Q_heap q -> Event_heap.pop q
-  | Q_wheel q -> Timing_wheel.pop q
-
-let q_pop_cb t k =
-  match t.q with
-  | Q_heap q -> Event_heap.pop_cb q k
-  | Q_wheel q -> Timing_wheel.pop_cb q k
-
-let q_pop_le_cb t ~max_time k =
-  match t.q with
-  | Q_heap q -> Event_heap.pop_le_cb q ~max_time k
-  | Q_wheel q -> Timing_wheel.pop_le_cb q ~max_time k
-
-let q_peek_time t =
-  match t.q with
-  | Q_heap q -> Event_heap.peek_time q
-  | Q_wheel q -> Timing_wheel.peek_time q
-
-let q_size t =
-  match t.q with
-  | Q_heap q -> Event_heap.size q
-  | Q_wheel q -> Timing_wheel.size q
 
 let schedule t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock);
-  q_push t ~time:at f
+  Timing_wheel.push t.q ~time:at f
 
 let schedule_in t ~after f =
   let after = if after < 0. then 0. else after in
-  q_push t ~time:(t.clock +. after) f
-
-let q_push_unit t ~time f =
-  match t.q with
-  | Q_heap q -> Event_heap.push_unit q ~time f
-  | Q_wheel q -> Timing_wheel.push_unit q ~time f
+  Timing_wheel.push t.q ~time:(t.clock +. after) f
 
 let post t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.post: time %.9f is before now %.9f" at t.clock);
-  q_push_unit t ~time:at f
+  Timing_wheel.push_unit t.q ~time:at f
 
 let post_in t ~after f =
   let after = if after < 0. then 0. else after in
-  q_push_unit t ~time:(t.clock +. after) f
+  Timing_wheel.push_unit t.q ~time:(t.clock +. after) f
 
 let cancel = Handle.cancel
 
-let pending t = q_size t
+let pending t = Timing_wheel.size t.q
 
 let set_stall_budget t n =
   if n <= 0 then invalid_arg "Engine.set_stall_budget: must be positive";
@@ -198,7 +107,7 @@ let execute t time f =
     t.stall_count <- 0
   end
   else begin
-    (* The heap never yields times before the clock, so this event fires
+    (* The wheel never yields times before the clock, so this event fires
        at the current instant: charge it against the stall budget. *)
     t.stall_count <- t.stall_count + 1;
     if t.stall_count > t.stall_budget then
@@ -215,7 +124,7 @@ let execute t time f =
      itself is mask-gated (engine category, off by default). *)
   if Pcc_trace.Collector.enabled () then
     Pcc_trace.Collector.emit Pcc_trace.Event.Dispatch ~time ~id:0
-      ~a:(float_of_int (q_size t))
+      ~a:(float_of_int (Timing_wheel.size t.q))
       ~b:0. ~i:t.executed;
   try f () with
   | Livelock _ as watchdog -> raise watchdog
@@ -225,7 +134,7 @@ let execute t time f =
     | Collect -> t.errors <- (time, exn) :: t.errors)
 
 let step t =
-  match q_pop t with
+  match Timing_wheel.pop t.q with
   | None -> false
   | Some (time, f) ->
     let before = t.executed in
@@ -253,11 +162,11 @@ let run ?until ?max_events t =
     in
     let continue = ref true in
     while !continue do
-      match q_peek_time t with
+      match Timing_wheel.peek_time t.q with
       | Some time when (match until with None -> true | Some l -> time <= l)
         ->
         spend ();
-        (match q_pop t with
+        (match Timing_wheel.pop t.q with
         | Some (time, f) -> execute t time f
         | None -> assert false)
       | Some _ | None ->
@@ -271,9 +180,9 @@ let run ?until ?max_events t =
        (no peek-then-pop) and no option/tuple allocation per event. *)
     let k time f = execute t time f in
     match until with
-    | None -> while q_pop_cb t k do () done
+    | None -> while Timing_wheel.pop_cb t.q k do () done
     | Some limit ->
-      while q_pop_le_cb t ~max_time:limit k do () done;
+      while Timing_wheel.pop_le_cb t.q ~max_time:limit k do () done;
       if limit > t.clock then t.clock <- limit)
 
 let run_for ?max_events t d = run ?max_events ~until:(t.clock +. d) t

@@ -1,6 +1,8 @@
 (** Discrete-event simulation engine.
 
-    An engine owns a simulated clock and an event queue. Components schedule
+    An engine owns a simulated clock and an event queue (a
+    {!Timing_wheel}: O(1) schedule and near-O(1) dispatch at millions of
+    pending events, time ties broken in scheduling order). Components schedule
     closures at absolute or relative times; {!run} executes them in
     timestamp order, advancing the clock. All simulator state changes happen
     inside event callbacks, so a single engine is single-threaded and fully
@@ -31,39 +33,7 @@ type t
 (** A simulation engine. *)
 
 type timer = Handle.t
-(** A cancellable handle on a scheduled event, independent of the
-    scheduler backend. *)
-
-type scheduler =
-  | Heap  (** Binary min-heap ({!Event_heap}): O(log n) operations. *)
-  | Wheel
-      (** Hierarchical timing wheel ({!Timing_wheel}): O(1) schedule and
-          near-O(1) dispatch at millions of pending events. *)
-
-(** Both backends dispatch in the identical exact [(time, sequence)]
-    order — time ties break in scheduling order — so a seeded
-    simulation produces byte-identical output under either. The
-    per-engine choice resolves, in priority order: the [?scheduler]
-    argument to {!create}, {!set_default_scheduler} (the CLI's
-    [--scheduler]), the [PCC_SCHEDULER] environment variable
-    ("heap"/"wheel"), and finally the built-in default (wheel). *)
-
-val scheduler_of_string : string -> scheduler option
-(** ["heap"] / ["wheel"] (already lowercased) to a scheduler. *)
-
-val scheduler_name : scheduler -> string
-
-val set_default_scheduler : scheduler -> unit
-(** Override the process-wide default backend for subsequently created
-    engines (thread-safe; worker domains observe it). *)
-
-val default_scheduler : unit -> scheduler
-(** The backend a parameterless {!create} would pick right now.
-    @raise Invalid_argument if [PCC_SCHEDULER] is set to garbage and no
-    override is installed. *)
-
-val scheduler : t -> scheduler
-(** The backend this engine runs on. *)
+(** A cancellable handle on a scheduled event. *)
 
 type error_policy =
   | Raise  (** Wrap the exception in {!Event_error} and re-raise (default). *)
@@ -84,19 +54,12 @@ exception Livelock of { time : float; events : int; kind : livelock_kind }
     ({!Budget}). *)
 
 val create :
-  ?now:float ->
-  ?stall_budget:int ->
-  ?on_error:error_policy ->
-  ?scheduler:scheduler ->
-  unit ->
-  t
+  ?now:float -> ?stall_budget:int -> ?on_error:error_policy -> unit -> t
 (** [create ()] is a fresh engine with the clock at [now] (default 0).
     [stall_budget] (default 1_000_000) is the number of events that may
     execute at a single simulated instant before {!Livelock} is raised;
     legitimate bursts of simultaneous events are orders of magnitude
-    smaller. [scheduler] picks the queue backend (default: see
-    {!default_scheduler}). @raise Invalid_argument if
-    [stall_budget <= 0]. *)
+    smaller. @raise Invalid_argument if [stall_budget <= 0]. *)
 
 val now : t -> float
 (** [now t] is the current simulated time in seconds. *)
@@ -125,7 +88,7 @@ val cancel : timer -> unit
 
 val pending : t -> int
 (** Number of live events still queued. Exact: cancelled timers stop
-    counting immediately, even while still buried in the heap. *)
+    counting immediately, even while still buried in the wheel. *)
 
 val set_stall_budget : t -> int -> unit
 (** Adjust the livelock watchdog's per-instant event budget.

@@ -169,22 +169,6 @@ let rec pop_le t ~max_time =
     Some (time, c.v)
   end
 
-let rec pop_le_cb t ~max_time k =
-  if t.len = 0 then false
-  else if t.cells.(0).h.Handle.state <> 0 then begin
-    remove_root t;
-    pop_le_cb t ~max_time k
-  end
-  else if t.times.(0) > max_time then false
-  else begin
-    let time = t.times.(0) and c = t.cells.(0) in
-    remove_root t;
-    if c.h != unit_handle then c.h.Handle.state <- 2;
-    decr t.live;
-    k time c.v;
-    true
-  end
-
 let rec peek_time t =
   if t.len = 0 then None
   else if t.cells.(0).h.Handle.state <> 0 then begin

@@ -17,8 +17,8 @@ type 'a t
 
 type handle = Handle.t
 (** A handle onto an inserted event, usable to cancel it. The concrete
-    type is shared with {!Timing_wheel} so {!Engine} can expose one
-    [timer] type across scheduler backends. *)
+    type is shared with {!Timing_wheel}, the engine's queue, which this
+    heap is the tested reference for. *)
 
 val create : unit -> 'a t
 (** [create ()] is an empty heap. *)
@@ -55,11 +55,6 @@ val pop_le : 'a t -> max_time:float -> (float * 'a) option
     [<= max_time], and [None] (removing nothing live) otherwise. A single
     heap traversal — callers driving a clock toward a deadline avoid the
     peek-then-pop double descent. *)
-
-val pop_le_cb : 'a t -> max_time:float -> (float -> 'a -> unit) -> bool
-(** {!pop_le} in continuation style (see {!pop_cb}): [false] both when
-    the queue is empty and when the earliest live event lies beyond
-    [max_time]. *)
 
 val peek_time : 'a t -> float option
 (** [peek_time t] is the timestamp of the earliest live event, if any,

@@ -1,11 +1,11 @@
-(* Cancellation handle shared by every scheduler backend.
+(* Cancellation handle shared by the event queues.
 
    state: 0 = pending (queued), 1 = cancelled, 2 = popped. [live]
    aliases the owning queue's exact live-entry counter so [cancel] —
    which has no queue argument — can keep that count exact without a
    back-pointer to the queue itself. Both Event_heap and Timing_wheel
-   store handles of this one type, which is what lets Engine expose a
-   single [timer] type independent of the selected scheduler. *)
+   store handles of this one type, so the heap stays a drop-in reference
+   for the wheel in the differential tests. *)
 
 type t = { mutable state : int; live : int ref }
 

@@ -1,9 +1,10 @@
-(** Scheduler-independent cancellation handles.
+(** Cancellation handles shared by the event queues.
 
-    A handle is issued by whichever event queue ({!Event_heap} or
-    {!Timing_wheel}) an {!Engine} runs on; cancellation is lazy — the
-    queue drops dead entries when they surface — but the shared live
-    counter keeps queue sizes exact the instant a handle is cancelled. *)
+    A handle is issued by an event queue ({!Timing_wheel}, which an
+    {!Engine} runs on, or its reference {!Event_heap}); cancellation is
+    lazy — the queue drops dead entries when they surface — but the
+    shared live counter keeps queue sizes exact the instant a handle is
+    cancelled. *)
 
 type t = { mutable state : int; live : int ref }
 (** [state]: 0 pending, 1 cancelled, 2 popped. [live] aliases the owning

@@ -1,6 +1,6 @@
 (* Cooperative per-domain execution guard.
 
-   The supervisor (Pcc_experiments.Supervisor) installs a guard in a
+   The executor (Pcc_experiments.Runner) installs a guard in a
    worker domain before running a task; the engine's dispatch loop calls
    {!on_event} once per executed event. The guard turns two failure
    modes into ordinary exceptions raised *inside* the task:
@@ -11,7 +11,7 @@
      [Engine.run ~max_events], which bounds one call on one engine).
 
    It also publishes a heartbeat timestamp into an atomic shared with
-   the supervisor's watchdog, so a task stuck *outside* any engine
+   the executor's watchdog, so a task stuck *outside* any engine
    (never reaching [on_event]) is detectable out-of-band.
 
    Mirrors the trace collector's install pattern: [active] is one

@@ -1,14 +1,14 @@
 (** Cooperative per-domain execution guard for supervised tasks.
 
     A guard bounds one task's execution with a wall-clock deadline and
-    an event-count ceiling, and publishes a heartbeat the supervisor's
+    an event-count ceiling, and publishes a heartbeat the executor's
     watchdog can read from another domain. The engine's dispatch loop
     calls {!on_event} once per executed event, so both limits fire {e
     inside} the task as ordinary exceptions — a hung simulation unwinds
     cleanly instead of wedging its worker domain. Tasks stuck outside
     any engine never reach {!on_event}; their stale heartbeat is the
     watchdog's out-of-band signal (see
-    {!Pcc_experiments.Supervisor}).
+    {!Pcc_experiments.Runner}).
 
     Like the trace collector, the guard is per-domain state: until a
     guard is installed somewhere, {!active} is a single atomic load and
@@ -54,4 +54,4 @@ val events : unit -> int
 
 val is_guard_exn : exn -> bool
 (** Whether an exception is one of the two guard limits — the
-    supervisor classifies these as timeouts, never retries. *)
+    executor classifies these as timeouts, never retries. *)

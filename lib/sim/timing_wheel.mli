@@ -1,9 +1,9 @@
 (** Hierarchical timing wheel: O(1) schedule, near-O(1) dispatch.
 
-    Drop-in alternative to {!Event_heap} with the same interface and —
-    crucially — the same exact dispatch order: events come out in
-    [(time, sequence)] order, time ties breaking in insertion order,
-    bit-for-bit identical to the heap's. Internally events live in a
+    The engine's event queue. Same interface as {!Event_heap}, its
+    tested reference, and — crucially — the same exact dispatch order:
+    events come out in [(time, sequence)] order, time ties breaking in
+    insertion order, bit-for-bit identical to the heap's. Internally events live in a
     flat structure-of-arrays arena chained into 3 levels of 65536 slots
     (1 µs ticks, 2^48 ticks ≈ 8.9 simulated years of horizon); same-tick
     events
@@ -15,7 +15,7 @@
     pay its O(levels) cascade), pop is O(1 + slot-scan) amortized, and
     neither depends on the number of pending events — at a million
     pending timers the heap's O(log n) pointer-chasing sift loops are
-    the difference (see the [scheduler] micro-bench). Cancellation is
+    the difference (see [bench/main.exe --sched]). Cancellation is
     lazy with an exact live count, like the heap's; a cancel-heavy
     workload triggers an amortized sweep so dead entries cannot strand
     more than half the arena. *)
@@ -24,7 +24,8 @@ type 'a t
 (** A wheel carrying payloads of type ['a]. *)
 
 type handle = Handle.t
-(** Shared with {!Event_heap}, so {!Engine} exposes one timer type. *)
+(** Shared with {!Event_heap}, so the two stay interchangeable in the
+    differential tests. *)
 
 val tick_seconds : float
 (** Tick granularity (1 µs). Events less than a tick apart may share a

@@ -1,5 +1,6 @@
-(* The domain pool (Pcc_experiments.Runner), the event heap's exact live
-   count, and the determinism contract: identical output for any --jobs. *)
+(* The executor (Pcc_experiments.Runner) and its supervision, the event
+   heap's exact live count, and the determinism contract: identical
+   output for any --jobs. *)
 
 open Pcc_experiments
 module Heap = Pcc_sim.Event_heap
@@ -210,7 +211,7 @@ let test_tables_byte_identical_across_jobs () =
     [ 1; 2; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor: sweeps survive hangs and crashes with partial results. *)
+(* Supervision: sweeps survive hangs and crashes with partial results. *)
 
 let temp_dir prefix =
   let f = Filename.temp_file prefix "" in
@@ -239,7 +240,7 @@ let engine_hang () =
   Pcc_sim.Engine.run engine;
   -1
 
-let status_at (r : Supervisor.report) i = r.Supervisor.outcomes.(i).status
+let status_at (r : Runner.report) i = r.Runner.outcomes.(i).status
 
 let test_gauntlet_partial_results () =
   let dir = temp_dir "pcc-gauntlet" in
@@ -253,16 +254,11 @@ let test_gauntlet_partial_results () =
       Exp_common.task ~label:"ok-after" (fun () -> 20);
     ]
   in
-  let policy =
-    {
-      Supervisor.default_policy with
-      jobs = 2;
-      deadline = Some 0.3;
-      forensics_dir = Some dir;
-      forensic_trace = true;
-    }
+  let pool =
+    Runner.create ~jobs:2 ~deadline:0.3 ~forensics_dir:dir ~forensic_trace:true
+      ()
   in
-  let results, report = Supervisor.run ~policy tasks in
+  let results, report = Runner.run pool tasks in
   Alcotest.(check (list (option int)))
     "healthy tasks complete around the failures"
     [ Some 10; None; None; Some 20 ]
@@ -272,21 +268,21 @@ let test_gauntlet_partial_results () =
     [ 4; 2; 1; 1 ]
     [ report.total; report.ok; report.timed_out; report.crashed ];
   (match status_at report 1 with
-  | Supervisor.Timed_out { attempts = 1 } -> ()
-  | s -> Alcotest.failf "hang should time out, got %s" (Supervisor.status_name s));
+  | Runner.Timed_out { attempts = 1 } -> ()
+  | s -> Alcotest.failf "hang should time out, got %s" (Runner.status_name s));
   (match status_at report 2 with
-  | Supervisor.Crashed f ->
+  | Runner.Crashed f ->
     Alcotest.(check bool) "crash text recorded" true
-      (contains f.Supervisor.exn_text "injected crash")
-  | s -> Alcotest.failf "crash should crash, got %s" (Supervisor.status_name s));
-  Alcotest.(check bool) "report failed" true (Supervisor.failed report);
-  let line = Supervisor.summary_line report in
+      (contains f.Runner.exn_text "injected crash")
+  | s -> Alcotest.failf "crash should crash, got %s" (Runner.status_name s));
+  Alcotest.(check bool) "report failed" true (Runner.failed report);
+  let line = Runner.summary_line report in
   Alcotest.(check bool) "summary names the hang" true (contains line "hang");
   Alcotest.(check bool) "summary names the crash" true (contains line "crash");
   (* Both failures leave forensics bundles with a report and a trace. *)
   Array.iter
-    (fun (o : Supervisor.outcome) ->
-      if Supervisor.is_failure o.status then
+    (fun (o : Runner.outcome) ->
+      if Runner.is_failure o.status then
         match o.forensics with
         | None -> Alcotest.failf "no forensics bundle for %s" o.label
         | Some d ->
@@ -298,7 +294,7 @@ let test_gauntlet_partial_results () =
                 (Sys.file_exists (Filename.concat d f)))
             [ "report.txt"; "trace.json"; "decisions.log" ])
     report.outcomes;
-  Supervisor.reset_failures ()
+  Runner.reset_failures ()
 
 let test_watchdog_abandons_non_engine_hang () =
   (* A spin loop never dispatches engine events, so the in-band guard is
@@ -317,16 +313,9 @@ let test_watchdog_abandons_non_engine_hang () =
       Exp_common.task ~label:"ok-b" (fun () -> 2);
     ]
   in
-  let policy =
-    {
-      Supervisor.default_policy with
-      jobs = 2;
-      deadline = Some 0.2;
-      grace = 0.2;
-      poll = 0.05;
-    }
+  let results, report =
+    Runner.run (Runner.create ~jobs:2 ~deadline:0.2 ()) tasks
   in
-  let results, report = Supervisor.run ~policy tasks in
   (* Unwedge the abandoned domain so the process can exit cleanly. *)
   Atomic.set release true;
   Alcotest.(check (list (option int)))
@@ -334,38 +323,32 @@ let test_watchdog_abandons_non_engine_hang () =
     [ Some 1; None; Some 2 ]
     results;
   (match status_at report 1 with
-  | Supervisor.Timed_out _ -> ()
+  | Runner.Timed_out _ -> ()
   | s ->
     Alcotest.failf "watchdog should time the spinner out, got %s"
-      (Supervisor.status_name s));
-  Supervisor.reset_failures ()
+      (Runner.status_name s));
+  Runner.reset_failures ()
 
 let test_retry_then_success () =
   let attempts = Atomic.make 0 in
   let flaky () =
     if Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky" else 42
   in
-  let policy =
-    {
-      Supervisor.default_policy with
-      retries = 3;
-      backoff = 0.;
-      transient = (fun _ -> true);
-    }
-  in
   let results, report =
-    Supervisor.run ~policy [ Exp_common.task ~label:"flaky" flaky ]
+    Runner.run
+      (Runner.create ~jobs:1 ~retries:3 ~backoff:0. ())
+      [ Exp_common.task ~label:"flaky" flaky ]
   in
   Alcotest.(check (list (option int))) "succeeds eventually" [ Some 42 ] results;
-  Alcotest.(check int) "counted as retried, not ok" 1 report.Supervisor.retried;
+  Alcotest.(check int) "counted as retried, not ok" 1 report.Runner.retried;
   Alcotest.(check int) "three attempts ran" 3 (Atomic.get attempts);
   (match status_at report 0 with
-  | Supervisor.Completed { retries = 2 } -> ()
-  | s -> Alcotest.failf "expected 2 retries, got %s" (Supervisor.status_name s));
+  | Runner.Completed { retries = 2 } -> ()
+  | s -> Alcotest.failf "expected 2 retries, got %s" (Runner.status_name s));
   Alcotest.(check int) "both failures kept" 2
-    (List.length report.Supervisor.outcomes.(0).Supervisor.failures);
+    (List.length report.Runner.outcomes.(0).Runner.failures);
   Alcotest.(check bool) "retried-to-success is not a failure" false
-    (Supervisor.failed report)
+    (Runner.failed report)
 
 let test_quarantine_after_retry_exhaustion () =
   let attempts = Atomic.make 0 in
@@ -373,82 +356,80 @@ let test_quarantine_after_retry_exhaustion () =
     ignore (Atomic.fetch_and_add attempts 1);
     failwith "always down"
   in
-  let policy =
-    {
-      Supervisor.default_policy with
-      retries = 2;
-      backoff = 0.;
-      transient = (fun _ -> true);
-    }
-  in
   let results, report =
-    Supervisor.run ~policy [ Exp_common.task ~label:"doomed" doomed ]
+    Runner.run
+      (Runner.create ~jobs:1 ~retries:2 ~backoff:0. ())
+      [ Exp_common.task ~label:"doomed" doomed ]
   in
   Alcotest.(check (list (option int))) "no result" [ None ] results;
   Alcotest.(check int) "1 + 2 retries" 3 (Atomic.get attempts);
   (match status_at report 0 with
-  | Supervisor.Quarantined { attempts = 3; _ } -> ()
-  | s -> Alcotest.failf "expected quarantine, got %s" (Supervisor.status_name s));
-  Supervisor.reset_failures ()
+  | Runner.Quarantined { attempts = 3; _ } -> ()
+  | s -> Alcotest.failf "expected quarantine, got %s" (Runner.status_name s));
+  Runner.reset_failures ()
 
 let test_timeouts_never_retried () =
-  (* Even a policy that declares everything transient must not re-run a
-     task that blew its event ceiling: timeouts are deterministic. *)
-  let policy =
-    {
-      Supervisor.default_policy with
-      retries = 3;
-      backoff = 0.;
-      transient = (fun _ -> true);
-      max_events = Some 1_000;
-    }
-  in
+  (* Even with retries to spare, a task that blew its event ceiling is
+     not re-run: timeouts are deterministic. *)
   let _, report =
-    Supervisor.run ~policy [ Exp_common.task ~label:"hog" engine_hang ]
+    Runner.run
+      (Runner.create ~jobs:1 ~retries:3 ~backoff:0. ~max_events:1_000 ())
+      [ Exp_common.task ~label:"hog" engine_hang ]
   in
   (match status_at report 0 with
-  | Supervisor.Timed_out { attempts = 1 } -> ()
+  | Runner.Timed_out { attempts = 1 } -> ()
   | s ->
     Alcotest.failf "ceiling should give one timed-out attempt, got %s"
-      (Supervisor.status_name s));
-  Supervisor.reset_failures ()
-
-let test_non_transient_crash_not_retried () =
-  let attempts = Atomic.make 0 in
-  let policy = { Supervisor.default_policy with retries = 3; backoff = 0. } in
-  let _, report =
-    Supervisor.run ~policy
-      [
-        Exp_common.task ~label:"fatal" (fun () ->
-            ignore (Atomic.fetch_and_add attempts 1);
-            failwith "fatal");
-      ]
-  in
-  Alcotest.(check int) "default transient retries nothing" 1
-    (Atomic.get attempts);
-  (match status_at report 0 with
-  | Supervisor.Crashed _ -> ()
-  | s -> Alcotest.failf "expected crashed, got %s" (Supervisor.status_name s));
-  Supervisor.reset_failures ()
+      (Runner.status_name s));
+  Runner.reset_failures ()
 
 let test_empty_sweep () =
-  let results, report = Supervisor.run [] in
+  let results, report = Runner.run (Runner.create ~jobs:4 ()) [] in
   Alcotest.(check int) "no results" 0 (List.length results);
-  Alcotest.(check int) "empty report" 0 report.Supervisor.total;
-  Alcotest.(check bool) "not failed" false (Supervisor.failed report)
+  Alcotest.(check int) "empty report" 0 report.Runner.total;
+  Alcotest.(check bool) "not failed" false (Runner.failed report)
 
 (* Rendered tables are byte-identical whether the sweep runs inline or
-   across supervised worker domains. *)
+   across worker domains, with a guard and the watchdog armed. *)
 let test_supervised_tables_byte_identical () =
   let render jobs =
-    let policy = { Supervisor.default_policy with jobs } in
+    let pool = Runner.create ~jobs ~deadline:600. ~max_events:max_int () in
     Exp_common.render_table
       (Exp_loss.table
-         (Exp_loss.run ~policy ~scale:0.02 ~seed:11 ~losses:[ 0.0; 0.02 ] ()))
+         (Exp_loss.run ~pool ~scale:0.02 ~seed:11 ~losses:[ 0.0; 0.02 ] ()))
   in
   let seq = rendered_loss () in
   Alcotest.(check string) "supervised jobs=1 = plain sequential" seq (render 1);
   Alcotest.(check string) "supervised jobs=4 = plain sequential" seq (render 4)
+
+(* The executor's settings reach the tasks an experiment hands to
+   [run_tasks_opt]: the event ceiling times the hang out in place and
+   both neighbours complete. *)
+let test_run_tasks_opt_applies_settings () =
+  Runner.reset_failures ();
+  let results =
+    Exp_common.run_tasks_opt
+      ~pool:(Runner.create ~jobs:2 ~max_events:10_000 ())
+      [
+        Exp_common.task ~label:"ok-a" (fun () -> 1);
+        Exp_common.task ~label:"hang" engine_hang;
+        Exp_common.task ~label:"ok-b" (fun () -> 2);
+      ]
+  in
+  Alcotest.(check (list (option int)))
+    "hang is a hole, neighbours complete"
+    [ Some 1; None; Some 2 ]
+    results;
+  (match Runner.failures () with
+  | [ { Runner.label = "hang"; status = Runner.Timed_out _; _ } ] -> ()
+  | l ->
+    Alcotest.failf "expected one timed-out tally entry for the hang, got [%s]"
+      (String.concat "; "
+         (List.map
+            (fun (o : Runner.outcome) ->
+              o.label ^ ": " ^ Runner.status_name o.status)
+            l)));
+  Runner.reset_failures ()
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned frames, truncation tolerance, identity. *)
@@ -567,11 +548,11 @@ let suites =
           test_quarantine_after_retry_exhaustion;
         Alcotest.test_case "timeouts never retried" `Quick
           test_timeouts_never_retried;
-        Alcotest.test_case "non-transient crash not retried" `Quick
-          test_non_transient_crash_not_retried;
         Alcotest.test_case "empty sweep" `Quick test_empty_sweep;
         Alcotest.test_case "supervised tables byte-identical jobs 1/4" `Slow
           test_supervised_tables_byte_identical;
+        Alcotest.test_case "run_tasks_opt applies executor settings" `Quick
+          test_run_tasks_opt_applies_settings;
       ] );
     ( "checkpoint",
       [

@@ -1,8 +1,7 @@
-(* Scheduler backends: the timing wheel against its contract, and
-   against the heap. The load-bearing property everywhere is exact
-   (time, seq) dispatch order — same-time events come out in insertion
-   order, identically on both backends, so a seeded simulation is
-   byte-identical whichever queue it runs on. *)
+(* The engine's event queue: the timing wheel against its contract, and
+   against the binary heap as a reference. The load-bearing property
+   everywhere is exact (time, seq) dispatch order — same-time events
+   come out in insertion order, exactly as the heap pops them. *)
 
 open Pcc_sim
 module EH = Event_heap
@@ -110,25 +109,17 @@ let test_overflow_migration () =
 
 (* An event that keeps rescheduling itself at the current instant never
    lets the clock advance; the engine's stall watchdog must convert
-   that hang into Livelock Stall on both backends. *)
+   that hang into Livelock Stall. *)
 let test_zero_delay_livelock () =
-  List.iter
-    (fun scheduler ->
-      let engine = Engine.create ~scheduler () in
-      let rec respawn () = Engine.post engine ~at:(Engine.now engine) respawn in
-      Engine.post engine ~at:0.1 respawn;
-      match Engine.run ~until:1. engine with
-      | () ->
-        Alcotest.failf "%s: zero-delay loop terminated"
-          (Engine.scheduler_name scheduler)
-      | exception Engine.Livelock { kind = Engine.Stall; time; _ } ->
-        Alcotest.(check (float 1e-9))
-          (Engine.scheduler_name scheduler ^ ": stalled at the loop instant")
-          0.1 time
-      | exception Engine.Livelock { kind = Engine.Budget; _ } ->
-        Alcotest.failf "%s: expected Stall, got Budget"
-          (Engine.scheduler_name scheduler))
-    [ Engine.Heap; Engine.Wheel ]
+  let engine = Engine.create () in
+  let rec respawn () = Engine.post engine ~at:(Engine.now engine) respawn in
+  Engine.post engine ~at:0.1 respawn;
+  match Engine.run ~until:1. engine with
+  | () -> Alcotest.fail "zero-delay loop terminated"
+  | exception Engine.Livelock { kind = Engine.Stall; time; _ } ->
+    Alcotest.(check (float 1e-9)) "stalled at the loop instant" 0.1 time
+  | exception Engine.Livelock { kind = Engine.Budget; _ } ->
+    Alcotest.fail "expected Stall, got Budget"
 
 (* Randomized differential: an arbitrary interleaving of pushes (times
    from ns to years, duplicates included), cancels and pops must pop
@@ -191,25 +182,6 @@ let test_differential_random () =
       !popped_h !popped_w
   done
 
-(* End-to-end: a registry experiment renders byte-identically under
-   both backends at a fixed seed. Uses the many-flow stress entry — the
-   scenario built to exercise the wheel — at a tiny population. *)
-let test_experiment_byte_identity () =
-  let saved = Engine.default_scheduler () in
-  Fun.protect
-    ~finally:(fun () -> Engine.set_default_scheduler saved)
-    (fun () ->
-      let render scheduler =
-        Engine.set_default_scheduler scheduler;
-        match Pcc_experiments.Exp_registry.find "manyflow" with
-        | None -> Alcotest.fail "manyflow not registered"
-        | Some e ->
-          e.Pcc_experiments.Exp_registry.render ~scale:0.005 ~seed:7 ()
-      in
-      let heap = render Engine.Heap in
-      let wheel = render Engine.Wheel in
-      Alcotest.(check string) "identical rendering" heap wheel)
-
 let suites =
   [
     ( "sim.scheduler",
@@ -220,11 +192,9 @@ let suites =
           test_cancel_accounting;
         Alcotest.test_case "wheel overflow migration" `Quick
           test_overflow_migration;
-        Alcotest.test_case "zero-delay livelock watchdog (both)" `Quick
+        Alcotest.test_case "zero-delay livelock watchdog" `Quick
           test_zero_delay_livelock;
         Alcotest.test_case "randomized heap-vs-wheel differential" `Quick
           test_differential_random;
-        Alcotest.test_case "experiment byte-identity heap-vs-wheel" `Quick
-          test_experiment_byte_identity;
       ] );
   ]
