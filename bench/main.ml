@@ -219,9 +219,9 @@ let sched_fill_heap n =
   h
 
 let sched_fill_wheel n =
-  let w = TW.create ~dummy:0 () in
+  let w = TW.create ~dummy:0 ~dummy_arg:() () in
   for i = 0 to n - 1 do
-    TW.push_unit w ~time:(float_of_int i *. 1e-5) i
+    TW.push_unit w ~time:(float_of_int i *. 1e-5) i ()
   done;
   w
 
@@ -240,7 +240,7 @@ let sched_churn_heap ~pending ~ops =
 
 let sched_churn_wheel ~pending ~ops =
   let w = sched_fill_wheel pending in
-  let k tm v = TW.push_unit w ~time:(tm +. 0.01) v in
+  let k tm v () = TW.push_unit w ~time:(tm +. 0.01) v () in
   Gc.compact ();
   let t0 = now_s () in
   for _ = 1 to ops do
@@ -261,7 +261,7 @@ let sched_drain_heap ~pending =
 
 let sched_drain_wheel ~pending =
   let w = sched_fill_wheel pending in
-  let sink _ _ = () in
+  let sink _ _ () = () in
   Gc.compact ();
   let t0 = now_s () in
   while TW.pop_cb w sink do
@@ -289,18 +289,18 @@ let sched_mix_heap ~pending ~iters =
   now_s () -. t0
 
 let sched_mix_wheel ~pending ~iters =
-  let w = TW.create ~dummy:0 () in
+  let w = TW.create ~dummy:0 ~dummy_arg:() () in
   for i = 0 to pending - 1 do
-    ignore (TW.push w ~time:(float_of_int i *. 1e-5) i)
+    ignore (TW.push w ~time:(float_of_int i *. 1e-5) i ())
   done;
   let last = ref 0. in
-  let k tm _ = last := tm in
+  let k tm _ () = last := tm in
   Gc.compact ();
   let t0 = now_s () in
   for _ = 1 to iters do
     ignore (TW.pop_cb w k);
-    ignore (TW.push w ~time:(!last +. 0.01) 0);
-    TW.cancel (TW.push w ~time:(!last +. 0.02) 0)
+    ignore (TW.push w ~time:(!last +. 0.01) 0 ());
+    TW.cancel (TW.push w ~time:(!last +. 0.02) 0 ())
   done;
   now_s () -. t0
 
@@ -326,15 +326,15 @@ let sched_burst_heap ~pending ~ops =
   now_s () -. t0
 
 let sched_burst_wheel ~pending ~ops =
-  let w = TW.create ~dummy:0 () in
+  let w = TW.create ~dummy:0 ~dummy_arg:() () in
   let rng = Pcc_sim.Rng.create 11 in
   for i = 0 to pending - 1 do
-    TW.push_unit w ~time:(1000. +. Pcc_sim.Rng.uniform rng 0. 100.) i
+    TW.push_unit w ~time:(1000. +. Pcc_sim.Rng.uniform rng 0. 100.) i ()
   done;
   for i = 0 to 63 do
-    TW.push_unit w ~time:(float_of_int i *. 1e-6) i
+    TW.push_unit w ~time:(float_of_int i *. 1e-6) i ()
   done;
-  let k tm v = TW.push_unit w ~time:(tm +. 5e-5) v in
+  let k tm v () = TW.push_unit w ~time:(tm +. 5e-5) v () in
   Gc.compact ();
   let t0 = now_s () in
   for _ = 1 to ops do

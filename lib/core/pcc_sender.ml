@@ -55,6 +55,7 @@ type t = {
   ctl : Controller.t;
   mutable mon : Monitor.t option;  (* tied after create (cyclic deps) *)
   mutable pacer : Rate_pacer.t option;
+  mutable watchdog : unit -> unit;  (* one closure, re-posted each round *)
   mutable running : bool;
   mutable completed : bool;
   mutable sent_pkts : int;
@@ -123,6 +124,20 @@ let handle_ack t (a : Packet.ack) =
     else Rate_pacer.kick (pacer t)
   end
 
+(* Retransmission-timeout backstop (UDT's EXP timer): without it a tail
+   loss whose monitor interval was discarded by a re-alignment would leave
+   the flow silent forever — SACK gaps need successor traffic to detect
+   anything. Runs as [t.watchdog], which posts itself again. *)
+let watchdog t =
+  if t.running && not t.completed then begin
+    let now = Engine.now t.engine in
+    let rtt = Monitor.rtt_estimate (monitor t) in
+    let lost = Scoreboard.sweep_stale t.sb ~now ~min_age:(3. *. rtt) in
+    List.iter (fun seq -> Monitor.on_lost (monitor t) ~seq) lost;
+    if lost <> [] || Scoreboard.has_retx t.sb then Rate_pacer.kick (pacer t);
+    Engine.post_in t.engine ~after:(Float.max (2. *. rtt) 0.001) t.watchdog
+  end
+
 let create engine ?(config = default_config) ?size ?on_complete ~rng ~out () =
   let flow = Packet.fresh_flow_id () in
   let sb = Scoreboard.create () in
@@ -140,6 +155,7 @@ let create engine ?(config = default_config) ?size ?on_complete ~rng ~out () =
       ctl;
       mon = None;
       pacer = None;
+      watchdog = ignore;
       running = false;
       completed = false;
       sent_pkts = 0;
@@ -148,6 +164,7 @@ let create engine ?(config = default_config) ?size ?on_complete ~rng ~out () =
   in
   let p = Rate_pacer.create engine ~rate:(Controller.rate ctl) ~send:(send_one t) in
   t.pacer <- Some p;
+  t.watchdog <- (fun () -> watchdog t);
   let rate_for_mi ~id =
     let r = Controller.rate_for_mi ctl ~id in
     Rate_pacer.set_rate p r;
@@ -183,32 +200,14 @@ let create engine ?(config = default_config) ?size ?on_complete ~rng ~out () =
       if t.running && not t.completed then Monitor.realign mon);
   t
 
-(* Retransmission-timeout backstop (UDT's EXP timer): without it a tail
-   loss whose monitor interval was discarded by a re-alignment would leave
-   the flow silent forever — SACK gaps need successor traffic to detect
-   anything. *)
-let rec watchdog t () =
-  if t.running && not t.completed then begin
-    let now = Engine.now t.engine in
-    let rtt = Monitor.rtt_estimate (monitor t) in
-    let lost = Scoreboard.sweep_stale t.sb ~now ~min_age:(3. *. rtt) in
-    List.iter (fun seq -> Monitor.on_lost (monitor t) ~seq) lost;
-    if lost <> [] || Scoreboard.has_retx t.sb then Rate_pacer.kick (pacer t);
-    ignore
-      (Engine.schedule_in t.engine
-         ~after:(Float.max (2. *. rtt) 0.001)
-         (watchdog t))
-  end
-
 let start t =
   if (not t.running) && not t.completed then begin
     t.running <- true;
     Monitor.start (monitor t);
     Rate_pacer.start (pacer t);
-    ignore
-      (Engine.schedule_in t.engine
-         ~after:(Float.max (2. *. Monitor.rtt_estimate (monitor t)) 0.001)
-         (watchdog t))
+    Engine.post_in t.engine
+      ~after:(Float.max (2. *. Monitor.rtt_estimate (monitor t)) 0.001)
+      t.watchdog
   end
 
 let stop t =

@@ -3,7 +3,7 @@
     Drives a large population of PCC flows — 10k at [scale = 1], 100k at
     [scale = 10] — through one shared bottleneck to prove the simulator
     sustains that concurrency: hundreds of thousands of pending timers
-    through the scheduler, pooled packet events on every hop, and a
+    through the scheduler, allocation-free packet events on every hop, and a
     deterministic outcome. The rendered table contains only simulation
     state (completions, goodput, queue high-water mark, event count), so
     a fixed seed renders byte-identically at any job count. The round

@@ -14,11 +14,11 @@ type t = {
   mutable reorder_extra : float;
   q : Queue_disc.t;
   mutable receiver : Packet.t -> unit;
-  (* Pooled per-slot closures for the two per-packet events (transmit
-     complete, propagation complete): no closure or handle allocation
-     per packet after warm-up (see {!Pool}). *)
-  propagating_pool : Packet.t Pool.t;
-  tx_pool : Packet.t Pool.t;
+  (* The two per-packet events (transmit complete, propagation
+     complete) post one of these per-link actions with the packet as
+     its argument, so a packet hop allocates no closure or handle. *)
+  arrive : Packet.t -> unit;
+  tx_done : Packet.t -> unit;
   mutable busy : bool;
   mutable offered_pkts : int;
   mutable propagating : int;
@@ -31,58 +31,15 @@ type t = {
   mutable busy_time : float;
 }
 
-(* Scrub value for released pool slots; never delivered. *)
-let dummy_packet =
-  Packet.data ~flow:(-1) ~seq:(-1) ~size:0 ~now:0. ~retx:false
-
-let create engine ?(name = "link") ?(loss = 0.) ?(jitter = 0.) ~rng ~bandwidth
-    ~delay ~queue () =
-  if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
-  if delay < 0. then invalid_arg "Link.create: delay must be non-negative";
-  let trace_id = Pcc_trace.Collector.fresh_link_id () in
-  Pcc_trace.Collector.register Pcc_trace.Event.Link_scope ~id:trace_id name;
-  let t = {
-    engine;
-    name;
-    trace_id;
-    rng;
-    bandwidth;
-    delay;
-    loss;
-    jitter;
-    dup_prob = 0.;
-    reorder_prob = 0.;
-    reorder_extra = 0.;
-    q = queue;
-    receiver =
-      (fun _ -> failwith (name ^ ": no receiver attached"));
-    propagating_pool = Pool.create ~dummy:dummy_packet ();
-    tx_pool = Pool.create ~dummy:dummy_packet ();
-    busy = false;
-    offered_pkts = 0;
-    propagating = 0;
-    delivered_pkts = 0;
-    delivered_bytes = 0;
-    channel_losses = 0;
-    duplicated_pkts = 0;
-    duplicated_bytes = 0;
-    reordered_pkts = 0;
-    busy_time = 0.;
-  }
-  in
-  Pool.set_fire t.propagating_pool (fun p ->
-      t.propagating <- t.propagating - 1;
-      t.delivered_pkts <- t.delivered_pkts + 1;
-      t.delivered_bytes <- t.delivered_bytes + p.Packet.size;
-      t.receiver p);
-  t
-
-let set_receiver t f = t.receiver <- f
+let on_arrive t (p : Packet.t) =
+  t.propagating <- t.propagating - 1;
+  t.delivered_pkts <- t.delivered_pkts + 1;
+  t.delivered_bytes <- t.delivered_bytes + p.Packet.size;
+  t.receiver p
 
 let deliver_after t (p : Packet.t) ~extra =
   t.propagating <- t.propagating + 1;
-  Engine.post_in t.engine ~after:(t.delay +. extra)
-    (Pool.event t.propagating_pool p)
+  Engine.post_apply_in t.engine ~after:(t.delay +. extra) t.arrive p
 
 let propagate t (p : Packet.t) =
   if Rng.bernoulli t.rng t.loss then t.channel_losses <- t.channel_losses + 1
@@ -101,7 +58,7 @@ let propagate t (p : Packet.t) =
     end
   end
 
-let start_transmission t =
+let rec start_transmission t =
   let now = Engine.now t.engine in
   match t.q.Queue_disc.dequeue ~now with
   | None -> t.busy <- false
@@ -109,17 +66,52 @@ let start_transmission t =
     t.busy <- true;
     let tx = Units.transmission_time ~size:p.Packet.size ~rate:t.bandwidth in
     t.busy_time <- t.busy_time +. tx;
-    Engine.post_in t.engine ~after:tx (Pool.event t.tx_pool p)
+    Engine.post_apply_in t.engine ~after:tx t.tx_done p
 
-(* The transmit-complete action needs [start_transmission], which needs
-   the pools, so it is installed lazily on the first send. *)
-let arm_tx_pool t =
-  Pool.set_fire t.tx_pool (fun p ->
-      propagate t p;
-      start_transmission t)
+and on_tx_done t p =
+  propagate t p;
+  start_transmission t
+
+let create engine ?(name = "link") ?(loss = 0.) ?(jitter = 0.) ~rng ~bandwidth
+    ~delay ~queue () =
+  if bandwidth <= 0. then invalid_arg "Link.create: bandwidth must be positive";
+  if delay < 0. then invalid_arg "Link.create: delay must be non-negative";
+  let trace_id = Pcc_trace.Collector.fresh_link_id () in
+  Pcc_trace.Collector.register Pcc_trace.Event.Link_scope ~id:trace_id name;
+  let rec t = {
+    engine;
+    name;
+    trace_id;
+    rng;
+    bandwidth;
+    delay;
+    loss;
+    jitter;
+    dup_prob = 0.;
+    reorder_prob = 0.;
+    reorder_extra = 0.;
+    q = queue;
+    receiver =
+      (fun _ -> failwith (name ^ ": no receiver attached"));
+    arrive = (fun p -> on_arrive t p);
+    tx_done = (fun p -> on_tx_done t p);
+    busy = false;
+    offered_pkts = 0;
+    propagating = 0;
+    delivered_pkts = 0;
+    delivered_bytes = 0;
+    channel_losses = 0;
+    duplicated_pkts = 0;
+    duplicated_bytes = 0;
+    reordered_pkts = 0;
+    busy_time = 0.;
+  }
+  in
+  t
+
+let set_receiver t f = t.receiver <- f
 
 let send t p =
-  if t.offered_pkts = 0 then arm_tx_pool t;
   t.offered_pkts <- t.offered_pkts + 1;
   let now = Engine.now t.engine in
   let accepted = t.q.Queue_disc.enqueue ~now p in

@@ -43,8 +43,8 @@ let ack_of pkt ~cum_ack ~recv_bytes ~now =
 
 let is_data t = match t.kind with Data _ -> true | Ack _ -> false
 
-let flow_counter = ref 0
+(* Shared by every domain: a plain [ref] could hand two domains the same
+   id, and the topology's routing tables are keyed by flow id. *)
+let flow_counter = Atomic.make 0
 
-let fresh_flow_id () =
-  incr flow_counter;
-  !flow_counter
+let fresh_flow_id () = Atomic.fetch_and_add flow_counter 1 + 1

@@ -41,4 +41,5 @@ val is_data : t -> bool
 (** Whether the packet carries payload. *)
 
 val fresh_flow_id : unit -> int
-(** A process-unique flow identifier. *)
+(** A process-unique flow identifier, unique across domains too. On a
+    single domain the ids run 1, 2, 3, … in call order. *)

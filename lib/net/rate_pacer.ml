@@ -5,27 +5,20 @@ type t = {
   mutable rate : float;
   send : unit -> int option;
   mutable running : bool;
-  mutable pending : Engine.timer option;
+  (* One timer and one callback for the pacer's life: at most one send
+     is pending, so each is re-armed in place. *)
+  timer : Engine.timer;
+  on_fire : unit -> unit;
   mutable last_send : float;
 }
 
-let create engine ~rate ~send =
-  if rate <= 0. then invalid_arg "Rate_pacer.create: rate must be positive";
-  { engine; rate; send; running = false; pending = None; last_send = neg_infinity }
-
 let interval t size = Units.bits_of_bytes size /. t.rate
 
-let rec schedule_next t ~after =
-  if t.running && t.pending = None then begin
-    let timer =
-      Engine.schedule_in t.engine ~after (fun () ->
-          t.pending <- None;
-          fire t)
-    in
-    t.pending <- Some timer
-  end
+let schedule_next t ~after =
+  if t.running && not (Engine.is_pending t.timer) then
+    Engine.arm_in t.engine t.timer ~after t.on_fire
 
-and fire t =
+let fire t =
   if t.running then begin
     match t.send () with
     | Some size ->
@@ -36,6 +29,21 @@ and fire t =
       ()
   end
 
+let create engine ~rate ~send =
+  if rate <= 0. then invalid_arg "Rate_pacer.create: rate must be positive";
+  let rec t =
+    {
+      engine;
+      rate;
+      send;
+      running = false;
+      timer = Engine.timer engine;
+      on_fire = (fun () -> fire t);
+      last_send = neg_infinity;
+    }
+  in
+  t
+
 let start t =
   if not t.running then begin
     t.running <- true;
@@ -44,14 +52,10 @@ let start t =
 
 let stop t =
   t.running <- false;
-  match t.pending with
-  | Some timer ->
-    Engine.cancel timer;
-    t.pending <- None
-  | None -> ()
+  Engine.cancel t.timer
 
 let kick t =
-  if t.running && t.pending = None then begin
+  if t.running && not (Engine.is_pending t.timer) then begin
     let gap = interval t Units.mss in
     let wait = Float.max 0. (t.last_send +. gap -. Engine.now t.engine) in
     schedule_next t ~after:wait

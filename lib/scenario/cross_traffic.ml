@@ -32,13 +32,12 @@ let rec send_tick t () =
     else begin
       (* OFF period, then a fresh burst. *)
       let off = Rng.exponential t.rng t.off_mean in
-      ignore
-        (Engine.schedule_in t.engine ~after:off (fun () ->
-             if t.running then begin
-               t.on_until <-
-                 Engine.now t.engine +. Rng.exponential t.rng t.on_mean;
-               send_tick t ()
-             end))
+      Engine.post_in t.engine ~after:off (fun () ->
+          if t.running then begin
+            t.on_until <-
+              Engine.now t.engine +. Rng.exponential t.rng t.on_mean;
+            send_tick t ()
+          end)
     end
   end
 

@@ -109,13 +109,11 @@ let apply_event tgt ev =
   let engine = tgt.engine in
   let each f = Array.iter f tgt.links in
   let on_all_links ~at:t0 ~duration ~apply ~restore =
-    ignore
-      (Engine.schedule engine ~at:t0 (fun () ->
-           let saved = Array.map (fun l -> restore l) tgt.links in
-           each apply;
-           ignore
-             (Engine.schedule engine ~at:(t0 +. duration) (fun () ->
-                  Array.iteri (fun i l -> saved.(i) l) tgt.links))))
+    Engine.post engine ~at:t0 (fun () ->
+        let saved = Array.map (fun l -> restore l) tgt.links in
+        each apply;
+        Engine.post engine ~at:(t0 +. duration) (fun () ->
+            Array.iteri (fun i l -> saved.(i) l) tgt.links))
   in
   match ev.kind with
   | Blackout { duration } ->
@@ -160,21 +158,17 @@ let apply_event tgt ev =
         let saved = Link.jitter l in
         fun l -> Link.set_jitter l saved)
   | Reverse_blackhole { duration } ->
-    ignore
-      (Engine.schedule engine ~at:ev.at (fun () ->
-           let saved = tgt.rev_loss () in
-           tgt.set_rev_loss 1.;
-           ignore
-             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
-                  tgt.set_rev_loss saved))))
+    Engine.post engine ~at:ev.at (fun () ->
+        let saved = tgt.rev_loss () in
+        tgt.set_rev_loss 1.;
+        Engine.post engine ~at:(ev.at +. duration) (fun () ->
+            tgt.set_rev_loss saved))
   | Reverse_loss_burst { duration; loss } ->
-    ignore
-      (Engine.schedule engine ~at:ev.at (fun () ->
-           let saved = tgt.rev_loss () in
-           tgt.set_rev_loss loss;
-           ignore
-             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
-                  tgt.set_rev_loss saved))))
+    Engine.post engine ~at:ev.at (fun () ->
+        let saved = tgt.rev_loss () in
+        tgt.set_rev_loss loss;
+        Engine.post engine ~at:(ev.at +. duration) (fun () ->
+            tgt.set_rev_loss saved))
   | Duplication_episode { duration; prob } ->
     on_all_links ~at:ev.at ~duration
       ~apply:(fun l -> Link.set_duplication l prob)
@@ -189,13 +183,11 @@ let apply_event tgt ev =
         (Printf.sprintf "Fault.inject: partition hop %d outside [0,%d)" hop
            (Array.length tgt.links));
     let link = tgt.links.(hop) in
-    ignore
-      (Engine.schedule engine ~at:ev.at (fun () ->
-           let saved = Link.loss link in
-           Link.set_loss link 1.;
-           ignore
-             (Engine.schedule engine ~at:(ev.at +. duration) (fun () ->
-                  Link.set_loss link saved))))
+    Engine.post engine ~at:ev.at (fun () ->
+        let saved = Link.loss link in
+        Link.set_loss link 1.;
+        Engine.post engine ~at:(ev.at +. duration) (fun () ->
+            Link.set_loss link saved))
 
 let inject tgt sched = List.iter (apply_event tgt) sched
 

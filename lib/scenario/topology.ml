@@ -360,20 +360,18 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
         done
       | None, _, _ -> assert false);
       built.(i) <- Some { def; sender; receiver; fct = None };
-      ignore
-        (Engine.schedule engine ~at:def.start_at (fun () ->
-             if Pcc_trace.Collector.enabled () then
-               Pcc_trace.Collector.emit Pcc_trace.Event.Flow_start
-                 ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
-             sender.Sender.start ()));
+      Engine.post engine ~at:def.start_at (fun () ->
+          if Pcc_trace.Collector.enabled () then
+            Pcc_trace.Collector.emit Pcc_trace.Event.Flow_start
+              ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
+          sender.Sender.start ());
       match def.stop_at with
       | Some at ->
-        ignore
-          (Engine.schedule engine ~at (fun () ->
-               if Pcc_trace.Collector.enabled () then
-                 Pcc_trace.Collector.emit Pcc_trace.Event.Flow_stop
-                   ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
-               sender.Sender.stop ()))
+        Engine.post engine ~at (fun () ->
+            if Pcc_trace.Collector.enabled () then
+              Pcc_trace.Collector.emit Pcc_trace.Event.Flow_stop
+                ~time:(Engine.now engine) ~id:fid ~a:0. ~b:0. ~i:0;
+            sender.Sender.stop ())
       | None -> ())
     (List.combine defs flow_routes);
   (* Periodic link-queue occupancy samples. The probe reschedules itself

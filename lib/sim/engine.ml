@@ -26,9 +26,23 @@ let () =
            events time)
     | _ -> None)
 
+(* Type erasure, confined to this module. One engine queues actions of
+   many argument types, but the wheel's columns each hold one type, so
+   every event is stored as an [Obj.t -> unit] action beside its
+   argument as an [Obj.t]: [erase] and [Obj.repr] on store, the only
+   coercions. Dispatch applies the stored action to the stored
+   argument, which is the [f x] that {!post_apply_in} type-checked. A
+   [unit -> unit] callback is stored with [()] as its argument. The
+   argument column's dummy is [()], an immediate, so the wheel builds
+   it as an ordinary array that can hold a boxed float. *)
+type action = Obj.t -> unit
+
+let erase : ('a -> unit) -> action = Obj.magic
+let no_arg = Obj.repr ()
+
 type t = {
   mutable clock : float;
-  q : (unit -> unit) Timing_wheel.t;
+  q : (action, Obj.t) Timing_wheel.t;
   mutable on_error : error_policy;
   mutable errors : (float * exn) list;  (* newest first *)
   mutable stall_budget : int;
@@ -46,7 +60,7 @@ let create ?(now = 0.) ?(stall_budget = default_stall_budget)
     invalid_arg "Engine.create: stall_budget must be positive";
   {
     clock = now;
-    q = Timing_wheel.create ~dummy:ignore ();
+    q = Timing_wheel.create ~dummy:ignore ~dummy_arg:no_arg ();
     on_error;
     errors = [];
     stall_budget;
@@ -60,21 +74,33 @@ let schedule t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %.9f is before now %.9f" at t.clock);
-  Timing_wheel.push t.q ~time:at f
+  Timing_wheel.push t.q ~time:at (erase f) no_arg
 
 let schedule_in t ~after f =
   let after = if after < 0. then 0. else after in
-  Timing_wheel.push t.q ~time:(t.clock +. after) f
+  Timing_wheel.push t.q ~time:(t.clock +. after) (erase f) no_arg
 
 let post t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.post: time %.9f is before now %.9f" at t.clock);
-  Timing_wheel.push_unit t.q ~time:at f
+  Timing_wheel.push_unit t.q ~time:at (erase f) no_arg
 
 let post_in t ~after f =
   let after = if after < 0. then 0. else after in
-  Timing_wheel.push_unit t.q ~time:(t.clock +. after) f
+  Timing_wheel.push_unit t.q ~time:(t.clock +. after) (erase f) no_arg
+
+let post_apply_in t ~after f x =
+  let after = if after < 0. then 0. else after in
+  Timing_wheel.push_unit t.q ~time:(t.clock +. after) (erase f) (Obj.repr x)
+
+let timer t = Timing_wheel.idle t.q
+
+let arm_in t timer ~after f =
+  let after = if after < 0. then 0. else after in
+  Timing_wheel.arm t.q timer ~time:(t.clock +. after) (erase f) no_arg
+
+let is_pending (timer : timer) = timer.Handle.state = 0
 
 let cancel = Handle.cancel
 
@@ -100,8 +126,9 @@ let count_external n =
   if n > 0 then ignore (Atomic.fetch_and_add global_executed n)
 
 (* Dispatch one already-popped event: advance the clock, police the
-   stall budget, run the callback under the error policy. *)
-let execute t time f =
+   stall budget, apply the action to its argument under the error
+   policy. *)
+let execute t time (f : action) x =
   if time > t.clock then begin
     t.clock <- time;
     t.stall_count <- 0
@@ -126,7 +153,7 @@ let execute t time f =
     Pcc_trace.Collector.emit Pcc_trace.Event.Dispatch ~time ~id:0
       ~a:(float_of_int (Timing_wheel.size t.q))
       ~b:0. ~i:t.executed;
-  try f () with
+  try f x with
   | Livelock _ as watchdog -> raise watchdog
   | exn -> (
     match t.on_error with
@@ -134,15 +161,11 @@ let execute t time f =
     | Collect -> t.errors <- (time, exn) :: t.errors)
 
 let step t =
-  match Timing_wheel.pop t.q with
-  | None -> false
-  | Some (time, f) ->
-    let before = t.executed in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add global_executed (t.executed - before)))
-      (fun () -> execute t time f);
-    true
+  let before = t.executed in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Atomic.fetch_and_add global_executed (t.executed - before)))
+    (fun () -> Timing_wheel.pop_cb t.q (execute t))
 
 let run ?until ?max_events t =
   let before = t.executed in
@@ -150,6 +173,9 @@ let run ?until ?max_events t =
     ~finally:(fun () ->
       ignore (Atomic.fetch_and_add global_executed (t.executed - before)))
   @@ fun () ->
+  (* Continuation-style pops: one queue descent per event and no
+     option/tuple allocation per event. *)
+  let k time f x = execute t time f x in
   match max_events with
   | Some budget ->
     (* Slow path: the budget check must fire only when another runnable
@@ -166,9 +192,7 @@ let run ?until ?max_events t =
       | Some time when (match until with None -> true | Some l -> time <= l)
         ->
         spend ();
-        (match Timing_wheel.pop t.q with
-        | Some (time, f) -> execute t time f
-        | None -> assert false)
+        ignore (Timing_wheel.pop_cb t.q k)
       | Some _ | None ->
         (match until with
         | Some limit when limit > t.clock -> t.clock <- limit
@@ -176,9 +200,7 @@ let run ?until ?max_events t =
         continue := false
     done
   | None -> (
-    (* Fast paths: continuation-style pops — one queue descent per event
-       (no peek-then-pop) and no option/tuple allocation per event. *)
-    let k time f = execute t time f in
+    (* Fast paths: no peek-then-pop. *)
     match until with
     | None -> while Timing_wheel.pop_cb t.q k do () done
     | Some limit ->

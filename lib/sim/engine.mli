@@ -33,7 +33,9 @@ type t
 (** A simulation engine. *)
 
 type timer = Handle.t
-(** A cancellable handle on a scheduled event. *)
+(** A cancellable handle on a scheduled event: either returned by
+    {!schedule}/{!schedule_in} for one event, or made idle by {!timer}
+    and re-armed with {!arm_in} any number of times. *)
 
 type error_policy =
   | Raise  (** Wrap the exception in {!Event_error} and re-raise (default). *)
@@ -82,13 +84,45 @@ val post : t -> at:float -> (unit -> unit) -> unit
 val post_in : t -> after:float -> (unit -> unit) -> unit
 (** {!schedule_in}, handle-free (see {!post}). *)
 
+val post_apply_in : t -> after:float -> ('a -> unit) -> 'a -> unit
+(** [post_apply_in t ~after f x] runs [f x] [after] seconds from now:
+    {!post_in} with the argument carried in the queue next to [f], so a
+    component posts one shared action per packet instead of allocating
+    a closure per packet. The event draws from the same sequence counter
+    as {!schedule} and {!post} — ties at one time dispatch in push
+    order, whichever of the three queued them — cannot be cancelled,
+    and runs exactly once. The queue drops its reference to [x] when
+    the event is dispatched. Negative delays are clamped to zero. *)
+
+val timer : t -> timer
+(** [timer t] is an idle timer on [t]'s queue: not pending, nothing
+    scheduled. Allocate one per component and re-arm it with {!arm_in}
+    instead of taking a fresh handle per event. *)
+
+val arm_in : t -> timer -> after:float -> (unit -> unit) -> unit
+(** [arm_in t timer ~after f] runs [f] [after] seconds from now and
+    makes [timer] pending on that event, exactly as {!schedule_in}
+    would with a fresh handle (same sequence counter, same order).
+    [timer] must not be pending: it must be idle, already fired, or
+    cancelled. An event a {!cancel} left in the queue never fires,
+    even after the timer is re-armed; [f] runs once, at the new time.
+    The timer stops being pending before [f] runs, so [f] may re-arm
+    it. Negative delays are clamped to zero.
+    @raise Invalid_argument if [timer] is pending or belongs to another
+    engine. *)
+
+val is_pending : timer -> bool
+(** Whether the timer's event is queued: armed (or scheduled) and
+    neither fired nor cancelled. *)
+
 val cancel : timer -> unit
 (** [cancel timer] prevents a pending event from firing. Cancelling an
     already-fired or already-cancelled timer is harmless. *)
 
 val pending : t -> int
 (** Number of live events still queued. Exact: cancelled timers stop
-    counting immediately, even while still buried in the wheel. *)
+    counting immediately, even while still buried in the wheel, and a
+    re-armed timer counts once. *)
 
 val set_stall_budget : t -> int -> unit
 (** Adjust the livelock watchdog's per-instant event budget.

@@ -34,7 +34,8 @@
      (chain link; sequence tagged with a has-handle bit) — the key
      arrays the hot paths touch sit in 2-3 lines per entry, and the
      LIFO free list hands clustered slots to clustered pushes, so
-     chain walks run over dense lines;
+     chain walks run over dense lines. The payload and its argument
+     sit in two more columns, read once at dispatch;
    - the ready and overflow heaps copy (time, seq) next to the arena
      index, so their sift comparisons run over small unboxed arrays
      (L1-resident, no GC write barriers) instead of dereferencing the
@@ -48,7 +49,10 @@
      simulations pay zero allocation and never touch the handle array.
 
    Cancellation is lazy (shared {!Handle} state flip); dead entries are
-   freed when a harvest or heap pop surfaces them. A workload that
+   freed when a harvest or heap pop surfaces them. A handle can be
+   re-armed once it is no longer pending ({!arm}): each entry records
+   the handle generation it was armed with, so the entry a cancel left
+   buried stays dead when the same handle is armed again. A workload that
    cancels far-future timers en masse could strand dead entries in
    never-visited slots, so pushes trigger a sweep (walking only
    occupied slots, via the bitmap) once dead entries outnumber live
@@ -75,14 +79,17 @@ type kheap = {
   mutable klen : int;
 }
 
-type 'a t = {
+type ('a, 'b) t = {
   mutable times : float array;
   (* meta.(2i) = chain / free-list link (-1 ends);
      meta.(2i+1) = (seq lsl 1) lor 1-if-cancellable. *)
   mutable meta : int array;
   mutable handles : handle array; (* dummy for handleless entries *)
+  mutable gens : int array; (* handle generation armed; handle entries only *)
   mutable payloads : 'a array;
+  mutable args : 'b array;
   dummy : 'a; (* seeds payload slack; freed slots reset to it *)
+  dummy_arg : 'b; (* the same for the argument column *)
   mutable free : int; (* head of the arena free list *)
   mutable in_use : int; (* allocated arena slots (live + unswept dead) *)
   mutable next_seq : int;
@@ -98,19 +105,22 @@ type 'a t = {
 
 let mk_kheap () = { ktimes = [||]; kseqs = [||]; kidx = [||]; klen = 0 }
 
-(* [dummy] seeds the payload arena ([Array.make] needs a value of type
-   ['a] before any payload exists) and replaces freed slots' payloads so
-   the arena never pins a dropped value. Storing ['a] directly — rather
-   than boxing each payload in an option-like wrapper — keeps push free
-   of minor-heap allocation, which is measurable at millions of events
-   per second. *)
-let create ~dummy () =
+(* [dummy] and [dummy_arg] seed the payload and argument columns
+   ([Array.make] needs a value of each type before any entry exists)
+   and replace freed slots' values so the arena never pins a dropped
+   one. Storing both directly — rather than boxing each entry in an
+   option-like wrapper — keeps push free of minor-heap allocation,
+   which is measurable at millions of events per second. *)
+let create ~dummy ~dummy_arg () =
   {
     times = [||];
     meta = [||];
     handles = [||];
+    gens = [||];
     payloads = [||];
+    args = [||];
     dummy;
+    dummy_arg;
     free = -1;
     in_use = 0;
     next_seq = 0;
@@ -129,9 +139,13 @@ let size t = !(t.live)
 
 let tick_of_time time = int_of_float (time *. inv_tick)
 
-(* Entry state, reading the handle only when one exists. *)
+(* Entry state, reading the handle only when one exists: pending, and
+   still at the generation this entry was armed with. *)
 let entry_live t i =
-  t.meta.((2 * i) + 1) land 1 = 0 || t.handles.(i).Handle.state = 0
+  t.meta.((2 * i) + 1) land 1 = 0
+  ||
+  let h = t.handles.(i) in
+  h.Handle.state = 0 && h.Handle.gen = t.gens.(i)
 
 (* ---- find-first-set ---------------------------------------------- *)
 
@@ -233,21 +247,27 @@ let grow t =
   let ntimes = Array.make ncap 0. in
   let nmeta = Array.make (2 * ncap) (-1) in
   let nhandles = Array.make ncap dummy_handle in
+  let ngens = Array.make ncap 0 in
   let npayloads = Array.make ncap t.dummy in
+  let nargs = Array.make ncap t.dummy_arg in
   Array.blit t.times 0 ntimes 0 cap;
   Array.blit t.meta 0 nmeta 0 (2 * cap);
   Array.blit t.handles 0 nhandles 0 cap;
+  Array.blit t.gens 0 ngens 0 cap;
   Array.blit t.payloads 0 npayloads 0 cap;
+  Array.blit t.args 0 nargs 0 cap;
   t.times <- ntimes;
   t.meta <- nmeta;
   t.handles <- nhandles;
+  t.gens <- ngens;
   t.payloads <- npayloads;
+  t.args <- nargs;
   for i = ncap - 1 downto cap do
     nmeta.(2 * i) <- t.free;
     t.free <- i
   done
 
-let alloc t time tagged_seq v =
+let alloc t time tagged_seq v x =
   if t.free < 0 then grow t;
   let i = t.free in
   t.free <- t.meta.(2 * i);
@@ -255,11 +275,13 @@ let alloc t time tagged_seq v =
   t.meta.(2 * i) <- -1;
   t.meta.((2 * i) + 1) <- tagged_seq;
   t.payloads.(i) <- v;
+  t.args.(i) <- x;
   t.in_use <- t.in_use + 1;
   i
 
 let free_slot t i =
   t.payloads.(i) <- t.dummy;
+  t.args.(i) <- t.dummy_arg;
   if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i) <- dummy_handle;
   t.meta.(2 * i) <- t.free;
   t.free <- i;
@@ -368,29 +390,49 @@ let check_time time =
   if not (time >= 0.) then
     invalid_arg "Timing_wheel.push: time must be non-negative"
 
-let push t ~time v =
-  check_time time;
-  maybe_sweep t;
-  let h = Handle.make t.live in
+(* Queue a cancellable entry under [h], which the caller has just made
+   pending at its current generation. *)
+let push_handle t h ~time v x =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   incr t.live;
-  let i = alloc t time ((seq lsl 1) lor 1) v in
+  let i = alloc t time ((seq lsl 1) lor 1) v x in
   t.handles.(i) <- h;
-  place t i;
+  t.gens.(i) <- h.Handle.gen;
+  place t i
+
+let push t ~time v x =
+  check_time time;
+  maybe_sweep t;
+  let h = Handle.make t.live in
+  push_handle t h ~time v x;
   h
 
 (* Uncancellable push: no handle is allocated or stored; the entry is
    live until dispatched. Ordering is identical to {!push} (same
    sequence counter). *)
-let push_unit t ~time v =
+let push_unit t ~time v x =
   check_time time;
   maybe_sweep t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   incr t.live;
-  let i = alloc t time (seq lsl 1) v in
+  let i = alloc t time (seq lsl 1) v x in
   place t i
+
+let idle t = { Handle.state = 2; gen = 0; live = t.live }
+
+(* Re-arm: a fresh generation makes any entry this handle left behind
+   (cancelled, still buried) dead for good. *)
+let arm t (h : handle) ~time v x =
+  if h.Handle.live != t.live then
+    invalid_arg "Timing_wheel.arm: handle belongs to another queue";
+  if h.Handle.state = 0 then invalid_arg "Timing_wheel.arm: handle is pending";
+  check_time time;
+  maybe_sweep t;
+  h.Handle.state <- 0;
+  h.Handle.gen <- h.Handle.gen + 1;
+  push_handle t h ~time v x
 
 (* ---- advancement ------------------------------------------------- *)
 
@@ -527,28 +569,9 @@ let prune_ready t =
     end
   done
 
-(* Dispatch the live root of the ready heap. *)
-let take_ready t =
-  let i = t.ready.kidx.(0) in
-  let time = t.ready.ktimes.(0) in
-  kh_remove_root t.ready;
-  if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).Handle.state <- 2;
-  decr t.live;
-  let v = t.payloads.(i) in
-  free_slot t i;
-  (time, v)
-
-let rec pop t =
-  prune_ready t;
-  if t.ready.klen > 0 then Some (take_ready t)
-  else if !(t.live) > 0 then begin
-    advance t;
-    pop t
-  end
-  else None
-
-(* [take_ready] without the result tuple: the slot is freed before the
-   callback runs, so the callback may push (and reuse the slot). *)
+(* Dispatch the live root of the ready heap to [k]. The slot is freed
+   (and a handle marked popped) before [k] runs, so [k] may push, reuse
+   the slot, or re-arm the handle. *)
 let take_ready_cb t k =
   let i = t.ready.kidx.(0) in
   let time = t.ready.ktimes.(0) in
@@ -556,8 +579,9 @@ let take_ready_cb t k =
   if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i).Handle.state <- 2;
   decr t.live;
   let v = t.payloads.(i) in
+  let x = t.args.(i) in
   free_slot t i;
-  k time v
+  k time v x
 
 let rec pop_cb t k =
   prune_ready t;
@@ -570,16 +594,6 @@ let rec pop_cb t k =
     pop_cb t k
   end
   else false
-
-let rec pop_le t ~max_time =
-  prune_ready t;
-  if t.ready.klen > 0 then
-    if t.ready.ktimes.(0) <= max_time then Some (take_ready t) else None
-  else if !(t.live) > 0 then begin
-    advance t;
-    pop_le t ~max_time
-  end
-  else None
 
 let rec pop_le_cb t ~max_time k =
   prune_ready t;
@@ -603,6 +617,11 @@ let rec peek_time t =
     peek_time t
   end
   else None
+
+let pop t =
+  let r = ref None in
+  ignore (pop_cb t (fun time v x -> r := Some (time, v, x)));
+  !r
 
 let cancel = Handle.cancel
 let cancelled = Handle.cancelled

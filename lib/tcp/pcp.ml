@@ -113,13 +113,12 @@ let create engine ?(init_rate = Units.mbps 1.) ?(max_rate = Units.gbps 10.)
            let train_time =
              float_of_int (train_len * Units.mss * 8) /. target
            in
-           ignore
-             (Engine.schedule_in engine
-                ~after:(train_time +. (3. *. !srtt))
-                (fun () ->
-                  match !probe with
-                  | Some p' when p' == p -> evaluate_probe p
-                  | Some _ | None -> ()))
+           Engine.post_in engine
+             ~after:(train_time +. (3. *. !srtt))
+             (fun () ->
+               match !probe with
+               | Some p' when p' == p -> evaluate_probe p
+               | Some _ | None -> ())
          end
        end);
       (* Tail-loss watchdog: requeue stale packets and resume the pacer if
@@ -128,10 +127,7 @@ let create engine ?(init_rate = Units.mbps 1.) ?(max_rate = Units.gbps 10.)
         (Scoreboard.sweep_stale sb ~now:(Engine.now engine)
            ~min_age:(4. *. !srtt));
       if Scoreboard.has_retx sb then Rate_pacer.kick (get_pacer ());
-      ignore
-        (Engine.schedule_in engine
-           ~after:(Float.max (2. *. !srtt) 0.05)
-           probe_tick)
+      Engine.post_in engine ~after:(Float.max (2. *. !srtt) 0.05) probe_tick
     end
   in
   let handle_ack (a : Packet.ack) =

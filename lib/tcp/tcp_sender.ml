@@ -38,7 +38,8 @@ type t = {
   mutable running : bool;
   mutable in_recovery : bool;
   mutable recover_seq : int;
-  mutable rto_timer : Engine.timer option;
+  rto_timer : Engine.timer;
+  on_rto : unit -> unit;  (* re-armed on [rto_timer], one per sender *)
   mutable pacing_pending : bool;
   mutable last_send : float;
   mutable sent_pkts : int;
@@ -73,42 +74,7 @@ let make_ctx engine cfg est =
       mss = Units.mss;
     }
 
-let create engine cfg ?size ?on_complete ~out () =
-  let est = Rtt_estimator.create ~min_rto:cfg.min_rto () in
-  let flow = Packet.fresh_flow_id () in
-  Pcc_trace.Collector.register Pcc_trace.Event.Flow_scope ~id:flow
-    cfg.variant.Variant.name;
-  let sb = Scoreboard.create ~dupthresh:cfg.dupthresh () in
-  Option.iter
-    (fun bytes -> Scoreboard.limit_pkts sb (Units.packets_of_bytes bytes))
-    size;
-  {
-    engine;
-    cfg;
-    out;
-    flow;
-    sb;
-    est;
-    ctx = make_ctx engine cfg est;
-    running = false;
-    in_recovery = false;
-    recover_seq = 0;
-    rto_timer = None;
-    pacing_pending = false;
-    last_send = neg_infinity;
-    sent_pkts = 0;
-    timeouts = 0;
-    fast_retransmits = 0;
-    completed = false;
-    on_complete;
-  }
-
-let cancel_rto t =
-  match t.rto_timer with
-  | Some timer ->
-    Engine.cancel timer;
-    t.rto_timer <- None
-  | None -> ()
+let cancel_rto t = Engine.cancel t.rto_timer
 
 let effective_cwnd t =
   int_of_float (Float.min t.ctx.Variant.cwnd t.cfg.max_cwnd)
@@ -129,14 +95,12 @@ let next_to_send t =
   | None -> Option.map (fun seq -> (seq, false)) (Scoreboard.fresh_seq t.sb)
 
 let rec arm_rto t =
-  if t.rto_timer = None && Scoreboard.inflight t.sb > 0 && t.running then begin
-    let timer =
-      Engine.schedule_in t.engine ~after:(Rtt_estimator.rto t.est) (fun () ->
-          t.rto_timer <- None;
-          on_timeout t)
-    in
-    t.rto_timer <- Some timer
-  end
+  if
+    (not (Engine.is_pending t.rto_timer))
+    && Scoreboard.inflight t.sb > 0 && t.running
+  then
+    Engine.arm_in t.engine t.rto_timer ~after:(Rtt_estimator.rto t.est)
+      t.on_rto
 
 and on_timeout t =
   if t.running && not t.completed then begin
@@ -194,20 +158,52 @@ and pace_send t =
     in
     let at = Float.max now (t.last_send +. spacing) in
     t.pacing_pending <- true;
-    ignore
-      (Engine.schedule t.engine ~at (fun () ->
-           t.pacing_pending <- false;
-           if
-             t.running && (not t.completed)
-             && Scoreboard.inflight t.sb < effective_cwnd t
-           then begin
-             match next_to_send t with
-             | Some (seq, retx) ->
-               do_send t seq retx;
-               pace_send t
-             | None -> ()
-           end))
+    Engine.post t.engine ~at (fun () ->
+        t.pacing_pending <- false;
+        if
+          t.running && (not t.completed)
+          && Scoreboard.inflight t.sb < effective_cwnd t
+        then begin
+          match next_to_send t with
+          | Some (seq, retx) ->
+            do_send t seq retx;
+            pace_send t
+          | None -> ()
+        end)
   end
+
+let create engine cfg ?size ?on_complete ~out () =
+  let est = Rtt_estimator.create ~min_rto:cfg.min_rto () in
+  let flow = Packet.fresh_flow_id () in
+  Pcc_trace.Collector.register Pcc_trace.Event.Flow_scope ~id:flow
+    cfg.variant.Variant.name;
+  let sb = Scoreboard.create ~dupthresh:cfg.dupthresh () in
+  Option.iter
+    (fun bytes -> Scoreboard.limit_pkts sb (Units.packets_of_bytes bytes))
+    size;
+  let rec t = {
+    engine;
+    cfg;
+    out;
+    flow;
+    sb;
+    est;
+    ctx = make_ctx engine cfg est;
+    running = false;
+    in_recovery = false;
+    recover_seq = 0;
+    rto_timer = Engine.timer engine;
+    on_rto = (fun () -> on_timeout t);
+    pacing_pending = false;
+    last_send = neg_infinity;
+    sent_pkts = 0;
+    timeouts = 0;
+    fast_retransmits = 0;
+    completed = false;
+    on_complete;
+  }
+  in
+  t
 
 let complete t =
   if not t.completed then begin

@@ -38,6 +38,31 @@ let test_fresh_flow_ids () =
   let a = Packet.fresh_flow_id () and b = Packet.fresh_flow_id () in
   Alcotest.(check bool) "unique" true (a <> b)
 
+(* Two domains drawing ids at once never receive the same one. Both
+   wait at a start line so their draws overlap. *)
+let test_fresh_flow_ids_across_domains () =
+  let n = 100_000 in
+  let ready = Atomic.make 0 in
+  let take () =
+    let ids = Array.make n 0 in
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for i = 0 to n - 1 do
+      ids.(i) <- Packet.fresh_flow_id ()
+    done;
+    ids
+  in
+  let workers = List.init 2 (fun _ -> Domain.spawn take) in
+  let ids = Array.concat (List.map Domain.join workers) in
+  Array.sort compare ids;
+  let repeats = ref 0 in
+  for i = 1 to Array.length ids - 1 do
+    if ids.(i) = ids.(i - 1) then incr repeats
+  done;
+  Alcotest.(check int) "no id handed out twice" 0 !repeats
+
 (* ------------------------------------------------------------------ *)
 (* Link *)
 
@@ -747,6 +772,8 @@ let suites =
         Alcotest.test_case "ack of ack rejected" `Quick
           test_packet_ack_of_ack_rejected;
         Alcotest.test_case "fresh flow ids" `Quick test_fresh_flow_ids;
+        Alcotest.test_case "fresh flow ids across domains" `Quick
+          test_fresh_flow_ids_across_domains;
       ] );
     ( "net.link",
       [

@@ -15,7 +15,7 @@ let drain_wheel w =
   let out = ref [] in
   let rec go () =
     match TW.pop w with
-    | Some (t, v) ->
+    | Some (t, v, ()) ->
       out := (t, v) :: !out;
       go ()
     | None -> ()
@@ -38,28 +38,28 @@ let drain_heap h =
 (* Same-time events dispatch in insertion order, with push and
    push_unit drawing from one sequence counter. *)
 let test_fifo_tie_break () =
-  let w = TW.create ~dummy:(-1) () in
-  ignore (TW.push w ~time:1. 0);
-  TW.push_unit w ~time:1. 1;
-  ignore (TW.push w ~time:0.5 2);
-  TW.push_unit w ~time:1. 3;
-  ignore (TW.push w ~time:1. 4);
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  ignore (TW.push w ~time:1. 0 ());
+  TW.push_unit w ~time:1. 1 ();
+  ignore (TW.push w ~time:0.5 2 ());
+  TW.push_unit w ~time:1. 3 ();
+  ignore (TW.push w ~time:1. 4 ());
   Alcotest.(check (list int))
     "insertion order within a tie" [ 2; 0; 1; 3; 4 ]
     (List.map snd (drain_wheel w));
   (* Sub-tick spacing: distinct times less than a tick apart must still
      come out in time order, not slot order. *)
-  let w = TW.create ~dummy:(-1) () in
-  ignore (TW.push w ~time:(1. +. 0.9e-6) 0);
-  ignore (TW.push w ~time:(1. +. 0.1e-6) 1);
-  ignore (TW.push w ~time:1. 2);
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  ignore (TW.push w ~time:(1. +. 0.9e-6) 0 ());
+  ignore (TW.push w ~time:(1. +. 0.1e-6) 1 ());
+  ignore (TW.push w ~time:1. 2 ());
   Alcotest.(check (list int))
     "sub-tick times keep exact order" [ 2; 1; 0 ]
     (List.map snd (drain_wheel w))
 
 let test_cancel_accounting () =
-  let w = TW.create ~dummy:(-1) () in
-  let handles = Array.init 100 (fun i -> TW.push w ~time:(float_of_int i) i) in
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  let handles = Array.init 100 (fun i -> TW.push w ~time:(float_of_int i) i ()) in
   Alcotest.(check int) "size counts live entries" 100 (TW.size w);
   Array.iteri (fun i h -> if i mod 2 = 0 then TW.cancel h) handles;
   Alcotest.(check int) "cancel drops size immediately" 50 (TW.size w);
@@ -74,10 +74,10 @@ let test_cancel_accounting () =
   Alcotest.(check bool) "is_empty after drain" true (TW.is_empty w);
   (* Cancelling an already-popped event must not disturb a later
      entry reusing its arena slot. *)
-  let h = TW.push w ~time:1. 7 in
+  let h = TW.push w ~time:1. 7 () in
   Alcotest.(check (list int)) "popped" [ 7 ] (List.map snd (drain_wheel w));
   TW.cancel h;
-  ignore (TW.push w ~time:2. 8);
+  ignore (TW.push w ~time:2. 8 ());
   Alcotest.(check (list int))
     "stale cancel does not kill a reused slot" [ 8 ]
     (List.map snd (drain_wheel w))
@@ -86,12 +86,12 @@ let test_cancel_accounting () =
    and migrate into the wheel as the clock advances past epoch
    boundaries; global order must survive the trip. *)
 let test_overflow_migration () =
-  let w = TW.create ~dummy:(-1) () in
-  ignore (TW.push w ~time:(beyond_horizon *. 2.5) 0);
-  ignore (TW.push w ~time:1. 1);
-  ignore (TW.push w ~time:(beyond_horizon +. 2.) 2);
-  ignore (TW.push w ~time:(beyond_horizon -. 1.) 3);
-  ignore (TW.push w ~time:(beyond_horizon +. 1.) 4);
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  ignore (TW.push w ~time:(beyond_horizon *. 2.5) 0 ());
+  ignore (TW.push w ~time:1. 1 ());
+  ignore (TW.push w ~time:(beyond_horizon +. 2.) 2 ());
+  ignore (TW.push w ~time:(beyond_horizon -. 1.) 3 ());
+  ignore (TW.push w ~time:(beyond_horizon +. 1.) 4 ());
   let _, _, _, overflow_len, _ = TW.stats w in
   Alcotest.(check bool)
     "far-future events sit in overflow" true (overflow_len >= 3);
@@ -99,9 +99,9 @@ let test_overflow_migration () =
     "order across epoch migrations" [ 1; 3; 4; 2; 0 ]
     (List.map snd (drain_wheel w));
   (* A cancelled overflow entry must not block the epoch jump. *)
-  let w = TW.create ~dummy:(-1) () in
-  let h = TW.push w ~time:(beyond_horizon +. 1.) 0 in
-  ignore (TW.push w ~time:(beyond_horizon +. 2.) 1);
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  let h = TW.push w ~time:(beyond_horizon +. 1.) 0 () in
+  ignore (TW.push w ~time:(beyond_horizon +. 2.) 1 ());
   TW.cancel h;
   Alcotest.(check (list int))
     "dead overflow minimum is skipped" [ 1 ]
@@ -122,43 +122,46 @@ let test_zero_delay_livelock () =
     Alcotest.fail "expected Stall, got Budget"
 
 (* Randomized differential: an arbitrary interleaving of pushes (times
-   from ns to years, duplicates included), cancels and pops must pop
-   the identical (time, value) sequence from both backends. *)
+   from ns to years, duplicates included), cancels, re-arms and pops
+   must pop the identical (time, value) sequence from both backends,
+   with equal live counts after every operation. The heap has no
+   re-arm, so its model of one is cancel plus push. *)
 let test_differential_random () =
   let rng = Rng.create 20260809 in
   for _round = 1 to 20 do
     let h = EH.create () in
-    let w = TW.create ~dummy:(-1) () in
+    let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
     let h_handles = ref [] and w_handles = ref [] in
     let popped_h = ref [] and popped_w = ref [] in
+    (* Mixed magnitudes: same-slot collisions, far future, overflow. *)
+    let draw_time () =
+      match Rng.int rng 4 with
+      | 0 -> Rng.uniform rng 0. 1e-4
+      | 1 -> Rng.uniform rng 0. 10.
+      | 2 -> float_of_int (Rng.int rng 4)
+      | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
+    in
     for i = 0 to 999 do
-      match Rng.int rng 10 with
+      (match Rng.int rng 12 with
       | 0 | 1 | 2 | 3 | 4 ->
-        (* Mixed magnitudes: same-slot collisions, far future, overflow. *)
-        let time =
-          match Rng.int rng 4 with
-          | 0 -> Rng.uniform rng 0. 1e-4
-          | 1 -> Rng.uniform rng 0. 10.
-          | 2 -> float_of_int (Rng.int rng 4)
-          | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
-        in
+        let time = draw_time () in
         let cancellable = Rng.bool rng in
         if cancellable then begin
           h_handles := EH.push h ~time i :: !h_handles;
-          w_handles := TW.push w ~time i :: !w_handles
+          w_handles := TW.push w ~time i () :: !w_handles
         end
         else begin
           EH.push_unit h ~time i;
-          TW.push_unit w ~time i
+          TW.push_unit w ~time i ()
         end
       | 5 | 6 -> (
         (match EH.pop h with
         | Some (t, v) -> popped_h := (t, v) :: !popped_h
         | None -> ());
         match TW.pop w with
-        | Some (t, v) -> popped_w := (t, v) :: !popped_w
+        | Some (t, v, ()) -> popped_w := (t, v) :: !popped_w
         | None -> ())
-      | _ -> (
+      | 7 | 8 | 9 -> (
         (* Cancel the same (by construction) pending event in both. *)
         match (!h_handles, !w_handles) with
         | hh :: hrest, wh :: wrest ->
@@ -167,6 +170,24 @@ let test_differential_random () =
           h_handles := hrest;
           w_handles := wrest
         | _ -> ())
+      | _ ->
+        (* Re-arm a handle that may be pending, cancelled or popped. The
+           wheel must cancel first, since arming a pending handle
+           raises. *)
+        let n = List.length !w_handles in
+        if n > 0 then begin
+          let k = Rng.int rng n in
+          let time = draw_time () in
+          let hh = List.nth !h_handles k and wh = List.nth !w_handles k in
+          EH.cancel hh;
+          let hh' = EH.push h ~time i in
+          TW.cancel wh;
+          TW.arm w wh ~time i ();
+          h_handles :=
+            List.mapi (fun j x -> if j = k then hh' else x) !h_handles
+        end);
+      if EH.size h <> TW.size w then
+        Alcotest.failf "live count: heap %d vs wheel %d" (EH.size h) (TW.size w)
     done;
     popped_h := List.rev_append !popped_h (drain_heap h);
     popped_w := List.rev_append !popped_w (drain_wheel w);

@@ -350,60 +350,140 @@ let prop_rng_shuffle_multiset =
       List.sort compare (Array.to_list a) = List.sort compare l)
 
 (* ------------------------------------------------------------------ *)
-(* Pool: exactly-once release and domain ownership *)
+(* Argument-carrying posts and re-armable timers *)
 
-let test_pool_double_release () =
-  let p = Pool.create ~dummy:0 () in
-  Pool.set_fire p (fun _ -> ());
-  let ev = Pool.event p 7 in
-  ev ();
-  Alcotest.check_raises "second fire raises" Pool.Double_release ev
+(* Every way of queueing an event draws from one sequence counter, so
+   events at one instant dispatch in push order whichever call queued
+   them. *)
+let test_engine_post_apply_order () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note i = log := i :: !log in
+  let timer = Engine.timer engine in
+  Engine.post_apply_in engine ~after:1. note 0;
+  Engine.post engine ~at:1. (fun () -> note 1);
+  ignore (Engine.schedule engine ~at:1. (fun () -> note 2));
+  Engine.post_apply_in engine ~after:1. note 3;
+  Engine.arm_in engine timer ~after:1. (fun () -> note 4);
+  ignore (Engine.schedule_in engine ~after:1. (fun () -> note 5));
+  Engine.post_in engine ~after:1. (fun () -> note 6);
+  Engine.post_apply_in engine ~after:1. note 7;
+  Engine.post_apply_in engine ~after:0.5 note 8;
+  Alcotest.(check int) "all pending" 9 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list int))
+    "push order within the tie" [ 8; 0; 1; 2; 3; 4; 5; 6; 7 ] (List.rev !log)
 
-let test_pool_cross_domain () =
-  let p = Pool.create ~dummy:0 () in
-  Pool.set_fire p (fun _ -> ());
-  let ev = Pool.event p 7 in
-  let raised =
-    Domain.join
-      (Domain.spawn (fun () ->
-           try
-             ev ();
-             false
-           with Pool.Cross_domain_release -> true))
-  in
-  Alcotest.(check bool) "foreign fire rejected" true raised;
-  (* The slot is still checked out — the rejected fire released
-     nothing — and the owner can still run it. *)
-  Alcotest.(check int) "slot still live" 1 (Pool.in_use p);
-  ev ();
-  Alcotest.(check int) "owner fire drains" 0 (Pool.in_use p)
+type arg_record = { label : string; weight : float; count : int }
 
-(* Pooled events posted into an engine all come back to the free list,
-   and capacity tracks the in-flight peak rather than the total. Runs
-   on a worker domain too: a pool created where its engine runs is
-   owned there. *)
-let test_pool_no_leak () =
-  let run () =
-    let engine = Engine.create () in
-    let pool = Pool.create ~dummy:(-1) () in
-    let seen = ref 0 in
-    Pool.set_fire pool (fun _ -> incr seen);
-    let n = 500 in
-    for i = 0 to n - 1 do
-      Engine.post engine ~at:(0.001 *. float_of_int i) (fun () ->
-          Engine.post_in engine ~after:0.002 (Pool.event pool i))
-    done;
-    Engine.run engine;
-    (!seen, Pool.in_use pool, Pool.capacity pool)
+(* The argument reaches its action intact whatever its representation.
+   A float goes first, into a fresh queue: an argument column seeded
+   from it would be a flat float array and could not then hold the
+   record. Each dispatch path is used: [step], [run ~max_events],
+   [run ~until] and [run]. *)
+let test_engine_post_apply_args () =
+  let engine = Engine.create () in
+  let got_float = ref 0. and got_int = ref 0 and got_record = ref None in
+  Engine.post_apply_in engine ~after:1. (fun x -> got_float := x) 3.25;
+  Engine.post_apply_in engine ~after:2. (fun n -> got_int := n) (-42);
+  let r = { label = "flow"; weight = 0.5; count = 7 } in
+  Engine.post_apply_in engine ~after:3. (fun r -> got_record := Some r) r;
+  Engine.post_apply_in engine ~after:4. (fun x -> got_float := !got_float +. x)
+    1e-300;
+  Alcotest.(check bool) "step ran one" true (Engine.step engine);
+  check_float "float arrives" 3.25 !got_float;
+  Engine.run ~max_events:1 ~until:2. engine;
+  Alcotest.(check int) "int arrives" (-42) !got_int;
+  Engine.run ~until:3. engine;
+  (match !got_record with
+  | Some r' ->
+    Alcotest.(check bool) "same record" true (r' == r);
+    Alcotest.(check string) "label" "flow" r'.label;
+    check_float "weight" 0.5 r'.weight;
+    Alcotest.(check int) "count" 7 r'.count
+  | None -> Alcotest.fail "record never arrived");
+  Engine.run engine;
+  Alcotest.(check (float 0.)) "float added" (3.25 +. 1e-300) !got_float;
+  Alcotest.(check int) "drained" 0 (Engine.pending engine)
+
+(* The queue holds a posted argument only until dispatch. *)
+let test_engine_post_apply_releases_arg () =
+  let engine = Engine.create () in
+  let weak = Weak.create 1 in
+  let seen = ref 0 in
+  let post () =
+    let p = Pcc_net.Packet.data ~flow:1 ~seq:0 ~size:1500 ~now:0. ~retx:false in
+    Weak.set weak 0 (Some p);
+    Engine.post_apply_in engine ~after:1.
+      (fun (p : Pcc_net.Packet.t) -> seen := !seen + p.Pcc_net.Packet.size)
+      p
   in
-  let check where (seen, in_use, cap) =
-    Alcotest.(check int) (where ^ ": every event fired") 500 seen;
-    Alcotest.(check int) (where ^ ": no slot leaked") 0 in_use;
-    Alcotest.(check bool) (where ^ ": capacity bounded by in-flight peak")
-      true (cap <= 16)
+  post ();
+  Gc.full_major ();
+  Alcotest.(check bool) "queued packet kept alive" true (Weak.check weak 0);
+  Engine.run engine;
+  Alcotest.(check int) "delivered" 1500 !seen;
+  Gc.full_major ();
+  Alcotest.(check bool) "dispatched packet released" false (Weak.check weak 0);
+  (* The engine, and with it the wheel, was reachable throughout. *)
+  Alcotest.(check int) "engine still usable" 0 (Engine.pending engine)
+
+(* A cancelled timer's entry stays buried in the wheel; re-arming the
+   same timer must fire once, at the new time only, with [pending]
+   exact at every step. *)
+let test_engine_timer_rearm () =
+  let engine = Engine.create () in
+  let timer = Engine.timer engine in
+  let fired = ref [] in
+  let f () = fired := Engine.now engine :: !fired in
+  let pending n what = Alcotest.(check int) what n (Engine.pending engine) in
+  Alcotest.(check bool) "idle timer not pending" false (Engine.is_pending timer);
+  pending 0 "idle timer queues nothing";
+  Engine.arm_in engine timer ~after:2. f;
+  Alcotest.(check bool) "armed" true (Engine.is_pending timer);
+  pending 1 "armed";
+  Engine.cancel timer;
+  pending 0 "cancelled";
+  Engine.arm_in engine timer ~after:1. f;
+  pending 1 "re-armed earlier";
+  Engine.cancel timer;
+  Engine.arm_in engine timer ~after:3. f;
+  pending 1 "re-armed later";
+  Engine.post engine ~at:1.5 (fun () -> pending 1 "mid-run, before 3");
+  Engine.run ~until:2.5 engine;
+  Alcotest.(check (list (float 0.))) "nothing at the old times" [] !fired;
+  pending 1 "old entries surfaced dead";
+  Engine.run engine;
+  Alcotest.(check (list (float 0.))) "fired once, at the new time" [ 3. ]
+    !fired;
+  Alcotest.(check bool) "fired timer idle" false (Engine.is_pending timer);
+  pending 0 "drained";
+  (* The timer is idle by the time its callback runs, so it can re-arm
+     itself from there. *)
+  let n = ref 0 in
+  let rec tick () =
+    incr n;
+    if !n < 3 then Engine.arm_in engine timer ~after:1. tick
   in
-  check "main domain" (run ());
-  check "worker domain" (Domain.join (Domain.spawn run))
+  Engine.arm_in engine timer ~after:1. tick;
+  Engine.run engine;
+  Alcotest.(check int) "self re-arm" 3 !n;
+  check_float "one second apart" 6. (Engine.now engine);
+  pending 0 "drained again"
+
+let test_engine_timer_misuse () =
+  let engine = Engine.create () in
+  let timer = Engine.timer engine in
+  Engine.arm_in engine timer ~after:1. ignore;
+  (match Engine.arm_in engine timer ~after:2. ignore with
+  | () -> Alcotest.fail "arming a pending timer must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "still one event" 1 (Engine.pending engine);
+  let other = Engine.create () in
+  (match Engine.arm_in other (Engine.timer engine) ~after:1. ignore with
+  | () -> Alcotest.fail "arming another engine's timer must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "other engine untouched" 0 (Engine.pending other)
 
 (* The process-wide event tally sums engines running on several
    domains at once. *)
@@ -462,12 +542,14 @@ let suites =
           test_engine_watchdog_spares_bursts;
         Alcotest.test_case "total_executed" `Quick
           test_total_executed_across_domains;
-      ] );
-    ( "sim.pool",
-      [
-        Alcotest.test_case "double release" `Quick test_pool_double_release;
-        Alcotest.test_case "cross-domain release" `Quick test_pool_cross_domain;
-        Alcotest.test_case "no leak" `Quick test_pool_no_leak;
+        Alcotest.test_case "post_apply_in order" `Quick
+          test_engine_post_apply_order;
+        Alcotest.test_case "post_apply_in arguments" `Quick
+          test_engine_post_apply_args;
+        Alcotest.test_case "post_apply_in releases its argument" `Quick
+          test_engine_post_apply_releases_arg;
+        Alcotest.test_case "timer re-arm" `Quick test_engine_timer_rearm;
+        Alcotest.test_case "timer misuse" `Quick test_engine_timer_misuse;
       ] );
     ( "sim.rng",
       [
