@@ -529,6 +529,11 @@ let write_bench_json ~path ~scale ~seed ~jobs ~total_wall ?(scheduler = [])
   p "  \"seed\": %d,\n" seed;
   p "  \"jobs\": %d,\n" jobs;
   p "  \"total_wall_s\": %.6f,\n" total_wall;
+  (* Every number in this file is only comparable on the host that
+     produced it. *)
+  p "  \"host\": { \"nproc\": %d, \"ocaml\": \"%s\" },\n"
+    (Domain.recommended_domain_count ())
+    (json_escape Sys.ocaml_version);
   if controllers <> [] then begin
     p "  \"controllers\": [\n";
     List.iteri

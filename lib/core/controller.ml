@@ -64,7 +64,10 @@ type t = {
   mutable base : float;  (* current base rate, bps *)
   mutable ph : phase;
   mutable tag : int;  (* phase epoch *)
-  plan : (int, int * role) Hashtbl.t;  (* mi id -> (tag, role) *)
+  (* (tag, role) per MI whose result may still come, indexed by MI id
+     minus [released], the id after the last result. *)
+  mutable plan : (int * role) option array;
+  mutable released : int;
   mutable notify : float -> unit;
   mutable trace_id : int;  (* flow id for trace records *)
   mutable trace_now : unit -> float;  (* clock for trace timestamps *)
@@ -102,7 +105,8 @@ let create ?(config = default_config) ~rng () =
     base = Float.max config.min_rate config.init_rate;
     ph = Starting;
     tag = 0;
-    plan = Hashtbl.create 64;
+    plan = Array.make 4 None;
+    released = 0;
     notify = (fun _ -> ());
     trace_id = -1;
     trace_now = (fun () -> 0.);
@@ -135,6 +139,26 @@ let create ?(config = default_config) ~rng () =
     util_count = 0;
     gradient_steps = 0;
   }
+
+let set_plan t id role =
+  let i = id - t.released in
+  if i >= Array.length t.plan then
+    t.plan <- Array.append t.plan (Array.make (i + 1) None);
+  if i >= 0 then t.plan.(i) <- Some (t.tag, role)
+
+(* Results arrive in id order and a discarded MI never returns one, so
+   the plans of every id up to [id] are dropped here. *)
+let take_plan t id =
+  let i = id - t.released and n = Array.length t.plan in
+  let found = if i >= 0 && i < n then t.plan.(i) else None in
+  let k = Int.max 0 (Int.min n (i + 1)) in
+  Array.blit t.plan k t.plan 0 (n - k);
+  Array.fill t.plan (n - k) k None;
+  t.released <- Int.max t.released (id + 1);
+  found
+
+let planned t =
+  Array.fold_left (fun n p -> if Option.is_some p then n + 1 else n) 0 t.plan
 
 let rate t = t.base
 let phase t = t.ph
@@ -205,7 +229,7 @@ let enter_adjusting t ~dir ~first:(rate0, u0) =
   t.adj_prev <- Some (rate0, u0)
 
 let rate_for_mi t ~id =
-  let tagged role = Hashtbl.replace t.plan id (t.tag, role) in
+  let tagged role = set_plan t id role in
   match t.ph with
   | Starting ->
     let r =
@@ -245,8 +269,7 @@ let rate_for_mi t ~id =
     let prev_rate =
       match t.adj_prev with Some (r, _) -> r | None -> t.adj_planned_rate
     in
-    Hashtbl.replace t.plan id
-      (t.tag, R_adjust { step = t.adj_step; prev_rate });
+    tagged (R_adjust { step = t.adj_step; prev_rate });
     t.adj_planned_rate
 
 let decide t =
@@ -330,10 +353,9 @@ let vivace_decide t vc =
 let on_result t (r : Monitor.result) =
   t.util_sum <- t.util_sum +. r.Monitor.utility;
   t.util_count <- t.util_count + 1;
-  match Hashtbl.find_opt t.plan r.Monitor.id with
+  match take_plan t r.Monitor.id with
   | None -> ()
   | Some (tag, role) ->
-    Hashtbl.remove t.plan r.Monitor.id;
     if tag = t.tag then begin
       match role with
       | R_start -> (

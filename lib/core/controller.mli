@@ -69,7 +69,12 @@ val rate_for_mi : t -> id:int -> float
     {!Monitor.create}'s [rate_for_mi]. *)
 
 val on_result : t -> Monitor.result -> unit
-(** Feed an evaluated MI back; may change the current rate. *)
+(** Feed an evaluated MI back; may change the current rate. Results come
+    in id order (as {!Monitor} releases them), so a result drops the
+    plans of every id up to its own, discarded MIs' included. *)
+
+val planned : t -> int
+(** MI plans still held: no result for their id or a later one yet. *)
 
 val on_rate_change : t -> (float -> unit) -> unit
 (** Register a callback fired whenever the base rate changes outside the

@@ -1,4 +1,5 @@
 open Pcc_sim
+open Pcc_net
 
 type result = {
   id : int;
@@ -46,17 +47,17 @@ type mi = {
   mutable rtt_early_cnt : int;
   mutable rtt_late_sum : float;  (* samples in (or after) the last quarter *)
   mutable rtt_late_cnt : int;
-  (* Sequences charged to this MI: an append-only vector (duplicates
-     possible when a sequence is re-sent within the MI) plus a count of
-     those still unresolved. A sequence is unresolved by this MI exactly
-     while [seq_owner] still names this MI; a later MI re-sending it
-     steals ownership (the ack credit follows the latest transmission)
-     without decrementing [unresolved] — the stolen sequence then counts
-     as this MI's loss at evaluation, matching the hash-table version. *)
-  mutable sent_list : int array;
-  mutable sent_len : int;
+  (* Sequences charged to this MI and still unresolved. A sequence is
+     unresolved by this MI exactly while [seq_owner] still names this MI;
+     a later MI re-sending it steals ownership (the ack credit follows
+     the latest transmission) without decrementing [unresolved] — the
+     stolen sequence then counts as this MI's loss at evaluation,
+     matching the hash-table version. *)
   mutable unresolved : int;
 }
+
+(* What became of an MI awaiting in-order release. *)
+type fate = Unsettled | Ready of result | Discarded
 
 type t = {
   engine : Engine.t;
@@ -66,9 +67,12 @@ type t = {
   rate_for_mi : id:int -> float;
   on_result : result -> unit;
   on_mi_losses : int list -> unit;
-  (* seq -> owning MI id (-1 none), directly indexed: sequences are
-     dense per flow, and this lookup runs once per sent packet and once
-     per ack — the Hashtbl it replaces dominated ack processing. *)
+  cum_ack : unit -> int;  (* the sender's cumulative ack *)
+  (* seq -> owning MI id (-1 none), a ring over [[cum_ack + 1, highest
+     sent]]; below it sequences are delivered and own nothing. This
+     lookup runs once per sent packet and once per ack — the Hashtbl it
+     replaces dominated ack processing. *)
+  owner_win : Seq_window.t;
   mutable seq_owner : int array;
   (* MIs that may still own sequences (current + closed-unevaluated) —
      a handful at any instant, scanned linearly to map an owner id back
@@ -85,13 +89,14 @@ type t = {
   mutable last_avg_rtt : float option;
   mutable last_class : int;  (* last utility class seen (-1 before any) *)
   mutable running : bool;
-  (* In-order release of evaluated results. *)
-  ready : (int, result) Hashtbl.t;
-  discarded : (int, unit) Hashtbl.t;
+  (* In-order release of evaluated results: the fate of each MI id from
+     the release cursor [expected] on, indexed by id minus [expected]. *)
+  mutable fates : fate array;
   mutable expected : int;
 }
 
-let create engine cfg ~rng ~utility ~rate_for_mi ~on_result ~on_mi_losses =
+let create engine cfg ~rng ~utility ~cum_ack ~rate_for_mi ~on_result
+    ~on_mi_losses =
   {
     engine;
     cfg;
@@ -100,7 +105,9 @@ let create engine cfg ~rng ~utility ~rate_for_mi ~on_result ~on_mi_losses =
     rate_for_mi;
     on_result;
     on_mi_losses;
-    seq_owner = Array.make 1024 (-1);
+    cum_ack;
+    owner_win = Seq_window.create 16;
+    seq_owner = Array.make 16 (-1);
     live_mis = [];
     trace_id = -1;
     current = None;
@@ -112,39 +119,45 @@ let create engine cfg ~rng ~utility ~rate_for_mi ~on_result ~on_mi_losses =
     last_avg_rtt = None;
     last_class = -1;
     running = false;
-    ready = Hashtbl.create 16;
-    discarded = Hashtbl.create 16;
+    fates = Array.make 4 Unsettled;
     expected = 0;
   }
 
-let ensure_seq t seq =
-  let cap = Array.length t.seq_owner in
-  if seq >= cap then begin
-    let ncap = ref (cap * 2) in
-    while seq >= !ncap do
-      ncap := !ncap * 2
-    done;
-    let nown = Array.make !ncap (-1) in
-    Array.blit t.seq_owner 0 nown 0 cap;
-    t.seq_owner <- nown
-  end
+(* Ring membership and index, inline: the per-packet path makes no call. *)
+let[@inline] in_ring t seq =
+  (seq - t.owner_win.base) land lnot t.owner_win.mask = 0
+
+let[@inline] slot t seq = seq land t.owner_win.mask
+let[@inline] owner t seq =
+  if in_ring t seq then t.seq_owner.(slot t seq) else -1
+
+(* Only members are written: on_send reserves, and an owned sequence is
+   a member. *)
+let[@inline] set_owner t seq id = t.seq_owner.(slot t seq) <- id
+
+let make_room t seq =
+  let own = t.seq_owner in
+  Seq_window.reserve t.owner_win seq ~floor:(t.cum_ack () + 1)
+    ~clear:(fun p n -> Array.fill own p n (-1))
+    ~grow:(fun cap -> t.seq_owner <- Array.make cap (-1))
+    ~move:(fun src dst n -> Array.blit own src t.seq_owner dst n)
+
+let[@inline] reserve_seq t seq = if not (in_ring t seq) then make_room t seq
 
 let drop_live t (mi : mi) =
   t.live_mis <- List.filter (fun m -> m != mi) t.live_mis
 
 (* Collect the sequences still owned by [mi] (its losses), releasing
-   ownership as they are visited so a duplicate in [sent_list] cannot
-   be collected twice. *)
+   them. Owned sequences all lie in the ring, so this is one scan of it. *)
 let take_owned t (mi : mi) =
-  let owned = ref [] in
-  for k = 0 to mi.sent_len - 1 do
-    let seq = mi.sent_list.(k) in
-    if t.seq_owner.(seq) = mi.mi_id then begin
-      t.seq_owner.(seq) <- -1;
-      owned := seq :: !owned
-    end
-  done;
-  mi.sent_len <- 0;
+  let owned = ref [] and w = t.owner_win in
+  Array.iteri
+    (fun i id ->
+      if id = mi.mi_id then begin
+        t.seq_owner.(i) <- -1;
+        owned := (w.base + ((i - w.base) land w.mask)) :: !owned
+      end)
+    t.seq_owner;
   mi.unresolved <- 0;
   !owned
 
@@ -170,24 +183,30 @@ let mi_duration t rate =
   let send_time = Float.min send_time (4. *. t.rtt_est) in
   Float.max send_time (rtt_mult *. t.rtt_est)
 
-let release_ready t =
-  let continue = ref true in
-  while !continue do
-    if Hashtbl.mem t.discarded t.expected then begin
-      Hashtbl.remove t.discarded t.expected;
-      t.expected <- t.expected + 1
-    end
-    else begin
-      match Hashtbl.find_opt t.ready t.expected with
-      | Some r ->
-        Hashtbl.remove t.ready t.expected;
-        t.expected <- t.expected + 1;
-        t.last_avg_rtt <-
-          (match r.avg_rtt with Some _ as v -> v | None -> t.last_avg_rtt);
-        t.on_result r
-      | None -> continue := false
-    end
-  done
+(* [on_result] may settle further MIs (a rate change discards the open
+   one), so the cursor moves before each delivery. *)
+let rec release_ready t =
+  match t.fates.(0) with
+  | Unsettled -> ()
+  | fate ->
+    let n = Array.length t.fates in
+    Array.blit t.fates 1 t.fates 0 (n - 1);
+    t.fates.(n - 1) <- Unsettled;
+    t.expected <- t.expected + 1;
+    (match fate with
+    | Ready r ->
+      t.last_avg_rtt <-
+        (match r.avg_rtt with Some _ as v -> v | None -> t.last_avg_rtt);
+      t.on_result r
+    | Unsettled | Discarded -> ());
+    release_ready t
+
+let settle t id fate =
+  let i = id - t.expected in
+  if i >= Array.length t.fates then
+    t.fates <- Array.append t.fates (Array.make (i + 1) Unsettled);
+  t.fates.(i) <- fate;
+  release_ready t
 
 (* Evaluate a closed MI. Packets still unresolved at this point (only
    possible on the fallback path) count as lost. *)
@@ -277,8 +296,7 @@ let evaluate t (mi : mi) =
     t.last_class <- cls
   | None -> ());
   if losses <> [] then t.on_mi_losses (List.sort compare losses);
-  Hashtbl.replace t.ready result.id result;
-  release_ready t
+  settle t result.id (Ready result)
 
 let maybe_evaluate t (mi : mi) =
   if mi.closed && (not mi.evaluated) && mi.unresolved = 0 then evaluate t mi
@@ -337,8 +355,6 @@ let rec open_mi t =
         rtt_early_cnt = 0;
         rtt_late_sum = 0.;
         rtt_late_cnt = 0;
-        sent_list = Array.make 64 0;
-        sent_len = 0;
         unresolved = 0;
       }
     in
@@ -389,11 +405,10 @@ let discard_mi t (mi : mi) =
   mi.evaluated <- true;
   ignore (take_owned t mi);
   drop_live t mi;
-  Hashtbl.replace t.discarded mi.mi_id ();
   if Pcc_trace.Collector.enabled () then
     Pcc_trace.Collector.emit Pcc_trace.Event.Mi_discard
       ~time:(Engine.now t.engine) ~id:t.trace_id ~a:0. ~b:0. ~i:mi.mi_id;
-  release_ready t
+  settle t mi.mi_id Discarded
 
 let realign t =
   match t.current with
@@ -409,16 +424,19 @@ let on_send t ~seq ~size =
   | Some mi ->
     mi.sent_pkts <- mi.sent_pkts + 1;
     mi.sent_bytes <- mi.sent_bytes + size;
-    ensure_seq t seq;
-    if t.seq_owner.(seq) <> mi.mi_id then mi.unresolved <- mi.unresolved + 1;
-    t.seq_owner.(seq) <- mi.mi_id;
-    if mi.sent_len >= Array.length mi.sent_list then begin
-      let nlist = Array.make (2 * mi.sent_len) 0 in
-      Array.blit mi.sent_list 0 nlist 0 mi.sent_len;
-      mi.sent_list <- nlist
-    end;
-    mi.sent_list.(mi.sent_len) <- seq;
-    mi.sent_len <- mi.sent_len + 1
+    reserve_seq t seq;
+    if owner t seq <> mi.mi_id then mi.unresolved <- mi.unresolved + 1;
+    set_owner t seq mi.mi_id
+
+(* The live MI owning [seq], which resolves it there. *)
+let resolve t seq =
+  let id = owner t seq in
+  match List.find_opt (fun m -> m.mi_id = id) t.live_mis with
+  | Some mi as found ->
+    set_owner t seq (-1);
+    mi.unresolved <- mi.unresolved - 1;
+    found
+  | None -> None
 
 let on_ack t ~seq ~rtt ~size =
   (match rtt with
@@ -431,18 +449,10 @@ let on_ack t ~seq ~rtt ~size =
       t.have_rtt <- true
     end
   | None -> ());
-  let owner =
-    if seq < Array.length t.seq_owner then t.seq_owner.(seq) else -1
-  in
-  match
-    if owner < 0 then None
-    else List.find_opt (fun m -> m.mi_id = owner) t.live_mis
-  with
+  match resolve t seq with
   | None -> ()
   | Some mi ->
     begin
-      t.seq_owner.(seq) <- -1;
-      mi.unresolved <- mi.unresolved - 1;
       mi.acked_pkts <- mi.acked_pkts + 1;
       mi.acked_bytes <- mi.acked_bytes + size;
       (match rtt with
@@ -470,15 +480,4 @@ let on_ack t ~seq ~rtt ~size =
    resolve it in its owning MI (the loss is already implicit in
    sent - acked; resolution just lets the MI evaluate promptly). *)
 let on_lost t ~seq =
-  let owner =
-    if seq < Array.length t.seq_owner then t.seq_owner.(seq) else -1
-  in
-  match
-    if owner < 0 then None
-    else List.find_opt (fun m -> m.mi_id = owner) t.live_mis
-  with
-  | None -> ()
-  | Some mi ->
-    t.seq_owner.(seq) <- -1;
-    mi.unresolved <- mi.unresolved - 1;
-    maybe_evaluate t mi
+  match resolve t seq with Some mi -> maybe_evaluate t mi | None -> ()

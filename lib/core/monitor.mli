@@ -49,14 +49,17 @@ val create :
   config ->
   rng:Pcc_sim.Rng.t ->
   utility:Utility.t ->
+  cum_ack:(unit -> int) ->
   rate_for_mi:(id:int -> float) ->
   on_result:(result -> unit) ->
   on_mi_losses:(int list -> unit) ->
   t
-(** [rate_for_mi] is consulted each time a new MI opens — this is how the
-    controller drives the rate plan. [on_result] receives evaluated MIs in
-    id order. [on_mi_losses] reports sequence numbers still unacknowledged
-    at evaluation time (the sender retransmits them). *)
+(** [cum_ack ()] is the sender's cumulative ack; sequences at or below
+    it are never sent again. [rate_for_mi] is consulted each time a new
+    MI opens — this is how the controller drives the rate plan.
+    [on_result] receives evaluated MIs in id order. [on_mi_losses]
+    reports sequence numbers still unacknowledged at evaluation time
+    (the sender retransmits them). *)
 
 val start : t -> unit
 (** Open MI 0 at the current time. *)

@@ -186,7 +186,9 @@ let create engine ?(config = default_config) ?size ?on_complete ~rng ~out () =
   in
   let mon =
     Monitor.create engine config.monitor ~rng:(Rng.split rng)
-      ~utility:config.utility ~rate_for_mi
+      ~utility:config.utility
+      ~cum_ack:(fun () -> Scoreboard.high_ack sb)
+      ~rate_for_mi
       ~on_result:(fun r -> Controller.on_result ctl r)
       ~on_mi_losses
   in

@@ -46,9 +46,3 @@ let rates t =
         (t1, (v1 -. v0) /. t.interval))
 
 let rates_bps t = Array.map (fun (time, v) -> (time, v *. 8.)) (rates t)
-
-let values_between series t0 t1 =
-  Array.of_list
-    (Array.to_list series
-    |> List.filter_map (fun (time, v) ->
-           if time >= t0 && time < t1 then Some v else None))

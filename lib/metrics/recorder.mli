@@ -23,7 +23,3 @@ val rates : t -> (float * float) array
 
 val rates_bps : t -> (float * float) array
 (** {!rates} scaled by 8 — throughput in bits/s from a byte counter. *)
-
-val values_between : (float * float) array -> float -> float -> float array
-(** [values_between series t0 t1] extracts the values with
-    [t0 <= t < t1]. *)

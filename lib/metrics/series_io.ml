@@ -22,11 +22,6 @@ let write_csv ~path ~header columns =
         output_char oc '\n'
       done)
 
-let write_series ~path ~name s =
-  with_out path (fun oc ->
-      Printf.fprintf oc "time,%s\n" name;
-      Array.iter (fun (t, v) -> Printf.fprintf oc "%.6g,%.6g\n" t v) s)
-
 let write_multi_series ~path series =
   with_out path (fun oc ->
       output_string oc "series,time,value\n";

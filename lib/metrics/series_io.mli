@@ -9,10 +9,6 @@ val write_csv :
     one label per column.
     @raise Invalid_argument if the header length mismatches. *)
 
-val write_series :
-  path:string -> name:string -> (float * float) array -> unit
-(** [write_series ~path ~name s] writes a two-column [time,name] CSV. *)
-
 val write_multi_series :
   path:string -> (string * (float * float) array) list -> unit
 (** Merge several (time, value) series on their own rows:

@@ -318,7 +318,3 @@ let fq ?(quantum = Pcc_sim.Units.mss) ~per_flow () =
             | _ -> None)
           flows (Some 0));
   }
-
-let pp_stats fmt t =
-  Format.fprintf fmt "%s: %d pkts / %d bytes queued, %d drops" t.name
-    (t.len_pkts ()) (t.len_bytes ()) (t.drops ())

@@ -58,6 +58,3 @@ val fq : ?quantum:int -> per_flow:(unit -> t) -> unit -> t
 (** Deficit-round-robin fair queuing: each flow gets its own sub-queue
     built by [per_flow] and service rotates with byte [quantum] (default
     one MSS, clamped up to one MSS). Models Linux [fq] used in §4.4. *)
-
-val pp_stats : Format.formatter -> t -> unit
-(** Render occupancy and drop counters, for debugging and logs. *)

@@ -1,12 +1,11 @@
 open Pcc_sim
 
-(* Duplicate detection and cumulative-ack reassembly over a flat
-   per-sequence byte array. Sequences are dense, so [seen] is directly
-   indexed; the out-of-order set of the tree-based version is implicit —
-   it is exactly the seen sequences above [cum_ack], and advancing the
-   cumulative ack is a walk over contiguous seen bytes. This removes the
-   per-packet [Hashtbl] probe and [Set] rebalance from the hottest
-   receive path. *)
+(* Duplicate detection and cumulative-ack reassembly over a flat byte
+   ring covering [[cum_ack + 1, highest seen]] (see [Seq_window]), so
+   memory follows the reordering window, not the sequence space. The
+   out-of-order set of the tree-based version is implicit — it is
+   exactly the seen sequences above [cum_ack], and advancing the
+   cumulative ack is a walk over contiguous seen bytes. *)
 
 type t = {
   engine : Engine.t;
@@ -14,6 +13,7 @@ type t = {
   mutable cum_ack : int;
   mutable goodput_bytes : int;
   mutable received_pkts : int;
+  win : Seq_window.t;  (* ring index of [seen] *)
   mutable seen : Bytes.t;  (* one byte per sequence; 1 = received *)
 }
 
@@ -24,26 +24,28 @@ let create engine ~ack_out =
     cum_ack = -1;
     goodput_bytes = 0;
     received_pkts = 0;
-    seen = Bytes.make 1024 '\000';
+    win = Seq_window.create 16;
+    seen = Bytes.make 16 '\000';
   }
 
-let ensure t seq =
-  let cap = Bytes.length t.seen in
-  if seq >= cap then begin
-    let ncap = ref (cap * 2) in
-    while seq >= !ncap do
-      ncap := !ncap * 2
-    done;
-    let nseen = Bytes.make !ncap '\000' in
-    Bytes.blit t.seen 0 nseen 0 cap;
-    t.seen <- nseen
-  end
+(* Ring membership and index, inline: the per-packet path makes no call. *)
+let[@inline] in_ring t seq = (seq - t.win.base) land lnot t.win.mask = 0
+let[@inline] slot t seq = seq land t.win.mask
+
+let make_room t seq =
+  let seen = t.seen in
+  Seq_window.reserve t.win seq ~floor:(t.cum_ack + 1)
+    ~clear:(fun p n -> Bytes.fill seen p n '\000')
+    ~grow:(fun cap -> t.seen <- Bytes.make cap '\000')
+    ~move:(fun src dst n -> Bytes.blit seen src t.seen dst n)
+
+let[@inline] reserve t seq = if not (in_ring t seq) then make_room t seq
+
+(* Only members above [cum_ack] are read. *)
+let[@inline] seen t seq = Bytes.unsafe_get t.seen (slot t seq) = '\001'
 
 let advance t =
-  let len = Bytes.length t.seen in
-  while
-    t.cum_ack + 1 < len && Bytes.unsafe_get t.seen (t.cum_ack + 1) = '\001'
-  do
+  while in_ring t (t.cum_ack + 1) && seen t (t.cum_ack + 1) do
     t.cum_ack <- t.cum_ack + 1
   done
 
@@ -52,11 +54,13 @@ let on_packet t (p : Packet.t) =
   | Packet.Ack _ -> ()
   | Packet.Data _ ->
     t.received_pkts <- t.received_pkts + 1;
-    ensure t p.seq;
-    if Bytes.unsafe_get t.seen p.seq = '\000' then begin
-      Bytes.unsafe_set t.seen p.seq '\001';
-      t.goodput_bytes <- t.goodput_bytes + p.size;
-      if p.seq = t.cum_ack + 1 then advance t
+    if p.seq > t.cum_ack then begin
+      reserve t p.seq;
+      if not (seen t p.seq) then begin
+        Bytes.unsafe_set t.seen (slot t p.seq) '\001';
+        t.goodput_bytes <- t.goodput_bytes + p.size;
+        if p.seq = t.cum_ack + 1 then advance t
+      end
     end;
     let now = Engine.now t.engine in
     t.ack_out

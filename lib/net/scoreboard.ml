@@ -1,12 +1,12 @@
 (* Flat SACK scoreboard.
 
    Sequence numbers are dense (allocated 0,1,2,... by [fresh_seq]), so
-   per-sequence tracking lives in directly-indexed flat arrays instead
-   of [Set]/[Hashtbl]: one state byte and one send-time float per
-   sequence. Memory is O(total sequences sent) per flow rather than
-   O(window); at 9 bytes per packet a 60-second gigabit flow costs a
-   few megabytes, which the many-flow experiments bound by giving each
-   flow a finite transfer.
+   per-sequence tracking lives in flat rings over the live window
+   [[high_ack + 1, next)] (see [Seq_window]) instead of [Set]/[Hashtbl]:
+   one state byte and one send-time float per sequence, so memory
+   follows the window, not the sequences sent. Sequences below the
+   ring are delivered; stale retransmission-queue and heap entries
+   naming them are dropped without touching a slot.
 
    State byte, per sequence: the low two bits are the tracking kind
    (0 untracked, 1 outstanding, 2 SACKed above the cumulative ack);
@@ -27,17 +27,16 @@
    send time, so an entry whose key is not yet due cannot hide a due
    sequence.
 
-   Stale sweeps and go-back-N are byte scans from [min_out], a cursor
-   below which no sequence is outstanding; both run on timers, not
-   acks. *)
+   Stale sweeps and go-back-N are byte scans of the window; both run on
+   timers, not acks. *)
 
 type t = {
   dupthresh : int;
   mutable high_ack : int;
   mutable highest_sacked : int;
+  win : Seq_window.t;  (* ring index of [state] and [sent_at] *)
   mutable state : Bytes.t;
   mutable sent_at : float array;
-  mutable min_out : int;  (* no outstanding sequence lies below this *)
   mutable inflight : int;
   mutable cand_seq : int array;  (* heap of loss candidates ... *)
   mutable cand_key : float array;  (* ... keyed on send time at insertion *)
@@ -48,19 +47,17 @@ type t = {
   mutable acked_pkts : int;
 }
 
-let initial_cap = 256
-
 let create ?(dupthresh = 3) () =
   {
     dupthresh;
     high_ack = -1;
     highest_sacked = -1;
-    state = Bytes.make initial_cap '\000';
-    sent_at = Array.make initial_cap 0.;
-    min_out = 0;
+    win = Seq_window.create 16;
+    state = Bytes.make 16 '\000';
+    sent_at = Array.make 16 0.;
     inflight = 0;
-    cand_seq = Array.make 16 0;
-    cand_key = Array.make 16 0.;
+    cand_seq = [||];
+    cand_key = [||];
     cand_len = 0;
     retx_q = Queue.create ();
     next = 0;
@@ -68,25 +65,35 @@ let create ?(dupthresh = 3) () =
     acked_pkts = 0;
   }
 
-let ensure t seq =
-  let cap = Bytes.length t.state in
-  if seq >= cap then begin
-    let ncap = ref (cap * 2) in
-    while seq >= !ncap do
-      ncap := !ncap * 2
-    done;
-    let nstate = Bytes.make !ncap '\000' in
-    Bytes.blit t.state 0 nstate 0 cap;
-    t.state <- nstate;
-    let nsent = Array.make !ncap 0. in
-    Array.blit t.sent_at 0 nsent 0 cap;
-    t.sent_at <- nsent
-  end
+(* Ring membership and index, inline: the per-packet path makes no call. *)
+let[@inline] in_ring t seq = (seq - t.win.base) land lnot t.win.mask = 0
+let[@inline] slot t seq = seq land t.win.mask
 
-let bits t seq = Char.code (Bytes.unsafe_get t.state seq)
-let set_bits t seq b = Bytes.unsafe_set t.state seq (Char.unsafe_chr b)
-let kind t seq = bits t seq land 3
-let set_kind t seq k = set_bits t seq (bits t seq land lnot 3 lor k)
+let make_room t seq =
+  let state = t.state and sent_at = t.sent_at in
+  Seq_window.reserve t.win seq ~floor:(t.high_ack + 1)
+    ~clear:(fun p n -> Bytes.fill state p n '\000')
+    ~grow:(fun cap ->
+      t.state <- Bytes.make cap '\000';
+      t.sent_at <- Array.make cap 0.)
+    ~move:(fun src dst n ->
+      Bytes.blit state src t.state dst n;
+      Array.blit sent_at src t.sent_at dst n)
+
+let[@inline] reserve t seq = if not (in_ring t seq) then make_room t seq
+
+(* Only members are read or written. Every sequence below [next] is
+   either a member or at most [high_ack], so callers holding a sequence
+   that may have been delivered since (the retransmission queue, the
+   candidate heap, the monitor's losses) test [high_ack] first. *)
+let[@inline] bits t seq = Char.code (Bytes.unsafe_get t.state (slot t seq))
+
+let[@inline] set_bits t seq b =
+  Bytes.unsafe_set t.state (slot t seq) (Char.unsafe_chr b)
+
+let[@inline] kind t seq = bits t seq land 3
+let[@inline] set_kind t seq k = set_bits t seq (bits t seq land lnot 3 lor k)
+let[@inline] sent_at t seq = t.sent_at.(slot t seq)
 
 (* Place [seq] with [key] at the root of the heap's first [n] entries,
    sifting it down. *)
@@ -117,7 +124,8 @@ let track t seq key =
     set_bits t seq (b lor 8);
     let n = t.cand_len in
     if n = Array.length t.cand_seq then begin
-      let nseq = Array.make (2 * n) 0 and nkey = Array.make (2 * n) 0. in
+      let cap = Int.max 16 (2 * n) in
+      let nseq = Array.make cap 0 and nkey = Array.make cap 0. in
       Array.blit t.cand_seq 0 nseq 0 n;
       Array.blit t.cand_key 0 nkey 0 n;
       t.cand_seq <- nseq;
@@ -138,7 +146,7 @@ let track t seq key =
 (* Remove the heap's minimum, whose sequence leaves the candidate set. *)
 let pop_candidate t =
   let seq = t.cand_seq.(0) in
-  set_bits t seq (bits t seq land lnot 8);
+  if in_ring t seq then set_bits t seq (bits t seq land lnot 8);
   let n = t.cand_len - 1 in
   t.cand_len <- n;
   if n > 0 then sift_down t n t.cand_seq.(n) t.cand_key.(n)
@@ -151,21 +159,20 @@ let fresh_seq t =
   | Some _ | None ->
     let seq = t.next in
     t.next <- seq + 1;
-    ensure t seq;
+    reserve t seq;
     Some seq
 
-(* All sequences reaching the scoreboard were issued by [fresh_seq], so
-   they are below [next] and in capacity after [ensure] at issue time. *)
 let delivered t seq = seq <= t.high_ack || kind t seq = 2
 
 let record_send t seq ~now =
-  ensure t seq;
-  t.sent_at.(seq) <- now;
-  if (not (delivered t seq)) && kind t seq <> 1 then begin
-    set_kind t seq 1;
-    t.inflight <- t.inflight + 1;
-    if seq < t.min_out then t.min_out <- seq;
-    if seq <= t.highest_sacked - t.dupthresh then track t seq now
+  if seq > t.high_ack then begin
+    reserve t seq;
+    t.sent_at.(slot t seq) <- now;
+    if kind t seq = 0 then begin
+      set_kind t seq 1;
+      t.inflight <- t.inflight + 1;
+      if seq <= t.highest_sacked - t.dupthresh then track t seq now
+    end
   end
 
 let remove_outstanding t seq =
@@ -178,17 +185,19 @@ let on_ack t (a : Packet.ack) =
   let newly = ref [] in
   let old_hs = t.highest_sacked in
   let seq = a.Packet.acked_seq in
-  ensure t seq;
-  if seq > t.high_ack && kind t seq <> 2 then begin
-    newly := seq :: !newly;
-    remove_outstanding t seq;
-    set_kind t seq 2;
-    if seq > t.highest_sacked then t.highest_sacked <- seq
+  if seq > t.high_ack then begin
+    reserve t seq;
+    if kind t seq <> 2 then begin
+      newly := seq :: !newly;
+      remove_outstanding t seq;
+      set_kind t seq 2;
+      if seq > t.highest_sacked then t.highest_sacked <- seq
+    end
   end;
   if a.Packet.cum_ack > t.high_ack then begin
     (* Sequences covered only by the cumulative ack were delivered even if
        their own acks were lost on the reverse path. *)
-    ensure t a.Packet.cum_ack;
+    reserve t a.Packet.cum_ack;
     for s = t.high_ack + 1 to a.Packet.cum_ack do
       if kind t s = 2 then set_kind t s 0 (* now covered by [high_ack] *)
       else begin
@@ -202,7 +211,7 @@ let on_ack t (a : Packet.ack) =
      candidates. *)
   for s = max (t.high_ack + 1) (old_hs - t.dupthresh + 1)
       to t.highest_sacked - t.dupthresh do
-    if kind t s = 1 then track t s t.sent_at.(s)
+    if kind t s = 1 then track t s (sent_at t s)
   done;
   t.acked_pkts <- t.acked_pkts + List.length !newly;
   List.rev !newly
@@ -213,12 +222,6 @@ let queue_retx t seq =
     set_bits t seq (b lor 4);
     Queue.push seq t.retx_q
   end
-
-(* Advance the outstanding cursor past resolved sequences. *)
-let advance_min_out t =
-  while t.min_out < t.next && kind t t.min_out <> 1 do
-    t.min_out <- t.min_out + 1
-  done
 
 let detect_losses ?(highest_first = false) t ~now ~min_age =
   (* Age guard: a hole below the SACK threshold only counts as lost if its
@@ -231,22 +234,20 @@ let detect_losses ?(highest_first = false) t ~now ~min_age =
   let lost = ref [] in
   while t.cand_len > 0 && now -. t.cand_key.(0) >= min_age do
     let seq = t.cand_seq.(0) in
-    if kind t seq <> 1 then pop_candidate t
-    else if now -. t.sent_at.(seq) >= min_age then begin
+    if seq <= t.high_ack || kind t seq <> 1 then pop_candidate t
+    else if now -. sent_at t seq >= min_age then begin
       pop_candidate t;
       remove_outstanding t seq;
       lost := seq :: !lost
     end
-    else sift_down t t.cand_len seq t.sent_at.(seq)
+    else sift_down t t.cand_len seq (sent_at t seq)
   done;
   let lost = List.sort Int.compare !lost in
   List.iter (queue_retx t) (if highest_first then List.rev lost else lost);
   lost
 
 let mark_lost t seq ~now ~min_age =
-  if
-    kind t seq = 1
-    && now -. t.sent_at.(seq) >= min_age
+  if seq > t.high_ack && kind t seq = 1 && now -. sent_at t seq >= min_age
   then begin
     remove_outstanding t seq;
     queue_retx t seq;
@@ -256,9 +257,8 @@ let mark_lost t seq ~now ~min_age =
 
 let sweep_stale t ~now ~min_age =
   let stale = ref [] in
-  advance_min_out t;
-  for seq = t.min_out to t.next - 1 do
-    if kind t seq = 1 && now -. t.sent_at.(seq) >= min_age then
+  for seq = t.high_ack + 1 to t.next - 1 do
+    if kind t seq = 1 && now -. sent_at t seq >= min_age then
       stale := seq :: !stale
   done;
   List.iter
@@ -269,8 +269,7 @@ let sweep_stale t ~now ~min_age =
   List.rev !stale
 
 let go_back_n t =
-  advance_min_out t;
-  for seq = t.min_out to t.next - 1 do
+  for seq = t.high_ack + 1 to t.next - 1 do
     if kind t seq = 1 then begin
       remove_outstanding t seq;
       queue_retx t seq
@@ -281,7 +280,7 @@ let rec take_retx t =
   match Queue.take_opt t.retx_q with
   | None -> None
   | Some seq ->
-    set_bits t seq (bits t seq land lnot 4);
+    if in_ring t seq then set_bits t seq (bits t seq land lnot 4);
     if delivered t seq then take_retx t else Some seq
 
 let has_retx t =

@@ -63,5 +63,4 @@ let onoff engine ~rng ~sink ~rate ~on_mean ~off_mean () =
   t
 
 let stop t = t.running <- false
-let flow_id t = t.flow
 let sent_pkts t = t.sent

@@ -19,5 +19,4 @@ val onoff :
     bits/s into [sink]) and OFF periods. Starts immediately. *)
 
 val stop : t -> unit
-val flow_id : t -> int
 val sent_pkts : t -> int

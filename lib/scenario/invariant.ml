@@ -174,18 +174,5 @@ let attach_path ?interval ?on_violation path =
          (Topology.flows topo))
     ()
 
-let attach_multihop ?interval ?on_violation mh =
-  let topo = Multihop.topology mh in
-  start (Topology.engine topo) ?interval ?on_violation
-    ~links:
-      (Array.mapi
-         (fun i l -> watch_of_link l (Printf.sprintf "hop%d" i))
-         (Topology.links topo))
-    ~goodputs:
-      (Array.map
-         (fun f () -> Topology.goodput_bytes f)
-         (Topology.flows topo))
-    ()
-
 let stop t = t.stopped <- true
 let checks_run t = t.checks_run

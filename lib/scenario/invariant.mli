@@ -50,10 +50,6 @@ val attach_path :
 (** Watch a single-bottleneck topology: its bottleneck link plus per-flow
     goodput monotonicity. *)
 
-val attach_multihop :
-  ?interval:float -> ?on_violation:(violation -> unit) -> Multihop.t -> t
-(** Watch every hop of a parking-lot topology. *)
-
 val check_now : t -> unit
 (** Run one sweep immediately (outside the periodic schedule) — raises
     {!Violation} directly on failure, which makes it convenient at the end

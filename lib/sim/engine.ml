@@ -207,4 +207,3 @@ let run ?until ?max_events t =
       while Timing_wheel.pop_le_cb t.q ~max_time:limit k do () done;
       if limit > t.clock then t.clock <- limit)
 
-let run_for ?max_events t d = run ?max_events ~until:(t.clock +. d) t

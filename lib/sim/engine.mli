@@ -163,6 +163,3 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     which case the clock is left at [until]. If [max_events] is given the
     call executes at most that many events before raising
     {!Livelock}[ {kind = Budget; _}]. *)
-
-val run_for : ?max_events:int -> t -> float -> unit
-(** [run_for t d] is [run t ~until:(now t +. d)]. *)

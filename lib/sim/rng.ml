@@ -23,7 +23,6 @@ let copy t = { state = t.state }
 (* Explicit state capture for checkpointing: the full generator state
    is one int64, serialized field-by-field by Persist (never Marshal). *)
 let state t = t.state
-let of_state s = { state = s }
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -47,11 +46,6 @@ let exponential t mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean must be positive";
   let u = 1. -. float t in
   -.mean *. log u
-
-let gaussian t ~mean ~stddev =
-  let u1 = 1. -. float t and u2 = float t in
-  let r = sqrt (-2. *. log u1) in
-  mean +. (stddev *. r *. cos (2. *. Float.pi *. u2))
 
 let pareto t ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: parameters must be positive";

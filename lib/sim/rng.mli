@@ -23,12 +23,7 @@ val copy : t -> t
 
 val state : t -> int64
 (** The complete generator state, for explicit checkpointing (see
-    {!Persist}). [of_state (state t)] replays [t]'s future stream
-    exactly. *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a {!state} capture. Unlike {!create}, the
-    value is used verbatim (no seeding mix). *)
+    {!Persist}). *)
 
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
@@ -51,10 +46,6 @@ val bernoulli : t -> float -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given [mean]. @raise Invalid_argument if [mean <= 0]. *)
-
-val gaussian : t -> mean:float -> stddev:float -> float
-(** [gaussian t ~mean ~stddev] draws from a normal distribution
-    (Box–Muller). *)
 
 val pareto : t -> shape:float -> scale:float -> float
 (** [pareto t ~shape ~scale] draws from a Pareto distribution, used for

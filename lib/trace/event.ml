@@ -16,13 +16,6 @@ type kind =
 
 type scope = Engine_scope | Link_scope | Flow_scope
 
-let scope_of_kind = function
-  | Dispatch -> Engine_scope
-  | Enqueue | Drop | Queue_sample -> Link_scope
-  | Mi_start | Mi_end | Mi_discard | Rate_change | Cwnd | Flow_start
-  | Flow_stop | Flow_complete | Gradient_step | Utility_switch ->
-    Flow_scope
-
 let cat_engine = 1
 let cat_link = 2
 let cat_pcc = 4
@@ -49,22 +42,6 @@ let cat_of_string = function
   | "all" -> Some cat_all
   | "default" -> Some cat_default
   | _ -> None
-
-let kind_name = function
-  | Dispatch -> "dispatch"
-  | Enqueue -> "enqueue"
-  | Drop -> "drop"
-  | Queue_sample -> "queue"
-  | Mi_start -> "mi-start"
-  | Mi_end -> "mi-end"
-  | Mi_discard -> "mi-discard"
-  | Rate_change -> "rate"
-  | Cwnd -> "cwnd"
-  | Flow_start -> "flow-start"
-  | Flow_stop -> "flow-stop"
-  | Flow_complete -> "flow-complete"
-  | Gradient_step -> "gradient"
-  | Utility_switch -> "utility-switch"
 
 let all_kinds =
   [|

@@ -60,8 +60,6 @@ type kind =
 type scope = Engine_scope | Link_scope | Flow_scope
 (** The id space a record's [id] field indexes. *)
 
-val scope_of_kind : kind -> scope
-
 (** {1 Categories}
 
     Kinds are grouped into categories so a collector can mask whole
@@ -85,8 +83,6 @@ val cat_of_kind : kind -> int
 val cat_of_string : string -> int option
 (** Parse one category name (["engine"], ["link"], ["pcc"], ["tcp"],
     ["flow"], ["all"], ["default"]). *)
-
-val kind_name : kind -> string
 
 val int_of_kind : kind -> int
 (** Dense encoding for the collector's ring. *)

@@ -103,8 +103,17 @@ slow=$(jq -r --slurpfile b "$baseline" --argjson t "$each_threshold" '
       | .name ]
   | join(", ")' "$fresh")
 
+# Events/sec only compare across one host: name both files' hosts
+# (bench/main.exe records them; older files have none).
+host_of() {
+  jq -r 'if .host then "nproc=\(.host.nproc), OCaml \(.host.ocaml)"
+         else "not recorded" end' "$1"
+}
+
 {
   echo "## Bench regression gate"
+  echo ""
+  echo "Baseline host: $(host_of "$baseline"). Fresh host: $(host_of "$fresh")."
   echo ""
   echo "| experiment | baseline ev/s | fresh ev/s | ratio |"
   echo "|---|---:|---:|---:|"

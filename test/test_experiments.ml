@@ -133,6 +133,44 @@ let test_tables_render () =
   Alcotest.(check bool) "has rows" true (t.Exp_common.rows <> []);
   Exp_common.print_table t
 
+(* Per-flow live state of the many-flow fan-in, as the live-word delta
+   around a compaction: sequence state must follow each flow's in-flight
+   window (about 40 packets here), not the sequences it has sent. With
+   per-sequence arrays that only grew, a flow held 15.3 KB after build
+   and 15.9 KB after completion; window-sized rings hold 3.3 and 4.7 KB
+   (1000 flows, 64-bit). *)
+let test_manyflow_per_flow_memory () =
+  let open Pcc_sim in
+  let n = 1000 in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let kb_per_flow words =
+    float_of_int (words * (Sys.word_size / 8)) /. 1024. /. float_of_int n
+  in
+  let engine = Engine.create () in
+  let bandwidth = Exp_manyflow.default_bandwidth in
+  let w0 = live () in
+  let topo =
+    Exp_manyflow.topology engine ~rng:(Rng.create 42) ~n ~bandwidth
+      ~rtt:Exp_manyflow.default_rtt
+  in
+  let built = kb_per_flow (live () - w0) in
+  if built > 4. then Alcotest.failf "%.2f KB per flow after build (> 4)" built;
+  (* The scenario's own horizon: 200 KB a flow, eight times over. *)
+  let ideal = float_of_int (n * 200_000 * 8) /. bandwidth in
+  Engine.run ~until:(10. +. (8. *. ideal)) engine;
+  Array.iter
+    (fun (f : Pcc_scenario.Topology.built_flow) ->
+      if f.Pcc_scenario.Topology.fct = None then
+        Alcotest.fail "a flow did not complete")
+    (Pcc_scenario.Topology.flows topo);
+  let finished = kb_per_flow (live () - w0) in
+  if finished > 6. then
+    Alcotest.failf "%.2f KB per flow after completion (> 6)" finished;
+  ignore (Sys.opaque_identity topo)
+
 let suites =
   [
     ( "experiments.scaled",
@@ -150,5 +188,10 @@ let suites =
         Alcotest.test_case "theorems game" `Quick test_game_rows;
         Alcotest.test_case "ablation" `Slow test_ablation_rows;
         Alcotest.test_case "tables render" `Quick test_tables_render;
+      ] );
+    ( "experiments.memory",
+      [
+        Alcotest.test_case "fan-in state per flow" `Quick
+          test_manyflow_per_flow_memory;
       ] );
   ]

@@ -287,6 +287,100 @@ let test_receiver_duplicates () =
   Alcotest.(check int) "received counts both" 2 (Receiver.received_pkts r);
   Alcotest.(check int) "both acked" 2 (List.length !acks)
 
+(* Differential test against a [Set]-based model of the receiver: the
+   structure the flat ring replaced. Arrival orders mix in-order
+   delivery, duplicates, hole fills, short gaps and sequences far ahead,
+   so the ring's base slides, its slots wrap and its capacity doubles
+   several times per case. *)
+module Ref_rcv = struct
+  module S = Set.Make (Int)
+
+  type t = { mutable seen : S.t; mutable cum_ack : int; mutable goodput : int }
+
+  let create () = { seen = S.empty; cum_ack = -1; goodput = 0 }
+
+  (* The (acked_seq, cum_ack, recv_bytes) of the ack [seq] elicits. *)
+  let on_data t seq size =
+    if not (S.mem seq t.seen) then begin
+      t.seen <- S.add seq t.seen;
+      t.goodput <- t.goodput + size;
+      while S.mem (t.cum_ack + 1) t.seen do
+        t.cum_ack <- t.cum_ack + 1
+      done
+    end;
+    (seq, t.cum_ack, t.goodput)
+end
+
+type rcv_op = Next | Back of int | Fill | Skip of int | Far of int
+
+let show_rcv_op = function
+  | Next -> "next"
+  | Back k -> Printf.sprintf "back %d" k
+  | Fill -> "fill"
+  | Skip k -> Printf.sprintf "skip %d" k
+  | Far k -> Printf.sprintf "far %d" k
+
+let rcv_op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (8, return Next);
+      (2, map (fun k -> Back k) (int_bound 40));
+      (2, return Fill);
+      (1, map (fun k -> Skip k) (int_range 1 30));
+      (1, map (fun k -> Far k) (int_range 50 700));
+    ]
+
+let prop_receiver_matches_set_model =
+  QCheck.Test.make ~name:"receiver ring matches a Set model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_rcv_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 1500) rcv_op_gen))
+    (fun ops ->
+      let engine = Engine.create () in
+      let last = ref None in
+      let r =
+        Receiver.create engine ~ack_out:(fun p ->
+            match p.Packet.kind with
+            | Packet.Ack a ->
+              last :=
+                Some (a.Packet.acked_seq, a.Packet.cum_ack, a.Packet.recv_bytes)
+            | Packet.Data _ -> ())
+      in
+      let m = Ref_rcv.create () in
+      (* [cursor] is the next in-order sequence of the arrival stream. *)
+      let cursor = ref 0 in
+      let deliver i op =
+        let seq =
+          match op with
+          | Next ->
+            incr cursor;
+            !cursor - 1
+          | Back k -> max 0 (!cursor - 1 - k)
+          | Fill -> m.Ref_rcv.cum_ack + 1
+          | Skip k ->
+            cursor := !cursor + k + 1;
+            !cursor - 1
+          | Far k -> !cursor + k
+        in
+        let size = 100 + (seq mod 7) in
+        let want = Ref_rcv.on_data m seq size in
+        last := None;
+        Receiver.on_packet r
+          (Packet.data ~flow:1 ~seq ~size ~now:0. ~retx:false);
+        if !last <> Some want then
+          QCheck.Test.fail_reportf "op %d (%s, seq %d): ack differs" i
+            (show_rcv_op op) seq;
+        if Receiver.cum_ack r <> m.Ref_rcv.cum_ack then
+          QCheck.Test.fail_reportf "op %d: cum_ack %d vs %d" i
+            (Receiver.cum_ack r) m.Ref_rcv.cum_ack;
+        if Receiver.goodput_bytes r <> m.Ref_rcv.goodput then
+          QCheck.Test.fail_reportf "op %d: goodput differs" i
+      in
+      List.iteri deliver ops;
+      Receiver.received_pkts r = List.length ops)
+
 (* ------------------------------------------------------------------ *)
 (* Rate pacer *)
 
@@ -596,6 +690,7 @@ type sb_op =
   | Sack of int
   | Sack_recent of int
   | Cum of int * int
+  | Cum_lag of int
   | Mark of int * float
   | Sweep of float
   | Go_back_n
@@ -608,6 +703,7 @@ let show_sb_op = function
   | Sack k -> Printf.sprintf "sack %d" k
   | Sack_recent k -> Printf.sprintf "sack-recent %d" k
   | Cum (k, c) -> Printf.sprintf "cum %d/%d" k c
+  | Cum_lag l -> Printf.sprintf "cum-lag %d" l
   | Mark (k, a) -> Printf.sprintf "mark %d %g" k a
   | Sweep a -> Printf.sprintf "sweep %g" a
   | Go_back_n -> "go-back-n"
@@ -633,6 +729,27 @@ let sb_op_gen =
       (1, return Go_back_n);
       (4, map2 (fun a h -> Detect (a, h)) age bool);
       (4, map (fun k -> Tick (0.05 *. float_of_int k)) (int_bound 4));
+    ]
+
+(* Long runs: mostly fresh sends, recent SACKs and a cumulative ack that
+   trails the send frontier by [Cum_lag l], so the scoreboard's ring
+   wraps, slides its base and grows many times within one case, while
+   old-sequence acks and marks reach below its base. *)
+let sb_long_op_gen =
+  let open QCheck.Gen in
+  let age = map (fun k -> 0.05 *. float_of_int k) (int_bound 8) in
+  let idx = int_bound 5000 in
+  frequency
+    [
+      (10, return Send);
+      (6, map (fun k -> Sack_recent k) (int_bound 7));
+      (3, map (fun l -> Cum_lag l) (int_range 4 120));
+      (2, return Retx);
+      (1, map (fun k -> Sack k) idx);
+      (1, map2 (fun k a -> Mark (k, a)) idx age);
+      (3, map2 (fun a h -> Detect (a, h)) age bool);
+      (3, map (fun k -> Tick (0.05 *. float_of_int k)) (int_bound 4));
+      (1, map (fun a -> Sweep a) age);
     ]
 
 (* Run [ops] against both scoreboards; [Error] names the first
@@ -680,6 +797,10 @@ let sb_differential ops =
     | Sack_recent k when issued ->
       let a = ack ~cum:rf.Ref_sb.high_ack (max 0 (rf.Ref_sb.next - 1 - k)) in
       same "on_ack" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
+    | Cum_lag l when issued ->
+      let seq = max 0 (rf.Ref_sb.next - 1 - l) in
+      let a = ack ~cum:seq seq in
+      same "on_ack cum-lag" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
     | Cum (k, c) when issued ->
       let a = ack ~cum:(pick c) (pick k) in
       same "on_ack cum" ints (Ref_sb.on_ack rf a) (Scoreboard.on_ack sb a)
@@ -703,7 +824,7 @@ let sb_differential ops =
     | Tick dt ->
       now := !now +. dt;
       Ok ()
-    | Sack _ | Sack_recent _ | Cum _ | Mark _ -> Ok ()
+    | Sack _ | Sack_recent _ | Cum _ | Cum_lag _ | Mark _ -> Ok ()
   in
   let rec go i = function
     | [] ->
@@ -728,7 +849,12 @@ let prop_scoreboard_matches_byte_scan =
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map show_sb_op ops))
        ~shrink:QCheck.Shrink.list
-       QCheck.Gen.(list_size (int_range 1 300) sb_op_gen))
+       QCheck.Gen.(
+         frequency
+           [
+             (4, list_size (int_range 1 300) sb_op_gen);
+             (1, list_size (int_range 2000 3000) sb_long_op_gen);
+           ]))
     (fun ops ->
       match sb_differential ops with
       | Ok () -> true
@@ -801,6 +927,7 @@ let suites =
         Alcotest.test_case "in order" `Quick test_receiver_in_order;
         Alcotest.test_case "out of order" `Quick test_receiver_out_of_order;
         Alcotest.test_case "duplicates" `Quick test_receiver_duplicates;
+        q prop_receiver_matches_set_model;
       ] );
     ( "net.rate_pacer",
       [

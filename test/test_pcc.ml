@@ -15,7 +15,7 @@ let make_monitor ?(rate_for_mi = fixed_rate ()) ?(cfg = Monitor.default_config)
   let losses = ref [] in
   let mon =
     Monitor.create engine cfg ~rng:(Rng.create 3) ~utility:(Utility.safe ())
-      ~rate_for_mi
+      ~cum_ack:(fun () -> -1) ~rate_for_mi
       ~on_result:(fun r -> results := r :: !results)
       ~on_mi_losses:(fun l -> losses := l @ !losses)
   in
@@ -412,6 +412,59 @@ let test_pcc_sender_stop_silences () =
     sent
     (f.Pcc_scenario.Path.sender.Pcc_net.Sender.sent_pkts ())
 
+(* Every rate change discards the open MI (§3.1's re-alignment), and a
+   discarded MI never returns a result, so its plan is only dropped when
+   a later result arrives. One PCC flow on the Fig. 6 satellite path
+   (42 Mbps, 800 ms RTT, 0.74% loss) realigns throughout its life; its
+   controller must hold plans for the MIs in flight, not one per MI it
+   ever discarded. *)
+let test_pcc_sender_plan_bounded () =
+  let open Pcc_net in
+  let engine = Engine.create () in
+  let rng = Rng.create 6 in
+  let rtt = 0.8 in
+  let link =
+    Link.create engine ~loss:0.0074 ~rng:(Rng.split rng)
+      ~bandwidth:(Units.mbps 42.) ~delay:(rtt /. 2.)
+      ~queue:(Queue_disc.droptail_bytes ~capacity:375_000 ())
+      ()
+  in
+  let back = Delay_line.create engine ~delay:(rtt /. 2.) () in
+  let config =
+    let c =
+      Pcc_sender.config_with
+        ~init_rate:(2. *. float_of_int (Units.mss * 8) /. rtt)
+        ()
+    in
+    {
+      c with
+      Pcc_sender.monitor = { c.Pcc_sender.monitor with Monitor.initial_rtt = rtt };
+    }
+  in
+  let pcc =
+    Pcc_sender.create engine ~config ~rng:(Rng.split rng)
+      ~out:(Link.send link) ()
+  in
+  let sender = Pcc_sender.sender pcc in
+  let receiver = Receiver.create engine ~ack_out:(Delay_line.send back) in
+  Link.set_receiver link (Receiver.on_packet receiver);
+  Delay_line.set_receiver back (fun p ->
+      match p.Packet.kind with
+      | Packet.Ack a -> sender.Sender.handle_ack a
+      | Packet.Data _ -> ());
+  sender.Sender.start ();
+  let ctl = Pcc_sender.controller pcc in
+  List.iter
+    (fun at ->
+      Engine.run ~until:at engine;
+      Alcotest.(check bool)
+        (Printf.sprintf "plans held at %gs (%d)" at (Controller.planned ctl))
+        true
+        (Controller.planned ctl <= 4))
+    [ 5.; 20.; 40.; 80. ];
+  Alcotest.(check bool) "a long-lived flow" true
+    (Monitor.current_mi_id (Pcc_sender.monitor pcc) >= 30)
+
 let suites =
   [
     ( "pcc.monitor",
@@ -452,5 +505,7 @@ let suites =
         Alcotest.test_case "transfer completes" `Slow
           test_pcc_sender_completes_transfer;
         Alcotest.test_case "stop silences" `Quick test_pcc_sender_stop_silences;
+        Alcotest.test_case "plan bounded under realigns" `Quick
+          test_pcc_sender_plan_bounded;
       ] );
   ]
