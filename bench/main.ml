@@ -189,10 +189,12 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* Scheduler micro-benchmarks (--sched): the heap and the timing wheel
    on the same synthetic workloads, at pending counts where their
-   asymptotics separate. Methodology: build the pending set, Gc.compact,
-   then time only the steady-state loop; the heap and wheel variants are
-   written out separately (no closure indirection) so each backend is
-   measured at its real call cost. All loops use the allocation-free
+   asymptotics separate, plus the two costs that dominate small
+   simulations: creating the queue and a sparse pending set.
+   Methodology: build the pending set, Gc.compact, then time only the
+   steady-state loop; the heap and wheel variants are written out
+   separately (no closure indirection) so each backend is measured at
+   its real call cost. All loops use the allocation-free
    [pop_cb] path — the one the engine dispatch loop runs on.
 
    Absolute ratios are machine-dependent: the heap's sift loops are
@@ -342,6 +344,66 @@ let sched_burst_wheel ~pending ~ops =
   done;
   now_s () -. t0
 
+(* Creation: what a simulation pays for its queue before any event
+   runs, which a grid of many short runs pays once per run. The wheel
+   side is a whole [Engine.create]; the heap side is a bare heap. *)
+let sched_create_heap ~ops =
+  Gc.compact ();
+  let t0 = now_s () in
+  for _ = 1 to ops do
+    ignore (Sys.opaque_identity (EH.create ()))
+  done;
+  now_s () -. t0
+
+let sched_create_wheel ~ops =
+  Gc.compact ();
+  let t0 = now_s () in
+  for _ = 1 to ops do
+    ignore (Sys.opaque_identity (Pcc_sim.Engine.create ()))
+  done;
+  now_s () -. t0
+
+let engine_create_bytes () =
+  let before = Gc.allocated_bytes () in
+  let e = Pcc_sim.Engine.create () in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity e);
+  bytes
+
+(* Sparse timers: a hundred self-rescheduling timers, each with its own
+   horizon between 0.1 and 400 ms (log-spaced) — the pending set of a
+   single-flow simulation (pacer, MI and RTO timers, packets in
+   flight), where the queue's own footprint, not its asymptotics,
+   decides the cost. *)
+let sparse_horizon n v =
+  1e-4 *. (4000. ** (float_of_int v /. float_of_int (n - 1)))
+
+let sched_sparse_heap ~pending ~ops =
+  let h = EH.create () in
+  for v = 0 to pending - 1 do
+    EH.push_unit h ~time:(sparse_horizon pending v) v
+  done;
+  let k tm v = EH.push_unit h ~time:(tm +. sparse_horizon pending v) v in
+  Gc.compact ();
+  let t0 = now_s () in
+  for _ = 1 to ops do
+    ignore (EH.pop_cb h k)
+  done;
+  now_s () -. t0
+
+let sched_sparse_wheel ~pending ~ops =
+  let w = TW.create ~dummy:0 ~dummy_arg:() () in
+  for v = 0 to pending - 1 do
+    TW.push_unit w ~time:(sparse_horizon pending v) v ()
+  done;
+  let k tm v () = TW.push_unit w ~time:(tm +. sparse_horizon pending v) v () in
+  Gc.compact ();
+  let t0 = now_s () in
+  for _ = 1 to ops do
+    ignore (TW.pop_cb w k)
+  done;
+  now_s () -. t0
+
 let sched_bench () =
   Printf.printf "\n== scheduler micro-bench (heap vs timing wheel) ==\n%!";
   let mk name pending ops heap wheel =
@@ -388,7 +450,21 @@ let sched_bench () =
     let heap = sched_burst_heap ~pending:p ~ops in
     mk "burst-1M" p ops heap (sched_burst_wheel ~pending:p ~ops)
   in
-  [ churn_small; churn; drain; mix; burst ]
+  let create =
+    let ops = 2_000 in
+    let heap = sched_create_heap ~ops in
+    let r = mk "create" 0 ops heap (sched_create_wheel ~ops) in
+    Printf.printf "%-10s Engine.create: %.1f us, %.0f bytes\n%!" ""
+      (r.s_wheel /. float_of_int ops *. 1e6)
+      (engine_create_bytes ());
+    r
+  in
+  let sparse =
+    let p = 100 and ops = 5_000_000 in
+    let heap = sched_sparse_heap ~pending:p ~ops in
+    mk "sparse-100" p ops heap (sched_sparse_wheel ~pending:p ~ops)
+  in
+  [ churn_small; churn; drain; mix; burst; create; sparse ]
 
 (* ------------------------------------------------------------------ *)
 (* Controller-family bench (--controllers): every rate controller solo

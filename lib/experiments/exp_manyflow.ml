@@ -1,8 +1,8 @@
 open Pcc_sim
 open Pcc_scenario
 
-(* Scheduler/pooling stress scenario: a large fan-in of PCC flows over
-   one shared bottleneck. Unlike the paper experiments, the interesting
+(* Scheduler stress scenario: a large fan-in of PCC flows over one
+   shared bottleneck. Unlike the paper experiments, the interesting
    output is not a protocol comparison but that the simulator sustains
    tens of thousands of concurrent flows — hundreds of thousands of
    pending timers — and stays deterministic while doing so. The table

@@ -166,10 +166,15 @@ let validate_route ~num_nodes ~edges ~what ~label route =
   Array.of_list (hops route)
 
 let validate_flow ~num_nodes ~edges def =
+  if not (Float.is_finite def.start_at) then
+    fail "Topology.build: flow %s starts at non-finite time %g" def.label
+      def.start_at;
   if def.start_at < 0. then
     fail "Topology.build: flow %s starts at negative time %g" def.label
       def.start_at;
   (match def.stop_at with
+  | Some s when not (Float.is_finite s) ->
+    fail "Topology.build: flow %s stops at non-finite time %g" def.label s
   | Some s when s <= def.start_at ->
     fail "Topology.build: flow %s stops at %g, not after its start %g"
       def.label s def.start_at

@@ -132,7 +132,8 @@ val build :
     endpoint, is a self-loop, duplicates another link's [(src, dst)]
     edge, or has non-positive bandwidth/buffer, negative delay/jitter or
     loss outside [0, 1]; if [rev_loss] is outside [0, 1]; or if a flow
-    has [start_at < 0], [stop_at <= start_at], [size <= 0],
+    has a non-finite [start_at] or [stop_at], [start_at < 0],
+    [stop_at <= start_at], [size <= 0],
     [extra_rtt < 0], a route with fewer than two nodes, a route step
     with no link, a node outside the graph, or a reverse route that does
     not run from the forward route's last node back to its first. *)

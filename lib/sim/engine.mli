@@ -68,7 +68,9 @@ val now : t -> float
 
 val schedule : t -> at:float -> (unit -> unit) -> timer
 (** [schedule t ~at f] runs [f] when the clock reaches [at].
-    @raise Invalid_argument if [at] is in the past. *)
+    @raise Invalid_argument if [at] is in the past or not finite; so
+    do the other scheduling functions when the event's time is not
+    finite. *)
 
 val schedule_in : t -> after:float -> (unit -> unit) -> timer
 (** [schedule_in t ~after f] runs [f] [after] seconds from now. Negative

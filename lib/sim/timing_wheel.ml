@@ -6,14 +6,24 @@
    Placement is page-aligned: an entry lives at the lowest level whose
    *page* (the bits above that level) matches the cursor's, so every
    stored index is strictly ahead of the cursor within its page and
-   advancement never wraps a page or mixes epochs. With 16 bits per
-   level the bottom page alone spans 65.5 simulated milliseconds, so
-   the common scheduling horizon (packet deliveries, RTO timers) lands
-   directly in level 0 and is chained exactly once before dispatch;
-   only far-future timers pay a cascade, and there are at most two.
-   Anything beyond the top page (>= 2^48 ticks ~ 3.26 simulated years
-   ahead) waits in an overflow heap and is drained into the wheel when
-   the cursor's epoch reaches it.
+   advancement never wraps a page or mixes epochs. At 12 bits x 4
+   levels a level-0 slot is one tick and its page 4.1 simulated ms; a
+   level-1 slot spans 4.1 ms and its page 16.8 s; level 2 slots span
+   16.8 s (page 19.1 h) and level 3 slots 19.1 h. Events inside the
+   cursor's 4.1 ms page (transmission completions, short timers) are
+   chained once, straight at level 0; packet-delay events (propagation,
+   RTO and MI timers, up to 16.8 s) sit at level 1 and pay one cascade;
+   only timers further out pay two or three. Anything beyond the top
+   page (>= 2^48 ticks ~ 8.9 simulated years ahead) waits in an
+   overflow heap and is drained into the wheel when the cursor's epoch
+   reaches it.
+
+   The geometry is sized to the cache, not to the horizon: the 4 x 4096
+   chain heads take 128 KB and all the wheel's tables 132 KB, so
+   creating one (which zero-fills them) costs tens of microseconds, and
+   the lines that pushes and harvests touch fit in a typical L2 cache.
+   Every simulation creates one wheel, and a sweep runs many short
+   simulations.
 
    Exact ordering contract: dispatch order is exactly (time, seq) — the
    same total order as {!Event_heap} — even though ticks quantize time.
@@ -43,7 +53,7 @@
    - slot occupancy is mirrored in a two-tier bitmap (32 slots per mask
      word, 32 mask words per summary bit; find-first-set by de Bruijn
      multiply), so advancing over sparse regions costs a handful of
-     word reads, never a 65536-slot scan;
+     word reads, never a slot-by-slot scan;
    - {!push_unit} queues an uncancellable event with no {!Handle}
      allocated at all — the packet-delivery events that dominate
      simulations pay zero allocation and never touch the handle array.
@@ -62,12 +72,17 @@ type handle = Handle.t
 
 let tick_seconds = 1e-6
 let inv_tick = 1. /. tick_seconds
-let bits = 16
-let slots = 65536 (* 1 lsl bits *)
-let levels = 3
-let horizon_bits = bits * levels (* 48 *)
-let mask_words = 2048 (* slots / 32 *)
-let summary_words = 64 (* mask_words / 32 *)
+
+(* The geometry is [bits] and [levels]; every other size derives from
+   them. Mask words hold 32 slots each, and a summary word flags 32 mask
+   words. *)
+let bits = 12
+let levels = 4
+let slots = 1 lsl bits
+let horizon_bits = bits * levels
+let mask_words = slots / 32
+let summary_words = (mask_words + 31) / 32
+let () = assert (bits >= 5 && horizon_bits >= 48)
 
 (* A binary min-heap on (time, seq) with the arena index along for the
    ride. Keys are copied in so sift compares stay inside these unboxed
@@ -137,7 +152,14 @@ let create ~dummy ~dummy_arg () =
 let is_empty t = !(t.live) = 0
 let size t = !(t.live)
 
-let tick_of_time time = int_of_float (time *. inv_tick)
+(* Ticks saturate at [max_int]: [int_of_float] is unspecified from
+   2^62 on (amd64 yields 0), which would file a far-future time at tick
+   0. Saturation keeps the tick monotone in time, which is all the
+   ordering argument needs; saturated entries reach the ready heap
+   together and leave it in exact order. *)
+let tick_of_time time =
+  let f = time *. inv_tick in
+  if f < 0x1p62 then int_of_float f else max_int
 
 (* Entry state, reading the handle only when one exists: pending, and
    still at the generation this entry was armed with. *)
@@ -387,8 +409,8 @@ let maybe_sweep t =
 
 let check_time time =
   (* Also rejects NaN. *)
-  if not (time >= 0.) then
-    invalid_arg "Timing_wheel.push: time must be non-negative"
+  if not (time >= 0. && time <= Float.max_float) then
+    invalid_arg "Timing_wheel.push: time must be finite and non-negative"
 
 (* Queue a cancellable entry under [h], which the caller has just made
    pending at its current generation. *)

@@ -121,30 +121,24 @@ let test_zero_delay_livelock () =
   | exception Engine.Livelock { kind = Engine.Budget; _ } ->
     Alcotest.fail "expected Stall, got Budget"
 
-(* Randomized differential: an arbitrary interleaving of pushes (times
-   from ns to years, duplicates included), cancels, re-arms and pops
-   must pop the identical (time, value) sequence from both backends,
-   with equal live counts after every operation. The heap has no
-   re-arm, so its model of one is cancel plus push. *)
-let test_differential_random () =
-  let rng = Rng.create 20260809 in
-  for _round = 1 to 20 do
+(* Heap-vs-wheel differential: an arbitrary interleaving of pushes,
+   cancels, re-arms and pops must pop the identical (time, value)
+   sequence from both backends, with equal live counts after every
+   operation. The heap has no re-arm, so its model of one is cancel
+   plus push. [draw_time ~now] picks each push's time, [now] being the
+   last popped time. Returns the latest time popped. *)
+let differential ~rng ~rounds ~ops draw_time =
+  let latest = ref 0. in
+  for _round = 1 to rounds do
     let h = EH.create () in
     let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
     let h_handles = ref [] and w_handles = ref [] in
     let popped_h = ref [] and popped_w = ref [] in
-    (* Mixed magnitudes: same-slot collisions, far future, overflow. *)
-    let draw_time () =
-      match Rng.int rng 4 with
-      | 0 -> Rng.uniform rng 0. 1e-4
-      | 1 -> Rng.uniform rng 0. 10.
-      | 2 -> float_of_int (Rng.int rng 4)
-      | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
-    in
-    for i = 0 to 999 do
+    let now = ref 0. in
+    for i = 0 to ops - 1 do
       (match Rng.int rng 12 with
       | 0 | 1 | 2 | 3 | 4 ->
-        let time = draw_time () in
+        let time = draw_time ~now:!now in
         let cancellable = Rng.bool rng in
         if cancellable then begin
           h_handles := EH.push h ~time i :: !h_handles;
@@ -159,7 +153,9 @@ let test_differential_random () =
         | Some (t, v) -> popped_h := (t, v) :: !popped_h
         | None -> ());
         match TW.pop w with
-        | Some (t, v, ()) -> popped_w := (t, v) :: !popped_w
+        | Some (t, v, ()) ->
+          popped_w := (t, v) :: !popped_w;
+          now := t
         | None -> ())
       | 7 | 8 | 9 -> (
         (* Cancel the same (by construction) pending event in both. *)
@@ -177,7 +173,7 @@ let test_differential_random () =
         let n = List.length !w_handles in
         if n > 0 then begin
           let k = Rng.int rng n in
-          let time = draw_time () in
+          let time = draw_time ~now:!now in
           let hh = List.nth !h_handles k and wh = List.nth !w_handles k in
           EH.cancel hh;
           let hh' = EH.push h ~time i in
@@ -199,9 +195,111 @@ let test_differential_random () =
       (fun (th, vh) (tw, vw) ->
         if not (Float.equal th tw && vh = vw) then
           Alcotest.failf "divergence: heap (%h, %d) vs wheel (%h, %d)" th vh tw
-            vw)
+            vw;
+        latest := Float.max !latest tw)
       !popped_h !popped_w
-  done
+  done;
+  !latest
+
+(* Times from ns to years, duplicates included: same-slot collisions,
+   far future, overflow. *)
+let test_differential_random () =
+  let rng = Rng.create 20260809 in
+  let draw_time ~now:_ =
+    match Rng.int rng 4 with
+    | 0 -> Rng.uniform rng 0. 1e-4
+    | 1 -> Rng.uniform rng 0. 10.
+    | 2 -> float_of_int (Rng.int rng 4)
+    | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
+  in
+  ignore (differential ~rng ~rounds:20 ~ops:1000 draw_time)
+
+(* Level boundaries, whatever the geometry: every time sits within a
+   tick of a power-of-two tick count, 2^k for k in 0..50, so some lie
+   on each level's page edges for any bits-per-level, and some past the
+   top page. Half the pushes are measured from the latest pop and half
+   aim at the next 2^k-aligned edge ahead of it, so as pops advance the
+   cursor it keeps crossing pages at every level while entries wait at
+   every level and in overflow. *)
+let test_differential_level_edges () =
+  let rng = Rng.create 20261017 in
+  let offsets = [| -1.; -0.5; 0.; 0.5; 1. |] in
+  let draw_time ~now =
+    let k = Rng.int rng 51 in
+    let span = 2. ** float_of_int k in
+    let d = offsets.(Rng.int rng (Array.length offsets)) in
+    let now_ticks = Float.floor (now /. TW.tick_seconds) in
+    let ticks =
+      if Rng.bool rng then now_ticks +. span +. d
+      else
+        let edge = Float.floor (now_ticks /. span) +. 1. in
+        ((edge +. Float.of_int (Rng.int rng 2)) *. span) +. d
+    in
+    Float.max 0. (ticks *. TW.tick_seconds)
+  in
+  let latest = differential ~rng ~rounds:30 ~ops:1500 draw_time in
+  Alcotest.(check bool)
+    "pops crossed the top page into overflow" true (latest > beyond_horizon)
+
+let invalid_time =
+  Invalid_argument "Timing_wheel.push: time must be finite and non-negative"
+
+(* Times the wheel cannot file must not reorder dispatch or stall a run:
+   a non-finite time is rejected, and a finite one past 2^62 ticks
+   (where float-to-int conversion is unspecified) pops in exact order. *)
+let test_non_finite_and_huge_times () =
+  let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
+  let times =
+    [ 5.; 1e300; 7.; Float.max_float; 0x1p62 *. TW.tick_seconds; 4.7e12;
+      beyond_horizon; 1e20; 0x1p62 *. TW.tick_seconds *. 0.999 ]
+  in
+  List.iteri (fun i time -> TW.push_unit w ~time i ()) times;
+  let sorted = List.sort compare times in
+  Alcotest.(check (list (float 0.)))
+    "huge finite times pop in time order" sorted
+    (List.map fst (drain_wheel w));
+  (* The cursor now sits at the saturated tick; pushes still order. *)
+  TW.push_unit w ~time:2e300 0 ();
+  ignore (TW.push w ~time:1.5e300 1 ());
+  TW.push_unit w ~time:1.5e300 2 ();
+  Alcotest.(check (list int))
+    "order after saturation" [ 1; 2; 0 ]
+    (List.map snd (drain_wheel w));
+  List.iter
+    (fun time ->
+      Alcotest.check_raises "push rejects" invalid_time (fun () ->
+          ignore (TW.push w ~time 0 ()));
+      Alcotest.check_raises "push_unit rejects" invalid_time (fun () ->
+          TW.push_unit w ~time 0 ());
+      Alcotest.check_raises "arm rejects" invalid_time (fun () ->
+          TW.arm w (TW.idle w) ~time 0 ()))
+    [ Float.infinity; Float.nan; -1. ];
+  Alcotest.(check int) "nothing queued by a rejected push" 0 (TW.size w)
+
+(* Through the engine: a post at infinity is refused, and the events
+   already queued still run. *)
+let test_engine_rejects_infinity () =
+  let engine = Engine.create () in
+  let fired = ref [] in
+  Engine.post engine ~at:1. (fun () -> fired := Engine.now engine :: !fired);
+  Alcotest.check_raises "post at infinity" invalid_time (fun () ->
+      Engine.post engine ~at:Float.infinity ignore);
+  Alcotest.check_raises "post_in infinitely far" invalid_time (fun () ->
+      Engine.post_in engine ~after:Float.infinity ignore);
+  Engine.run ~until:10. engine;
+  Alcotest.(check (list (float 0.))) "event at t=1 ran" [ 1. ] !fired
+
+(* Creating an engine zero-fills the wheel's slot heads and bitmaps, so
+   its allocation is the wheel's geometry. Many short runs each pay it
+   once. *)
+let test_engine_footprint () =
+  ignore (Sys.opaque_identity (Engine.create ()));
+  let before = Gc.allocated_bytes () in
+  let engine = Engine.create () in
+  let bytes = Gc.allocated_bytes () -. before in
+  ignore (Sys.opaque_identity engine);
+  if bytes > 160e3 then
+    Alcotest.failf "Engine.create allocated %.0f B, above 160 KB" bytes
 
 let suites =
   [
@@ -217,5 +315,13 @@ let suites =
           test_zero_delay_livelock;
         Alcotest.test_case "randomized heap-vs-wheel differential" `Quick
           test_differential_random;
+        Alcotest.test_case "level-boundary heap-vs-wheel differential"
+          `Quick test_differential_level_edges;
+        Alcotest.test_case "non-finite and huge times" `Quick
+          test_non_finite_and_huge_times;
+        Alcotest.test_case "engine rejects an infinite time" `Quick
+          test_engine_rejects_infinity;
+        Alcotest.test_case "engine creation footprint" `Quick
+          test_engine_footprint;
       ] );
   ]

@@ -89,6 +89,25 @@ let test_flow_validation () =
         ~flows:[ flow ~route:[ 0; 1 ] ~rev_route:[ 2; 1 ] () ]
         ())
 
+(* A non-finite start or stop is refused by name, not left to queue an
+   event the scheduler cannot order. *)
+let test_non_finite_flow_times () =
+  let flow ?start_at ?stop_at () =
+    Topology.flow ?start_at ?stop_at ~route:[ 0; 1 ] (Transport.tcp "newreno")
+  in
+  let rejected name f =
+    match build_with ~flows:[ f ] () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument msg ->
+      let prefix = "Topology.build: flow" in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%s: unexpected message %S" name msg
+  in
+  rejected "stop_at infinity" (flow ~stop_at:Float.infinity ());
+  rejected "stop_at nan" (flow ~stop_at:Float.nan ());
+  rejected "start_at infinity" (flow ~start_at:Float.infinity ());
+  rejected "start_at nan" (flow ~start_at:Float.nan ())
+
 let test_wrapper_validation () =
   (* The wrappers inherit the shared checks the old builders lacked
      (Path) or hand-rolled (Multihop). *)
@@ -367,6 +386,8 @@ let suites =
       [
         Alcotest.test_case "link validation" `Quick test_link_validation;
         Alcotest.test_case "flow validation" `Quick test_flow_validation;
+        Alcotest.test_case "non-finite flow times" `Quick
+          test_non_finite_flow_times;
         Alcotest.test_case "wrapper validation" `Quick test_wrapper_validation;
         Alcotest.test_case "fct identical through wrappers" `Slow
           test_fct_identical_through_wrappers;
