@@ -102,11 +102,15 @@ let micro () =
     (* One simulated second of a PCC flow on a 20 Mbps link. *)
     let engine = Pcc_sim.Engine.create () in
     let rng = Pcc_sim.Rng.create 11 in
-    let _path =
-      Pcc_scenario.Path.build engine ~rng
+    let _topo =
+      Pcc_scenario.Topology.dumbbell engine ~rng
         ~bandwidth:(Pcc_sim.Units.mbps 20.) ~rtt:0.02
         ~buffer:(Pcc_sim.Units.kib 64)
-        ~flows:[ Pcc_scenario.Path.flow (Pcc_scenario.Transport.pcc ()) ]
+        ~flows:
+          [
+            Pcc_scenario.Topology.flow ~route:[ 0; 1 ]
+              (Pcc_scenario.Transport.pcc ());
+          ]
         ()
     in
     Pcc_sim.Engine.run ~until:1.0 engine
@@ -519,10 +523,11 @@ let controller_bench ~seed =
       let rng = Pcc_sim.Rng.create seed in
       let bw = Pcc_sim.Units.mbps 30. in
       let rtt = 0.03 in
-      let path =
-        Path.build engine ~rng ~bandwidth:bw ~rtt
+      let topo =
+        Topology.dumbbell engine ~rng ~bandwidth:bw ~rtt
           ~buffer:(Pcc_sim.Units.bdp_bytes ~rate:bw ~rtt)
-          ~flows:[ Path.flow spec ] ()
+          ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
+          ()
       in
       let e0 = Pcc_sim.Engine.total_executed () in
       Gc.compact ();
@@ -532,7 +537,7 @@ let controller_bench ~seed =
       let events = Pcc_sim.Engine.total_executed () - e0 in
       Pcc_trace.Collector.uninstall ();
       let goodput =
-        float_of_int (Path.goodput_bytes (Path.flows path).(0) * 8)
+        float_of_int (Topology.goodput_bytes (Topology.flows topo).(0) * 8)
         /. controller_bench_duration
       in
       let mis = ref 0 in

@@ -23,13 +23,55 @@ let transport_conv =
 (* ------------------------------------------------------------------ *)
 
 let queue_of_string = function
-  | "droptail" -> Some Path.Droptail
-  | "codel" -> Some Path.Codel
-  | "red" -> Some Path.Red
-  | "infinite" -> Some Path.Infinite
-  | "fq" -> Some (Path.Fq Path.Droptail)
-  | "fq-codel" -> Some (Path.Fq Path.Codel)
+  | "droptail" -> Some Topology.Droptail
+  | "codel" -> Some Topology.Codel
+  | "red" -> Some Topology.Red
+  | "infinite" -> Some Topology.Infinite
+  | "fq" -> Some (Topology.Fq Topology.Droptail)
+  | "fq-codel" -> Some (Topology.Fq Topology.Codel)
   | _ -> None
+
+(* Run [engine] to [duration], reporting every [interval]: [row ~time
+   ~span] is called at each k·interval below [duration] and then at
+   [duration] itself, with [span] the simulated seconds since the
+   previous row. A k·interval within float rounding of [duration] is
+   the final row, not a near-empty one before it. *)
+let run_intervals engine ~duration ~interval row =
+  let rec go k prev =
+    let t = float_of_int k *. interval in
+    if t < duration -. (interval *. 1e-9) then begin
+      Engine.run ~until:t engine;
+      row ~time:t ~span:interval;
+      go (k + 1) t
+    end
+    else begin
+      Engine.run ~until:duration engine;
+      row ~time:duration ~span:(duration -. prev)
+    end
+  in
+  go 1 0.
+
+let mbps bytes span = float_of_int (bytes * 8) /. span /. 1e6
+
+(* The per-flow goodput table of [run] and [topo]: a header of flow
+   labels, then one row of per-interval goodputs per report. *)
+let flow_table engine ~duration ~interval flows =
+  Printf.printf "%8s" "time";
+  Array.iter
+    (fun (f : Topology.built_flow) ->
+      Printf.printf " %14s" f.Topology.def.Topology.label)
+    flows;
+  Printf.printf "\n";
+  let last = Array.make (Array.length flows) 0 in
+  run_intervals engine ~duration ~interval (fun ~time ~span ->
+      Printf.printf "%7.1fs" time;
+      Array.iteri
+        (fun j f ->
+          let b = Topology.goodput_bytes f in
+          Printf.printf " %9.2f Mbps" (mbps (b - last.(j)) span);
+          last.(j) <- b)
+        flows;
+      Printf.printf "\n%!")
 
 let run_cmd transports bw_mbps rtt_ms loss rev_loss jitter_ms buffer_kb queue
     duration seed interval check_invariants =
@@ -62,43 +104,25 @@ let run_cmd transports bw_mbps rtt_ms loss rev_loss jitter_ms buffer_kb queue
   let queue_kind = Option.get (queue_of_string queue) in
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt ~buffer ~queue:queue_kind ~loss
-      ~rev_loss ~jitter:(jitter_ms /. 1000.)
-      ~flows:(List.map (fun t -> Path.flow t) transports)
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt ~buffer ~queue:queue_kind
+      ~loss ~rev_loss ~jitter:(jitter_ms /. 1000.)
+      ~flows:(List.map (fun t -> Topology.flow ~route:[ 0; 1 ] t) transports)
       ()
   in
-  if check_invariants then ignore (Invariant.attach_path path);
-  let flows = Path.flows path in
+  if check_invariants then ignore (Invariant.attach_topology topo);
+  let flows = Topology.flows topo in
   Printf.printf
     "link: %.1f Mbps, %.1f ms RTT, %d KB %s buffer, loss %.3f%%\n" bw_mbps
     rtt_ms (buffer / 1000) queue (loss *. 100.);
-  Printf.printf "%8s" "time";
-  Array.iter
-    (fun f -> Printf.printf " %14s" f.Path.def.Path.label)
-    flows;
-  Printf.printf "\n";
-  let last = Array.make (Array.length flows) 0 in
-  let steps = int_of_float (duration /. interval) in
-  for i = 1 to steps do
-    Engine.run ~until:(float_of_int i *. interval) engine;
-    Printf.printf "%7.1fs" (float_of_int i *. interval);
-    Array.iteri
-      (fun j f ->
-        let b = Path.goodput_bytes f in
-        Printf.printf " %9.2f Mbps"
-          (float_of_int ((b - last.(j)) * 8) /. interval /. 1e6);
-        last.(j) <- b)
-      flows;
-    Printf.printf "\n%!"
-  done;
+  flow_table engine ~duration ~interval flows;
   Printf.printf "\naverages over the full run:\n";
   Array.iter
-    (fun f ->
+    (fun (f : Topology.built_flow) ->
       Printf.printf "  %-14s %8.2f Mbps (srtt %.1f ms)\n"
-        f.Path.def.Path.label
-        (float_of_int (Path.goodput_bytes f * 8) /. duration /. 1e6)
-        (f.Path.sender.Pcc_net.Sender.srtt () *. 1e3))
+        f.Topology.def.Topology.label
+        (mbps (Topology.goodput_bytes f) duration)
+        (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
     flows;
   `Ok ()
 
@@ -118,23 +142,23 @@ let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let fault_rng = Rng.split rng in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
-      ~flows:[ Path.flow transport ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] transport ]
       ()
   in
-  if check_invariants then ignore (Invariant.attach_path path);
-  let f = (Path.flows path).(0) in
+  if check_invariants then ignore (Invariant.attach_topology topo);
+  let f = (Topology.flows topo).(0) in
   let recorder =
     Pcc_metrics.Recorder.create engine ~interval:0.25 (fun () ->
-        float_of_int (Path.goodput_bytes f))
+        float_of_int (Topology.goodput_bytes f))
   in
   let schedule = Fault.chaos ~rng:fault_rng ~rate ~duration () in
-  Fault.inject_path path schedule;
+  Fault.inject (Fault.target_of_topology topo) schedule;
   Printf.printf
     "chaos gauntlet: %s on %.1f Mbps / %.1f ms RTT, seed %d, %d faults\n\n"
-    f.Path.def.Path.label bw_mbps rtt_ms seed (List.length schedule);
+    f.Topology.def.Topology.label bw_mbps rtt_ms seed (List.length schedule);
   Format.printf "%a@." Fault.pp_schedule schedule;
   Engine.run ~until:duration engine;
   let series = Pcc_metrics.Recorder.rates_bps recorder in
@@ -151,7 +175,7 @@ let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
   Printf.printf
     "\nmean goodput %.2f Mbps; recovered from %d/%d faults (>=90%% of \
      pre-fault throughput)\n"
-    (float_of_int (Path.goodput_bytes f * 8) /. duration /. 1e6)
+    (mbps (Topology.goodput_bytes f) duration)
     recovered (List.length reports);
   `Ok ()
   with exn ->
@@ -164,8 +188,8 @@ let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
       )
 
 (* Demo shapes for the graph topology layer. "dumbbell" is what `run`
-   builds; "parking" and "revpath" are shapes the flat builders cannot
-   express (asymmetric chain, congested ack path); "fanin-large" is the
+   builds; "parking" and "revpath" are shapes a dumbbell cannot express
+   (asymmetric chain, congested ack path); "fanin-large" is the
    many-flow scheduler stress scenario ([--flows] sized PCC transfers
    over one bottleneck, reported in aggregate). *)
 let topo_shape ~engine ~rng ~bandwidth ~rtt ~flows_n transports shape =
@@ -176,14 +200,10 @@ let topo_shape ~engine ~rng ~bandwidth ~rtt ~flows_n transports shape =
       (Pcc_experiments.Exp_manyflow.topology engine ~rng ~n:flows_n ~bandwidth
          ~rtt)
   | "dumbbell" ->
-    let links =
-      [
-        Topology.link ~name:"bottleneck" ~delay:(rtt /. 2.) ~buffer:bdp ~src:0
-          ~dst:1 ~bandwidth ();
-      ]
-    in
-    let flows = List.map (fun t -> Topology.flow ~route:[ 0; 1 ] t) transports in
-    Ok (Topology.build engine ~rng ~links ~flows ())
+    Ok
+      (Topology.dumbbell engine ~rng ~bandwidth ~rtt ~buffer:bdp
+         ~flows:(List.map (fun t -> Topology.flow ~route:[ 0; 1 ] t) transports)
+         ())
   | "parking" ->
     (* Asymmetric 3-hop parking lot: the middle hop is the narrowest. The
        first transport runs end to end; the rest take one-hop routes,
@@ -255,17 +275,13 @@ let topo_report_aggregate ~engine ~duration ~interval topo =
   Printf.printf "\n%8s %10s %12s %14s %12s\n" "time" "completed" "agg Mbps"
     "total events" "pending";
   let last = ref 0 in
-  let steps = int_of_float (duration /. interval) in
-  for i = 1 to steps do
-    Engine.run ~until:(float_of_int i *. interval) engine;
-    let b = total_bytes () in
-    Printf.printf "%7.1fs %6d/%-4d %12.2f %14d %12d\n%!"
-      (float_of_int i *. interval)
-      (completed ()) n
-      (float_of_int ((b - !last) * 8) /. interval /. 1e6)
-      (Engine.executed engine) (Engine.pending engine);
-    last := b
-  done;
+  run_intervals engine ~duration ~interval (fun ~time ~span ->
+      let b = total_bytes () in
+      Printf.printf "%7.1fs %6d/%-4d %12.2f %14d %12d\n%!" time (completed ())
+        n
+        (mbps (b - !last) span)
+        (Engine.executed engine) (Engine.pending engine);
+      last := b);
   Printf.printf
     "\n%d/%d flows completed; %.1f MB delivered; %d events executed\n"
     (completed ()) n
@@ -307,26 +323,8 @@ let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
     else begin
       if check_invariants then ignore (Invariant.attach_topology topo);
       let flows = Topology.flows topo in
-      Printf.printf "\n%8s" "time";
-      Array.iter
-        (fun (f : Topology.built_flow) ->
-          Printf.printf " %14s" f.Topology.def.Topology.label)
-        flows;
       Printf.printf "\n";
-      let last = Array.make (Array.length flows) 0 in
-      let steps = int_of_float (duration /. interval) in
-      for i = 1 to steps do
-        Engine.run ~until:(float_of_int i *. interval) engine;
-        Printf.printf "%7.1fs" (float_of_int i *. interval);
-        Array.iteri
-          (fun j f ->
-            let b = Topology.goodput_bytes f in
-            Printf.printf " %9.2f Mbps"
-              (float_of_int ((b - last.(j)) * 8) /. interval /. 1e6);
-            last.(j) <- b)
-          flows;
-        Printf.printf "\n%!"
-      done;
+      flow_table engine ~duration ~interval flows;
       Printf.printf "\naverages over the full run:\n";
       Array.iteri
         (fun j (f : Topology.built_flow) ->
@@ -341,7 +339,7 @@ let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
           Printf.printf
             "  %-14s %8.2f Mbps (route cap %.1f Mbps, srtt %.1f ms)\n"
             f.Topology.def.Topology.label
-            (float_of_int (Topology.goodput_bytes f * 8) /. duration /. 1e6)
+            (mbps (Topology.goodput_bytes f) duration)
             (min_cap /. 1e6)
             (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
         flows;

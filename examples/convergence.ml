@@ -14,18 +14,18 @@ let () =
   let bandwidth = Units.mbps 100. and rtt = 0.03 in
   let stagger = 120. in
   let flows = 4 in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~flows:
         (List.init flows (fun i ->
-             Path.flow
+             Topology.flow ~route:[ 0; 1 ]
                ~start_at:(float_of_int i *. stagger)
                ~label:(Printf.sprintf "flow%d" (i + 1))
                (Transport.pcc ())))
       ()
   in
-  let fs = Path.flows path in
+  let fs = Topology.flows topo in
   let last = Array.make flows 0 in
   Printf.printf "Four PCC flows joining every %.0f s on a 100 Mbps dumbbell\n\n"
     stagger;
@@ -37,7 +37,7 @@ let () =
     let rates =
       Array.mapi
         (fun i f ->
-          let b = Path.goodput_bytes f in
+          let b = Topology.goodput_bytes f in
           let r = float_of_int ((b - last.(i)) * 8) /. 10. /. 1e6 in
           last.(i) <- b;
           r)

@@ -17,22 +17,22 @@ let run name utility =
   let engine = Engine.create () in
   let rng = Rng.create 12 in
   let config = Pcc_sender.config_with ~utility () in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 40.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 40.) ~rtt:0.02
       ~buffer:(Units.mib 1) (* deep, bufferbloat-prone FIFO *)
-      ~flows:[ Path.flow (Transport.pcc ~config ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ~config ()) ]
       ()
   in
-  let flow = (Path.flows path).(0) in
+  let flow = (Topology.flows topo).(0) in
   (* Skip the 10 s startup transient, then measure 30 s. *)
   Engine.run ~until:10. engine;
-  let b0 = Path.goodput_bytes flow in
+  let b0 = Topology.goodput_bytes flow in
   let rtt_sum = ref 0. in
   for i = 1 to 30 do
     Engine.run ~until:(10. +. float_of_int i) engine;
-    rtt_sum := !rtt_sum +. flow.Path.sender.Pcc_net.Sender.srtt ()
+    rtt_sum := !rtt_sum +. flow.Topology.sender.Pcc_net.Sender.srtt ()
   done;
-  let tput = float_of_int ((Path.goodput_bytes flow - b0) * 8) /. 30. in
+  let tput = float_of_int ((Topology.goodput_bytes flow - b0) * 8) /. 30. in
   let rtt = !rtt_sum /. 30. in
   Printf.printf "%-22s %6.2f Mbps  avg RTT %6.1f ms  (base 20 ms)\n" name
     (tput /. 1e6) (rtt *. 1e3)

@@ -12,20 +12,22 @@ let round name spec =
   let rng = Rng.create 3 in
   let senders = 30 and block = 128 * 1024 in
   let jitter = Rng.create 4 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.gbps 1.) ~rtt:0.0001
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.gbps 1.) ~rtt:0.0001
       ~buffer:65536
       ~flows:
         (List.init senders (fun _ ->
-             Path.flow ~start_at:(Rng.uniform jitter 0. 0.0005) ~size:block spec))
+             Topology.flow ~route:[ 0; 1 ]
+               ~start_at:(Rng.uniform jitter 0. 0.0005)
+               ~size:block spec))
       ()
   in
   Engine.run ~until:5. engine;
   let worst =
     Array.fold_left
       (fun acc f ->
-        match f.Path.fct with Some fct -> Float.max acc fct | None -> 5.0)
-      0. (Path.flows path)
+        match f.Topology.fct with Some fct -> Float.max acc fct | None -> 5.0)
+      0. (Topology.flows topo)
   in
   let goodput = float_of_int (senders * block * 8) /. worst in
   Printf.printf "%-6s all %d responses in %6.1f ms -> %7.1f Mbps goodput\n"

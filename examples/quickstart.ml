@@ -14,24 +14,24 @@ let () =
   (* Build a single-bottleneck path carrying one PCC flow. The transport
      uses the paper's defaults: safe utility, monitor intervals of
      max(10 pkts, U[1.7,2.2]*RTT), eps in [0.01,0.05] with RCTs. *)
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~loss:0.005
-      ~flows:[ Path.flow (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()) ]
       ()
   in
-  let flow = (Path.flows path).(0) in
+  let flow = (Topology.flows topo).(0) in
 
   Printf.printf "PCC on a 100 Mbps / 30 ms link with 0.5%% random loss\n";
   Printf.printf "%6s %12s %14s\n" "time" "goodput" "controller rate";
   let last = ref 0 in
   for second = 1 to 20 do
     Engine.run ~until:(float_of_int second) engine;
-    let bytes = Path.goodput_bytes flow in
+    let bytes = Topology.goodput_bytes flow in
     Printf.printf "%5ds %9.2f Mbps %11.2f Mbps\n" second
       (float_of_int ((bytes - !last) * 8) /. 1e6)
-      (flow.Path.sender.Pcc_net.Sender.rate_estimate () /. 1e6);
+      (flow.Topology.sender.Pcc_net.Sender.rate_estimate () /. 1e6);
     last := bytes
   done;
   Printf.printf

@@ -10,15 +10,16 @@ open Pcc_scenario
 let run name spec =
   let engine = Engine.create () in
   let rng = Rng.create 7 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 42.) ~rtt:0.8 ~loss:0.0074
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 42.) ~rtt:0.8
+      ~loss:0.0074
       ~buffer:30_000 (* a 20-packet buffer: tiny relative to the 4.2 MB BDP *)
-      ~flows:[ Path.flow spec ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
       ()
   in
-  let flow = (Path.flows path).(0) in
+  let flow = (Topology.flows topo).(0) in
   Engine.run ~until:100. engine;
-  let tput = float_of_int (Path.goodput_bytes flow * 8) /. 100. in
+  let tput = float_of_int (Topology.goodput_bytes flow * 8) /. 100. in
   Printf.printf "%-10s %6.2f Mbps  (%.0f%% of the 42 Mbps link)\n" name
     (tput /. 1e6)
     (tput /. Units.mbps 42. *. 100.);

@@ -129,25 +129,15 @@ let goodput_between engine flow ~t0 ~t1 =
   let b1 = Topology.goodput_bytes flow in
   float_of_int ((b1 - b0) * 8) /. (t1 -. t0)
 
-(* Builds the dumbbell on the graph layer directly; the link/flow specs
-   mirror what Path.build would produce, so seeded results are identical
-   with the pre-graph implementation. *)
-let solo_throughput ?(seed = 42) ?warmup ?(queue = Topology.Droptail)
-    ?(loss = 0.) ?(rev_loss = 0.) ?(jitter = 0.) ~bandwidth ~rtt ~buffer
-    ~duration spec =
+let solo_throughput ?(seed = 42) ?warmup ?queue ?loss ?rev_loss ?jitter
+    ~bandwidth ~rtt ~buffer ~duration spec =
   let warmup =
     match warmup with Some w -> w | None -> Float.max 3. (20. *. rtt)
   in
   let engine = Engine.create () in
-  let rng = Rng.create seed in
   let topo =
-    Topology.build engine ~rng
-      ~links:
-        [
-          Topology.link ~name:"bottleneck" ~delay:(rtt /. 2.) ~buffer ~queue
-            ~loss ~jitter ~src:0 ~dst:1 ~bandwidth ();
-        ]
-      ~rev_loss
+    Topology.dumbbell engine ~rng:(Rng.create seed) ~bandwidth ~rtt ~buffer
+      ?queue ?loss ?rev_loss ?jitter
       ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
       ()
   in

@@ -105,7 +105,7 @@ val solo_throughput :
   float
 (** Average goodput (bits/s) of a single flow over [duration] after
     [warmup] (default [max 3. (20·rtt)]) on a fresh single-bottleneck
-    dumbbell built on the graph layer. *)
+    {!Pcc_scenario.Topology.dumbbell}. *)
 
 val goodput_between :
   Pcc_sim.Engine.t ->
@@ -114,6 +114,4 @@ val goodput_between :
   t1:float ->
   float
 (** Run the engine to [t0], snapshot, run to [t1], return the average
-    goodput in bits/s. The engine must not already be past [t0].
-    Wrapper-built flows convert via e.g.
-    [(Topology.flows (Path.topology path)).(0)]. *)
+    goodput in bits/s. The engine must not already be past [t0]. *)

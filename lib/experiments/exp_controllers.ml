@@ -36,20 +36,20 @@ let controllers () =
 let incast ~seed ~duration ~n spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.02
       ~buffer:(Units.kib 128)
-      ~flows:(List.init n (fun _ -> Path.flow spec))
+      ~flows:(List.init n (fun _ -> Topology.flow ~route:[ 0; 1 ] spec))
       ()
   in
   let warmup = Float.max 2. (duration /. 5.) in
   Engine.run ~until:warmup engine;
-  let before = Array.map Path.goodput_bytes (Path.flows path) in
+  let before = Array.map Topology.goodput_bytes (Topology.flows topo) in
   Engine.run ~until:(warmup +. duration) engine;
-  let fl = Path.flows path in
+  let fl = Topology.flows topo in
   let total = ref 0 in
   Array.iteri
-    (fun i f -> total := !total + Path.goodput_bytes f - before.(i))
+    (fun i f -> total := !total + Topology.goodput_bytes f - before.(i))
     fl;
   float_of_int (!total * 8) /. duration
 
@@ -58,18 +58,22 @@ let incast ~seed ~duration ~n spec =
 let vs_cubic ~seed ~duration spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:(Units.mbps 50.) ~rtt:0.03)
-      ~flows:[ Path.flow ~label:"dut" spec; Path.flow (Transport.tcp "cubic") ]
+      ~flows:
+        [
+          Topology.flow ~route:[ 0; 1 ] ~label:"dut" spec;
+          Topology.flow ~route:[ 0; 1 ] (Transport.tcp "cubic");
+        ]
       ()
   in
   let warmup = Float.max 2. (duration /. 5.) in
   Engine.run ~until:warmup engine;
-  let dut = (Path.flows path).(0) in
-  let before = Path.goodput_bytes dut in
+  let dut = (Topology.flows topo).(0) in
+  let before = Topology.goodput_bytes dut in
   Engine.run ~until:(warmup +. duration) engine;
-  float_of_int ((Path.goodput_bytes dut - before) * 8) /. duration
+  float_of_int ((Topology.goodput_bytes dut - before) * 8) /. duration
 
 let workloads ~duration =
   let bw = Units.mbps 50. in
@@ -102,23 +106,24 @@ let scavenger_phases ~seed ~window background =
   let rng = Rng.create seed in
   let bw = Units.mbps 30. in
   let rtt = 0.03 in
-  let path =
-    Path.build engine ~rng ~bandwidth:bw ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:bw ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bw ~rtt)
       ~flows:
         [
-          Path.flow ~label:"background" background;
-          Path.flow ~label:"primary" ~start_at:(2. *. window)
-            ~stop_at:(3. *. window) (named "pcc-proteus");
+          Topology.flow ~route:[ 0; 1 ] ~label:"background" background;
+          Topology.flow ~route:[ 0; 1 ] ~label:"primary"
+            ~start_at:(2. *. window) ~stop_at:(3. *. window)
+            (named "pcc-proteus");
         ]
       ()
   in
-  let bg = (Path.flows path).(0) in
+  let bg = (Topology.flows topo).(0) in
   let sample t0 t1 =
     Engine.run ~until:t0 engine;
-    let b = Path.goodput_bytes bg in
+    let b = Topology.goodput_bytes bg in
     Engine.run ~until:t1 engine;
-    float_of_int ((Path.goodput_bytes bg - b) * 8) /. (t1 -. t0)
+    float_of_int ((Topology.goodput_bytes bg - b) * 8) /. (t1 -. t0)
   in
   (* Each sample reads the steady state of its phase, not the
      transition into it: the background flow gets two windows to settle

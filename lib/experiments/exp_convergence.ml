@@ -15,20 +15,22 @@ let measure ~seed ~stagger ~flows spec name =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let bandwidth = Units.mbps 100. and rtt = 0.03 in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~flows:
         (List.init flows (fun i ->
-             Path.flow ~start_at:(float_of_int i *. stagger) spec))
+             Topology.flow ~route:[ 0; 1 ]
+               ~start_at:(float_of_int i *. stagger)
+               spec))
       ()
   in
   let recorders =
     Array.map
       (fun f ->
         Recorder.create engine ~interval:1. (fun () ->
-            float_of_int (Path.goodput_bytes f)))
-      (Path.flows path)
+            float_of_int (Topology.goodput_bytes f)))
+      (Topology.flows topo)
   in
   (* All flows are active during [ (flows-1)·stagger, flows·stagger );
      skip the first 40% of that interval so the last joiner's convergence

@@ -13,17 +13,14 @@ type series_point = { time : float; optimal : float; rate : float }
 let measure ~seed ~duration spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.05
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.05
       ~buffer:(Units.kib 256)
-      ~flows:[ Path.flow spec ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
       ()
   in
-  let dyn =
-    Dynamics.start engine ~rng:(Rng.create (seed + 1))
-      ~topo:(Path.topology path) ()
-  in
-  let flow = (Path.flows path).(0) in
+  let dyn = Dynamics.start engine ~rng:(Rng.create (seed + 1)) ~topo () in
+  let flow = (Topology.flows topo).(0) in
   let series = ref [] in
   let sample = 5. in
   let steps = int_of_float (duration /. sample) in
@@ -32,14 +29,14 @@ let measure ~seed ~duration spec =
     series :=
       {
         time = float_of_int i *. sample;
-        optimal = Pcc_net.Link.bandwidth (Path.bottleneck path);
-        rate = flow.Path.sender.Pcc_net.Sender.rate_estimate ();
+        optimal = Pcc_net.Link.bandwidth (Topology.link_at topo 0);
+        rate = flow.Topology.sender.Pcc_net.Sender.rate_estimate ();
       }
       :: !series
   done;
   Dynamics.stop dyn;
   let throughput =
-    float_of_int (Path.goodput_bytes flow * 8) /. duration
+    float_of_int (Topology.goodput_bytes flow * 8) /. duration
   in
   let optimal = Dynamics.mean_optimal dyn ~until:duration in
   (throughput, optimal, List.rev !series)

@@ -29,17 +29,21 @@ let measure ~seed ~horizon ~load spec name =
     in
     build 0. []
   in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~flows:
-        (List.map (fun at -> Path.flow ~start_at:at ~size:flow_size spec) arrivals)
+        (List.map
+           (fun at ->
+             Topology.flow ~route:[ 0; 1 ] ~start_at:at ~size:flow_size spec)
+           arrivals)
       ()
   in
   (* Drain time after the last arrival. *)
   Engine.run ~until:(horizon +. 30.) engine;
   let fcts =
-    Array.to_list (Path.flows path) |> List.filter_map (fun f -> f.Path.fct)
+    Array.to_list (Topology.flows topo)
+    |> List.filter_map (fun (f : Topology.built_flow) -> f.fct)
   in
   let a = Array.of_list fcts in
   {

@@ -28,14 +28,16 @@ let normal_tcp_throughput ~seed ~duration ~bandwidth ~rtt selfish_flows =
   let buffer =
     max (Units.bdp_bytes ~rate:bandwidth ~rtt) (50 * Units.mss)
   in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt ~buffer
-      ~flows:(Path.flow ~label:"normal" (Transport.tcp "newreno") :: selfish_flows)
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt ~buffer
+      ~flows:
+        (Topology.flow ~route:[ 0; 1 ] ~label:"normal" (Transport.tcp "newreno")
+        :: selfish_flows)
       ()
   in
   let warmup = duration /. 5. in
   Exp_common.goodput_between engine
-    (Topology.flows (Path.topology path)).(0)
+    (Topology.flows topo).(0)
     ~t0:warmup
     ~t1:(warmup +. duration)
 
@@ -52,11 +54,13 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(selfish_counts = [ 1; 2; 4; 8 ]) () =
           [
             Exp_common.task ~seed ~label:(label "vs-pcc") (fun () ->
                 normal_tcp_throughput ~seed ~duration ~bandwidth ~rtt
-                  (List.init n (fun _ -> Path.flow (Transport.pcc ()))));
+                  (List.init n (fun _ ->
+                       Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()))));
             Exp_common.task ~seed ~label:(label "vs-bundle") (fun () ->
                 normal_tcp_throughput ~seed ~duration ~bandwidth ~rtt
                   (List.init (n * 10) (fun _ ->
-                       Path.flow (Transport.tcp "newreno"))));
+                       Topology.flow ~route:[ 0; 1 ]
+                         (Transport.tcp "newreno"))));
           ])
         selfish_counts)
     configs

@@ -41,7 +41,7 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(losses = [ 0.1; 0.2; 0.3; 0.4; 0.5 ])
               ( loss,
                 Exp_common.solo_throughput ~seed ~bandwidth ~rtt ~buffer
                   ~duration ~loss
-                  ~queue:(Path.Fq Path.Droptail) spec )))
+                  ~queue:(Topology.Fq Topology.Droptail) spec )))
         (specs ()))
     losses
 

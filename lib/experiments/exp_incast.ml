@@ -15,18 +15,11 @@ let round ~seed ~senders ~block spec =
   (* Sub-millisecond start jitter: the barrier is software, not a pulse
      generator, and perfectly synchronized identical senders would act in
      unrealistic lockstep. *)
-  (* The incast star collapses onto the graph as a dumbbell: every sender
-     shares the switch's 1 Gbps egress link. Specs mirror what Path.build
-     would produce, so seeded results are identical with the pre-graph
-     implementation. *)
-  let rtt = 0.0001 in
+  (* The incast star collapses onto a dumbbell: every sender shares the
+     switch's 1 Gbps egress link. *)
   let topo =
-    Topology.build engine ~rng
-      ~links:
-        [
-          Topology.link ~name:"bottleneck" ~delay:(rtt /. 2.) ~buffer:65536
-            ~src:0 ~dst:1 ~bandwidth:(Units.gbps 1.) ();
-        ]
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.gbps 1.) ~rtt:0.0001
+      ~buffer:65536
       ~flows:
         (List.init senders (fun _ ->
              Topology.flow

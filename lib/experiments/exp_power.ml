@@ -10,16 +10,19 @@ let measure ~seed ~duration ~queue spec name =
   (* Per-flow sub-queue capacity: 512 KB is the "bufferbloat" deep buffer
      (~100 ms of queueing at a 20 Mbps fair share); CoDel runs over the
      same capacity but keeps sojourn times near its 5 ms target. *)
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt ~buffer:(Units.kib 512) ~queue
-      ~flows:[ Path.flow spec; Path.flow spec ]
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt ~buffer:(Units.kib 512)
+      ~queue
+      ~flows:
+        [
+          Topology.flow ~route:[ 0; 1 ] spec;
+          Topology.flow ~route:[ 0; 1 ] spec;
+        ]
       ()
   in
   let warmup = Float.max 20. (duration /. 4.) in
   Engine.run ~until:warmup engine;
-  let b0 =
-    Array.map (fun f -> Path.goodput_bytes f) (Path.flows path)
-  in
+  let b0 = Array.map Topology.goodput_bytes (Topology.flows topo) in
   (* Sample RTT along the measurement window. *)
   let rtt_sum = ref 0. and rtt_n = ref 0 in
   let steps = 20 in
@@ -29,11 +32,11 @@ let measure ~seed ~duration ~queue spec name =
       engine;
     Array.iter
       (fun f ->
-        rtt_sum := !rtt_sum +. f.Path.sender.Pcc_net.Sender.srtt ();
+        rtt_sum := !rtt_sum +. f.Topology.sender.Pcc_net.Sender.srtt ();
         incr rtt_n)
-      (Path.flows path)
+      (Topology.flows topo)
   done;
-  let b1 = Array.map (fun f -> Path.goodput_bytes f) (Path.flows path) in
+  let b1 = Array.map Topology.goodput_bytes (Topology.flows topo) in
   let tputs =
     Array.mapi (fun i b -> float_of_int ((b - b0.(i)) * 8) /. duration) b1
   in
@@ -52,10 +55,12 @@ let combos () =
       ()
   in
   [
-    ("TCP + FQ + CoDel", Path.Fq Path.Codel, Transport.tcp "cubic");
-    ("TCP + FQ + Bufferbloat", Path.Fq Path.Droptail, Transport.tcp "cubic");
-    ("PCC + FQ + CoDel", Path.Fq Path.Codel, pcc_latency);
-    ("PCC + FQ + Bufferbloat", Path.Fq Path.Droptail, pcc_latency);
+    ("TCP + FQ + CoDel", Topology.Fq Topology.Codel, Transport.tcp "cubic");
+    ( "TCP + FQ + Bufferbloat",
+      Topology.Fq Topology.Droptail,
+      Transport.tcp "cubic" );
+    ("PCC + FQ + CoDel", Topology.Fq Topology.Codel, pcc_latency);
+    ("PCC + FQ + Bufferbloat", Topology.Fq Topology.Droptail, pcc_latency);
   ]
 
 let tasks ?(scale = 1.) ?(seed = 42) () =

@@ -12,22 +12,25 @@ let measure_ratio ~seed ~duration ~long_rtt spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   (* Base RTT is the short flow's; the long flow adds the difference. *)
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt:short_rtt ~buffer
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt:short_rtt ~buffer
       ~flows:
         [
-          Path.flow ~label:"long" ~extra_rtt:(long_rtt -. short_rtt) spec;
-          Path.flow ~label:"short" ~start_at:5. spec;
+          Topology.flow ~route:[ 0; 1 ] ~label:"long"
+            ~extra_rtt:(long_rtt -. short_rtt) spec;
+          Topology.flow ~route:[ 0; 1 ] ~label:"short" ~start_at:5. spec;
         ]
       ()
   in
-  let flows = Path.flows path in
+  let flows = Topology.flows topo in
   (* Let the competition settle for a fifth of the run, then measure. *)
   let t0 = 5. +. (duration /. 5.) and t1 = 5. +. duration in
   Engine.run ~until:t0 engine;
-  let l0 = Path.goodput_bytes flows.(0) and s0 = Path.goodput_bytes flows.(1) in
+  let l0 = Topology.goodput_bytes flows.(0)
+  and s0 = Topology.goodput_bytes flows.(1) in
   Engine.run ~until:t1 engine;
-  let l1 = Path.goodput_bytes flows.(0) and s1 = Path.goodput_bytes flows.(1) in
+  let l1 = Topology.goodput_bytes flows.(0)
+  and s1 = Topology.goodput_bytes flows.(1) in
   Exp_common.ratio (float_of_int (l1 - l0)) (float_of_int (s1 - s0))
 
 let specs () =

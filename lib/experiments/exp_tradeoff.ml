@@ -37,16 +37,20 @@ let single ~seed ~horizon spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let b_start = 20. in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
-      ~flows:[ Path.flow spec; Path.flow ~start_at:b_start spec ]
+      ~flows:
+        [
+          Topology.flow ~route:[ 0; 1 ] spec;
+          Topology.flow ~route:[ 0; 1 ] ~start_at:b_start spec;
+        ]
       ()
   in
-  let flow_b = (Path.flows path).(1) in
+  let flow_b = (Topology.flows topo).(1) in
   let rec_b =
     Recorder.create engine ~interval:1. (fun () ->
-        float_of_int (Path.goodput_bytes flow_b))
+        float_of_int (Topology.goodput_bytes flow_b))
   in
   Engine.run ~until:(b_start +. horizon) engine;
   Recorder.stop rec_b;

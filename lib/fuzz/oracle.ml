@@ -156,151 +156,6 @@ let run_once (s : Scenario.t) : (stats, failure) result =
         Ok { events = Engine.executed engine; digest = digest engine topo }))
 
 (* --------------------------------------------------------------- *)
-(* Wrapper differentials: scenarios expressible through the flat
-   [Path] / [Multihop] builders must run bit-identically through them
-   (the wrappers preserve Topology's RNG split order by construction —
-   PR 3's contract — so any divergence is a wrapper bug). *)
-
-let path_applicable (s : Scenario.t) =
-  s.Scenario.cross = []
-  && s.Scenario.dynamics = None
-  && (match s.Scenario.links with
-     | [ l ] -> l.Scenario.src = 0 && l.Scenario.dst = 1
-     | _ -> false)
-  && List.for_all
-       (fun (f : Scenario.flow) ->
-         f.Scenario.route = [ 0; 1 ]
-         && f.Scenario.rev_route = None
-         && f.Scenario.rev_lossy)
-       s.Scenario.flows
-
-let rec consecutive_from a = function
-  | [] -> true
-  | x :: rest -> x = a && consecutive_from (a + 1) rest
-
-let multihop_applicable (s : Scenario.t) =
-  s.Scenario.cross = []
-  && s.Scenario.dynamics = None
-  && List.for_all2
-       (fun i (l : Scenario.link) ->
-         l.Scenario.src = i
-         && l.Scenario.dst = i + 1
-         && l.Scenario.queue = Topology.Droptail
-         && l.Scenario.jitter = 0.)
-       (List.init (List.length s.Scenario.links) Fun.id)
-       s.Scenario.links
-  && List.for_all
-       (fun (f : Scenario.flow) ->
-         f.Scenario.rev_route = None
-         && (not f.Scenario.rev_lossy)
-         && f.Scenario.stop_at = None
-         && f.Scenario.extra_rtt = 0.
-         && (match f.Scenario.route with
-            | a :: _ :: _ -> consecutive_from a f.Scenario.route
-            | _ -> false))
-       s.Scenario.flows
-
-let transport_exn (f : Scenario.flow) =
-  match Transport.of_name f.Scenario.transport with
-  | Ok t -> t
-  | Error m -> invalid_arg m
-
-(* Scenario.build's first RNG split is the topology stream; replaying
-   just that split gives the wrapper the identical stream. *)
-let scenario_topo_rng (s : Scenario.t) =
-  let rng = Rng.create s.Scenario.seed in
-  Rng.split rng
-
-let wrapper_digest (s : Scenario.t) ~name build_fn =
-  let engine = Engine.create () in
-  let violations = ref [] in
-  match
-    guarded_run engine ~duration:s.Scenario.duration ~violations (fun () ->
-        build_fn engine)
-  with
-  | Error f ->
-    Error
-      {
-        oracle = name;
-        detail = "wrapper run failed: " ^ f.oracle ^ ": " ^ f.detail;
-      }
-  | Ok topo -> (
-    match first_violation !violations with
-    | Some f ->
-      Error
-        {
-          oracle = name;
-          detail = "wrapper run violated " ^ f.oracle ^ ": " ^ f.detail;
-        }
-    | None -> Ok (digest engine topo))
-
-(* The wrapper runs replicate [Scenario.build]'s fault injection (the
-   applicability predicates already exclude cross traffic and dynamics,
-   whose RNG splits therefore never get consumed in the base run
-   either... they do — build splits unconditionally — but only the
-   topology stream feeds simulated events, so the digests still agree). *)
-let run_path (s : Scenario.t) engine =
-  let topo_rng = scenario_topo_rng s in
-  let l = List.hd s.Scenario.links in
-  let flows =
-    List.map
-      (fun (f : Scenario.flow) ->
-        Path.flow ~start_at:f.Scenario.start_at ?stop_at:f.Scenario.stop_at
-          ?size:f.Scenario.size ~extra_rtt:f.Scenario.extra_rtt
-          (transport_exn f))
-      s.Scenario.flows
-  in
-  let path =
-    Path.build engine ~rng:topo_rng ~bandwidth:l.Scenario.bandwidth
-      ~rtt:(2. *. l.Scenario.delay) ~buffer:l.Scenario.buffer
-      ~queue:l.Scenario.queue ~loss:l.Scenario.loss ~jitter:l.Scenario.jitter
-      ~flows ()
-  in
-  let topo = Path.topology path in
-  if s.Scenario.faults <> [] then
-    Fault.inject (Fault.target_of_topology topo) s.Scenario.faults;
-  (topo, fun () -> ())
-
-let run_multihop (s : Scenario.t) engine =
-  let topo_rng = scenario_topo_rng s in
-  let hops =
-    List.map
-      (fun (l : Scenario.link) ->
-        Multihop.hop ~delay:l.Scenario.delay ~buffer:l.Scenario.buffer
-          ~loss:l.Scenario.loss ~bandwidth:l.Scenario.bandwidth ())
-      s.Scenario.links
-  in
-  let flows =
-    List.map
-      (fun (f : Scenario.flow) ->
-        let enter = List.hd f.Scenario.route in
-        let exit = List.nth f.Scenario.route (List.length f.Scenario.route - 1) in
-        Multihop.flow ~start_at:f.Scenario.start_at ?size:f.Scenario.size ~enter
-          ~exit (transport_exn f))
-      s.Scenario.flows
-  in
-  let mh = Multihop.build engine ~rng:topo_rng ~hops ~flows () in
-  let topo = Multihop.topology mh in
-  if s.Scenario.faults <> [] then
-    Fault.inject (Fault.target_of_topology topo) s.Scenario.faults;
-  (topo, fun () -> ())
-
-let wrapper_check (s : Scenario.t) (base : stats) =
-  let compare_digest name build_fn =
-    match wrapper_digest s ~name build_fn with
-    | Error f -> Some f
-    | Ok d when d <> base.digest ->
-      Some
-        { oracle = name; detail = "wrapper digest differs from topology run" }
-    | Ok _ -> None
-    | exception exn -> Some { oracle = name; detail = Printexc.to_string exn }
-  in
-  if path_applicable s then compare_digest "wrapper-path" (run_path s)
-  else if multihop_applicable s then
-    compare_digest "wrapper-multihop" (run_multihop s)
-  else None
-
-(* --------------------------------------------------------------- *)
 (* Deep differentials: cost real wall-clock (domain spawns, temp-file
    IO), so the fuzz loop only enables them on a subset of runs. *)
 
@@ -424,7 +279,4 @@ let test ?(synth = fun _ -> None) ?(deep = true) (s : Scenario.t) =
                 oracle = "persist-replay";
                 detail = "decoded scenario runs to a different digest";
               }
-          | Ok _ -> (
-            match wrapper_check s base with
-            | Some f -> Some f
-            | None -> if deep then deep_checks s base else None)))))
+          | Ok _ -> if deep then deep_checks s base else None))))

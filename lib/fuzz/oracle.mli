@@ -23,10 +23,6 @@
       patterns, event counts);
     - serialization: [of_string (to_string s)] is structurally equal to
       [s] and runs to an identical digest;
-    - wrapper equivalence: a scenario expressible through the flat
-      {!Pcc_scenario.Path} (single dumbbell link) or
-      {!Pcc_scenario.Multihop} (droptail chain) wrappers must run
-      bit-identically through them;
     - supervised execution: running the scenario as a
       {!Pcc_experiments.Runner} task at [jobs = 1] and [jobs = 2]
       yields identical digests;
@@ -38,7 +34,7 @@
 
 type failure = { oracle : string; detail : string }
 (** [oracle] names the property that failed (e.g. ["invariant:occupancy"],
-    ["determinism"], ["wrapper-path"]); the shrinker preserves it while
+    ["determinism"], ["persist-replay"]); the shrinker preserves it while
     minimizing. *)
 
 type stats = { events : int; digest : string }

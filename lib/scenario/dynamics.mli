@@ -3,9 +3,7 @@
     uniformly from the given ranges. Records the bandwidth (= optimal
     send rate) series for comparison with each protocol's rate tracking.
 
-    Drive a [Path] dumbbell with
-    [start engine ~rng ~topo:(Path.topology path) ()] — link 0 is the
-    bottleneck. *)
+    On a {!Topology.dumbbell}, the default link 0 is the bottleneck. *)
 
 type t
 

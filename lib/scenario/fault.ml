@@ -93,9 +93,6 @@ let target_of_topology ?links:ids topo =
     rev_loss = (fun () -> Topology.rev_loss topo);
   }
 
-let target_of_path path = target_of_topology (Path.topology path)
-let target_of_multihop mh = target_of_topology (Multihop.topology mh)
-
 (* ------------------------------------------------------------------ *)
 (* Compilation onto engine timers *)
 
@@ -190,8 +187,6 @@ let apply_event tgt ev =
             Link.set_loss link saved))
 
 let inject tgt sched = List.iter (apply_event tgt) sched
-
-let inject_path path sched = inject (target_of_path path) sched
 
 (* ------------------------------------------------------------------ *)
 (* Seeded chaos generator *)

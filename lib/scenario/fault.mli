@@ -46,8 +46,8 @@ type kind =
       (** Each packet delayed an extra [extra] seconds with probability
           [prob], arriving behind later-sent packets. *)
   | Partition of { duration : float; hop : int }
-      (** Total loss on one hop of a multihop chain (index into
-          {!target}[.links]). *)
+      (** Total loss on one of the target's links (index into
+          {!target}[.links]), e.g. one hop of a parking-lot chain. *)
 
 type event = { at : float; kind : kind }
 
@@ -88,15 +88,6 @@ val target_of_topology : ?links:Topology.link_id list -> Topology.t -> target
     list. Reverse-path faults drive {!Topology.set_rev_loss}, which only
     affects flows whose ideal reverse lines are loss-capable. *)
 
-val target_of_path : Path.t -> target
-(** [target_of_topology (Path.topology p)]: faults hit the bottleneck
-    link and the reverse delay lines. *)
-
-val target_of_multihop : Multihop.t -> target
-(** [target_of_topology (Multihop.topology mh)]: link faults hit
-    {e every} hop; {!Partition} singles one out. Reverse-path faults have
-    no effect (multihop reverse lines carry no RNG). *)
-
 (** {1 Injection} *)
 
 val inject : target -> schedule -> unit
@@ -104,9 +95,6 @@ val inject : target -> schedule -> unit
     onset, one per restoration. Must be called before the engine passes
     the earliest [at].
     @raise Invalid_argument on a {!Partition} hop outside the target. *)
-
-val inject_path : Path.t -> schedule -> unit
-(** [inject_path p s] is [inject (target_of_path p) s]. *)
 
 (** {1 Chaos gauntlets} *)
 

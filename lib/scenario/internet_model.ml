@@ -38,24 +38,26 @@ let describe p =
 let measure ?(duration = 30.) ~seed p spec =
   let engine = Engine.create () in
   let rng = Rng.create seed in
-  let path =
-    Path.build engine ~rng:(Rng.split rng) ~bandwidth:p.bandwidth ~rtt:p.rtt
-      ~buffer:p.buffer ~loss:p.loss ~jitter:p.jitter
-      ~flows:[ Path.flow spec ] ()
+  let topo =
+    Topology.dumbbell engine ~rng:(Rng.split rng) ~bandwidth:p.bandwidth
+      ~rtt:p.rtt ~buffer:p.buffer ~loss:p.loss ~jitter:p.jitter
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
+      ()
   in
   let cross =
     if p.cross_fraction > 0.001 then
       Some
         (Cross_traffic.onoff engine ~rng:(Rng.split rng)
-           ~sink:(Path.send_bottleneck path)
+           ~sink:(Topology.send_link topo 0)
            ~rate:(2. *. p.cross_fraction *. p.bandwidth)
            ~on_mean:0.25 ~off_mean:0.25 ())
     else None
   in
   let warmup = Float.max 3. (20. *. p.rtt) in
   Engine.run ~until:warmup engine;
-  let b0 = Path.goodput_bytes (Path.flows path).(0) in
+  let flow = (Topology.flows topo).(0) in
+  let b0 = Topology.goodput_bytes flow in
   Engine.run ~until:(warmup +. duration) engine;
-  let b1 = Path.goodput_bytes (Path.flows path).(0) in
+  let b1 = Topology.goodput_bytes flow in
   (match cross with Some c -> Cross_traffic.stop c | None -> ());
   float_of_int ((b1 - b0) * 8) /. duration

@@ -164,15 +164,5 @@ let attach_topology ?interval ?on_violation topo =
          (Topology.flows topo))
     ()
 
-let attach_path ?interval ?on_violation path =
-  let topo = Path.topology path in
-  start (Topology.engine topo) ?interval ?on_violation
-    ~links:[| watch_of_link (Topology.link_at topo 0) "bottleneck" |]
-    ~goodputs:
-      (Array.map
-         (fun f () -> Topology.goodput_bytes f)
-         (Topology.flows topo))
-    ()
-
 let stop t = t.stopped <- true
 let checks_run t = t.checks_run

@@ -16,7 +16,7 @@
       capacity × time follows, since goodput counts a subset of delivered
       bytes), with two packets of slack for serialization granularity;
     - {b goodput monotonicity} — per-flow receiver goodput never
-      decreases (topology, path and multihop targets).
+      decreases (topology targets).
 
     A violation raises {!Violation} by default (inside an engine callback,
     so under the engine's [Raise] policy it surfaces as
@@ -44,11 +44,6 @@ val attach_topology :
   ?interval:float -> ?on_violation:(violation -> unit) -> Topology.t -> t
 (** Watch every link of a graph topology (named per
     {!Topology.link_name}) plus per-flow goodput monotonicity. *)
-
-val attach_path :
-  ?interval:float -> ?on_violation:(violation -> unit) -> Path.t -> t
-(** Watch a single-bottleneck topology: its bottleneck link plus per-flow
-    goodput monotonicity. *)
 
 val check_now : t -> unit
 (** Run one sweep immediately (outside the periodic schedule) — raises

@@ -85,7 +85,6 @@ type t = {
   revs : reverse array;
   fwd_tables : (int, Packet.t -> unit) Hashtbl.t array;  (* data, per node *)
   rev_tables : (int, Packet.t -> unit) Hashtbl.t array;  (* acks, per node *)
-  hooks : (float -> unit) list ref array;
   mutable rev_loss : float;
 }
 
@@ -102,9 +101,8 @@ let rec make_queue kind ~capacity =
 let fail fmt = Printf.ksprintf invalid_arg fmt
 
 (* ------------------------------------------------------------------ *)
-(* Validation — the single checkpoint the Path/Multihop wrappers rely
-   on. Runs before any RNG split or component creation so a rejected
-   build leaves the caller's RNG stream untouched. *)
+(* Validation runs before any RNG split or component creation so a
+   rejected build leaves the caller's RNG stream untouched. *)
 
 let validate_links ~num_nodes specs =
   if specs = [] then fail "Topology.build: need at least one link";
@@ -228,8 +226,8 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
   (* Wiring below consumes the RNG in a frozen order: one split per link
      in list order, then per flow (in list order) one split for the ideal
      reverse line iff the flow is reverse-loss-capable, then one split
-     for the transport. The Path/Multihop wrappers depend on this to keep
-     seeded simulations bit-identical with their pre-graph builders. *)
+     for the transport. Seeded results (the experiment digests, the fuzz
+     corpus) depend on it staying bit-identical. *)
   let specs_a = Array.of_list specs in
   let names =
     Array.mapi
@@ -266,7 +264,6 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
   let built = Array.make n None in
   let revs = Array.make n { line = None; lossy = false } in
   let routes = Array.make n [||] in
-  let hooks = Array.init n (fun _ -> ref []) in
   List.iteri
     (fun i (def, (fwd_ids, rev_ids)) ->
       routes.(i) <- fwd_ids;
@@ -303,8 +300,7 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
           b.fct <- Some fct;
           if Pcc_trace.Collector.enabled () then
             Pcc_trace.Collector.emit Pcc_trace.Event.Flow_complete ~time:at
-              ~id:b.sender.Sender.flow ~a:fct ~b:0. ~i:0;
-          List.iter (fun f -> f fct) !(hooks.(i))
+              ~id:b.sender.Sender.flow ~a:fct ~b:0. ~i:0
         | None -> ()
       in
       let sender =
@@ -413,9 +409,18 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
     revs;
     fwd_tables;
     rev_tables;
-    hooks;
     rev_loss;
   }
+
+let dumbbell engine ~rng ~bandwidth ~rtt ~buffer ?queue ?loss ?rev_loss
+    ?jitter ~flows () =
+  build engine ~rng ?rev_loss
+    ~links:
+      [
+        link ~name:"bottleneck" ~delay:(rtt /. 2.) ~buffer ?queue ?loss ?jitter
+          ~src:0 ~dst:1 ~bandwidth ();
+      ]
+    ~flows ()
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
@@ -449,10 +454,6 @@ let route_links t ~flow =
   Array.to_list t.routes.(flow)
 
 let goodput_bytes b = Receiver.goodput_bytes b.receiver
-
-let on_complete t ~flow f =
-  check_flow t flow;
-  t.hooks.(flow) := f :: !(t.hooks.(flow))
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic knobs *)

@@ -8,21 +8,20 @@
     forward route (and optionally an explicit reverse route, so a
     congested or lossy ack path is expressible) as a list of nodes.
 
-    {!Path} (single bottleneck) and {!Multihop} (parking-lot chain) are
-    thin wrappers over this module; both share one flow-lifecycle
-    implementation here — start/stop scheduling, sized transfers with
-    flow-completion-time recording, goodput accounting, cross-traffic
-    attachment, and the dynamic knobs ({!set_link_bandwidth},
-    {!set_link_delay}, {!set_link_loss}, {!set_rev_loss},
-    {!set_base_rtt}) that the fault-injection and dynamic-network layers
-    drive.
+    Every flow shares one lifecycle implementation here — start/stop
+    scheduling, sized transfers with flow-completion-time recording,
+    goodput accounting, cross-traffic attachment, and the dynamic knobs
+    ({!set_link_bandwidth}, {!set_link_delay}, {!set_link_loss},
+    {!set_rev_loss}, {!set_base_rtt}) that the fault-injection and
+    dynamic-network layers drive. {!dumbbell} builds the single-bottleneck
+    shape of every testbed in the paper's evaluation; a parking-lot chain
+    is a {!build} whose link [i] runs [i -> i+1].
 
     {b Determinism.} [build] derives every random stream by splitting the
     supplied RNG in a fixed order: one split per link in list order, then
     per flow (in list order) one split for the ideal reverse line if the
-    flow is reverse-loss-capable, then one split for the transport. The
-    wrappers preserve the exact split order of their pre-graph
-    implementations, so seeded simulations reproduce bit-for-bit. *)
+    flow is reverse-loss-capable, then one split for the transport. Seeded
+    simulations reproduce bit-for-bit as long as this order holds. *)
 
 type queue_kind =
   | Droptail  (** FIFO, byte capacity = the link's [buffer]. *)
@@ -126,8 +125,7 @@ val build :
     node any link names. [rev_loss] is the initial Bernoulli loss of
     every reverse-loss-capable ideal reverse line.
 
-    All inputs are validated here — this is the single validation point
-    the {!Path} and {!Multihop} wrappers rely on.
+    All inputs are validated here, before the RNG is split.
     @raise Invalid_argument if [links] is empty; if a link has a negative
     endpoint, is a self-loop, duplicates another link's [(src, dst)]
     edge, or has non-positive bandwidth/buffer, negative delay/jitter or
@@ -137,6 +135,28 @@ val build :
     [extra_rtt < 0], a route with fewer than two nodes, a route step
     with no link, a node outside the graph, or a reverse route that does
     not run from the forward route's last node back to its first. *)
+
+val dumbbell :
+  Pcc_sim.Engine.t ->
+  rng:Pcc_sim.Rng.t ->
+  bandwidth:float ->
+  rtt:float ->
+  buffer:int ->
+  ?queue:queue_kind ->
+  ?loss:float ->
+  ?rev_loss:float ->
+  ?jitter:float ->
+  flows:flow_def list ->
+  unit ->
+  t
+(** The single-bottleneck testbed of the paper's evaluation: {!build}
+    with one link named ["bottleneck"] from node 0 to node 1, with delay
+    [rtt /. 2] and [queue] (default droptail) over [buffer] bytes,
+    forward Bernoulli [loss] and uniform [jitter]. Flows should route
+    [[0; 1]]. With the default ideal, lossy-capable reverse line, a flow's
+    acks return after [rtt /. 2 +. extra_rtt /. 2]; [rev_loss] is that
+    line's initial loss.
+    @raise Invalid_argument as {!build} does. *)
 
 (** {1 Accessors} *)
 
@@ -162,13 +182,6 @@ val route_links : t -> flow:int -> link_id list
 val goodput_bytes : built_flow -> int
 (** Distinct payload bytes the flow's receiver has accepted so far. *)
 
-val on_complete : t -> flow:int -> (float -> unit) -> unit
-(** Register an extra callback invoked with the flow-completion time
-    (completion instant minus [start_at]) when the sized flow finishes —
-    after the built flow's [fct] field is set. Used by the wrappers to
-    mirror FCTs into their own records.
-    @raise Invalid_argument if the flow index is out of range. *)
-
 val describe : t -> string
 (** Multi-line human-readable summary: nodes, links with their
     parameters, flows with their routes — what [pcc_sim topo --describe]
@@ -176,8 +189,7 @@ val describe : t -> string
 
 (** {1 Dynamic knobs}
 
-    These subsume the pre-graph [Path.set_base_rtt] / [Path.set_rev_loss]
-    knobs and are what {!Fault}, {!Dynamics} and the invariant checker
+    These are what {!Fault}, {!Dynamics} and the invariant checker
     drive. All raise [Invalid_argument] on an out-of-range link id. *)
 
 val set_link_bandwidth : t -> link_id -> float -> unit

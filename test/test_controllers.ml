@@ -24,17 +24,18 @@ let test_vivace_gradient_convergence () =
   let engine = Engine.create () in
   let rng = Rng.create 42 in
   let bw = Units.mbps 30. in
-  let path =
-    Path.build engine ~rng ~bandwidth:bw ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:bw ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:bw ~rtt:0.03)
-      ~flows:[ Path.flow (named "pcc-vivace") ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (named "pcc-vivace") ]
       ()
   in
   Engine.run ~until:10. engine;
-  let before = Path.goodput_bytes (Path.flows path).(0) in
+  let before = Topology.goodput_bytes (Topology.flows topo).(0) in
   Engine.run ~until:20. engine;
   let mbps =
-    float_of_int ((Path.goodput_bytes (Path.flows path).(0) - before) * 8)
+    float_of_int
+      ((Topology.goodput_bytes (Topology.flows topo).(0) - before) * 8)
     /. 10. /. 1e6
   in
   Alcotest.(check bool) "steady state near capacity" true (mbps > 24.);
@@ -53,23 +54,24 @@ let test_scavenger_yields_and_reclaims () =
   let rng = Rng.create 42 in
   let bw = Units.mbps 30. in
   let w = 5. in
-  let path =
-    Path.build engine ~rng ~bandwidth:bw ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:bw ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:bw ~rtt:0.03)
       ~flows:
         [
-          Path.flow ~label:"background" (named "pcc-proteus-scavenger");
-          Path.flow ~label:"primary" ~start_at:(2. *. w) ~stop_at:(3. *. w)
-            (named "pcc-proteus");
+          Topology.flow ~route:[ 0; 1 ] ~label:"background"
+            (named "pcc-proteus-scavenger");
+          Topology.flow ~route:[ 0; 1 ] ~label:"primary" ~start_at:(2. *. w)
+            ~stop_at:(3. *. w) (named "pcc-proteus");
         ]
       ()
   in
-  let bg = (Path.flows path).(0) in
+  let bg = (Topology.flows topo).(0) in
   let sample t0 t1 =
     Engine.run ~until:t0 engine;
-    let b = Path.goodput_bytes bg in
+    let b = Topology.goodput_bytes bg in
     Engine.run ~until:t1 engine;
-    float_of_int ((Path.goodput_bytes bg - b) * 8) /. (t1 -. t0) /. 1e6
+    float_of_int ((Topology.goodput_bytes bg - b) * 8) /. (t1 -. t0) /. 1e6
   in
   let before = sample (1.5 *. w) (2. *. w) in
   let during = sample (2.5 *. w) (3. *. w) in

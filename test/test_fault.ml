@@ -5,18 +5,18 @@ open Pcc_scenario
    chaos generator's determinism contract, knob restoration, the runtime
    invariant checker, and the recovery metrics. *)
 
-let build_path ?(seed = 31) ?(rev_loss = 0.) () =
+let build_dumbbell ?(seed = 31) ?(rev_loss = 0.) () =
   let engine = Engine.create () in
   let rng = Rng.create seed in
   let bandwidth = Units.mbps 20. in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt:0.03)
       ~rev_loss
-      ~flows:[ Path.flow (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()) ]
       ()
   in
-  (engine, path)
+  (engine, topo)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule algebra *)
@@ -106,9 +106,9 @@ let test_chaos_seed_stability_golden () =
 let test_inject_restores_episodes () =
   (* Jitter / duplication / reordering faults flip their knob on and fully
      off again; no traffic needed to observe the knobs. *)
-  let engine, path = build_path () in
-  let link = Path.bottleneck path in
-  Fault.inject_path path
+  let engine, topo = build_dumbbell () in
+  let link = Topology.link_at topo 0 in
+  Fault.inject (Fault.target_of_topology topo)
     [
       Fault.at 1. (Fault.Jitter_burst { duration = 1.; jitter = 0.004 });
       Fault.at 3. (Fault.Duplication_episode { duration = 1.; prob = 0.5 });
@@ -121,28 +121,28 @@ let test_inject_restores_episodes () =
   Alcotest.(check (float 1e-9)) "jitter off" 0. (Pcc_net.Link.jitter link);
   Engine.run ~until:10. engine;
   Alcotest.(check bool) "flow survived the episodes" true
-    (Path.goodput_bytes (Path.flows path).(0) > 0)
+    (Topology.goodput_bytes (Topology.flows topo).(0) > 0)
 
 let test_reverse_blackhole_restores_baseline () =
-  let engine, path = build_path ~rev_loss:0.1 () in
-  Fault.inject_path path
+  let engine, topo = build_dumbbell ~rev_loss:0.1 () in
+  Fault.inject (Fault.target_of_topology topo)
     [ Fault.at 1. (Fault.Reverse_blackhole { duration = 0.5 }) ];
   Engine.run ~until:1.2 engine;
-  Alcotest.(check (float 1e-9)) "hole open" 1. (Path.rev_loss path);
+  Alcotest.(check (float 1e-9)) "hole open" 1. (Topology.rev_loss topo);
   Engine.run ~until:2. engine;
   Alcotest.(check (float 1e-9)) "baseline ack loss restored" 0.1
-    (Path.rev_loss path)
+    (Topology.rev_loss topo)
 
 let test_zero_duration_fault_is_a_net_noop () =
   (* Onset and restoration land on the same timestamp; FIFO tie-break
      runs them in that order, so a zero-duration fault must leave every
      knob at its baseline and never wedge the link. *)
-  let engine, path = build_path () in
-  let link = Path.bottleneck path in
+  let engine, topo = build_dumbbell () in
+  let link = Topology.link_at topo 0 in
   Alcotest.(check (pair (float 1e-9) (float 1e-9)))
     "zero-duration window is a point" (1., 1.)
     (Fault.window (Fault.at 1. (Fault.Blackout { duration = 0. })));
-  Fault.inject_path path
+  Fault.inject (Fault.target_of_topology topo)
     [
       Fault.at 1. (Fault.Blackout { duration = 0. });
       Fault.at 2. (Fault.Jitter_burst { duration = 0.; jitter = 0.01 });
@@ -154,7 +154,7 @@ let test_zero_duration_fault_is_a_net_noop () =
   Alcotest.(check (float 1e-9)) "jitter back at baseline" 0.
     (Pcc_net.Link.jitter link);
   Alcotest.(check bool) "flow kept moving" true
-    (Path.goodput_bytes (Path.flows path).(0) > 0)
+    (Topology.goodput_bytes (Topology.flows topo).(0) > 0)
 
 let test_overlapping_bursts_on_same_link () =
   (* Two loss bursts overlapping on one link: the documented semantics
@@ -162,10 +162,10 @@ let test_overlapping_bursts_on_same_link () =
      after both windows close the link is left at A's loss — pin that,
      and the intermediate states, so a change to the snapshot discipline
      cannot slip in silently. *)
-  let engine, path = build_path () in
-  let link = Path.bottleneck path in
+  let engine, topo = build_dumbbell () in
+  let link = Topology.link_at topo 0 in
   Pcc_net.Link.set_loss link 0.01;
-  Fault.inject_path path
+  Fault.inject (Fault.target_of_topology topo)
     [
       Fault.at 1. (Fault.Loss_burst { duration = 2.; loss = 0.3 });
       Fault.at 2. (Fault.Loss_burst { duration = 2.; loss = 0.5 });
@@ -186,20 +186,21 @@ let test_overlapping_bursts_on_same_link () =
 let test_partition_targets_one_hop () =
   let engine = Engine.create () in
   let rng = Rng.create 5 in
-  let mh =
-    Multihop.build engine ~rng
-      ~hops:
+  let topo =
+    Topology.build engine ~rng
+      ~links:
         [
-          Multihop.hop ~bandwidth:(Units.mbps 20.) ~delay:0.005 ();
-          Multihop.hop ~bandwidth:(Units.mbps 20.) ~delay:0.005 ();
+          Topology.link ~src:0 ~dst:1 ~bandwidth:(Units.mbps 20.) ();
+          Topology.link ~src:1 ~dst:2 ~bandwidth:(Units.mbps 20.) ();
         ]
-      ~flows:[ Multihop.flow ~enter:0 ~exit:2 (Transport.pcc ()) ]
+      ~flows:
+        [ Topology.flow ~rev_lossy:false ~route:[ 0; 1; 2 ] (Transport.pcc ()) ]
       ()
   in
-  let tgt = Fault.target_of_multihop mh in
+  let tgt = Fault.target_of_topology topo in
   Fault.inject tgt [ Fault.at 1. (Fault.Partition { duration = 1.; hop = 1 }) ];
   Engine.run ~until:1.5 engine;
-  let links = Multihop.links mh in
+  let links = Topology.links topo in
   Alcotest.(check (float 1e-9)) "hop 0 untouched" 0.
     (Pcc_net.Link.loss links.(0));
   Alcotest.(check (float 1e-9)) "hop 1 partitioned" 1.
@@ -216,8 +217,8 @@ let test_partition_targets_one_hop () =
 (* Invariant checker *)
 
 let test_invariants_pass_on_healthy_run () =
-  let engine, path = build_path () in
-  let inv = Invariant.attach_path path in
+  let engine, topo = build_dumbbell () in
+  let inv = Invariant.attach_topology topo in
   Engine.run ~until:5. engine;
   Invariant.check_now inv;
   Alcotest.(check bool) "swept many times" true (Invariant.checks_run inv > 50);
@@ -229,9 +230,9 @@ let test_invariants_pass_on_healthy_run () =
 let test_invariants_pass_under_faults () =
   (* The checker must hold across every fault kind — faults perturb the
      network, never the accounting. *)
-  let engine, path = build_path () in
-  let inv = Invariant.attach_path path in
-  Fault.inject_path path
+  let engine, topo = build_dumbbell () in
+  let inv = Invariant.attach_topology topo in
+  Fault.inject (Fault.target_of_topology topo)
     [
       Fault.at 1. (Fault.Loss_burst { duration = 1.; loss = 0.3 });
       Fault.at 3. (Fault.Bandwidth_cliff { duration = 1.; factor = 0.2 });

@@ -6,6 +6,6 @@ let () =
    @ Test_rate_transports.suites @ Test_pcc.suites @ Test_utility.suites
    @ Test_controllers.suites @ Test_game.suites @ Test_metrics.suites @ Test_scenario.suites
    @ Test_persist.suites @ Test_fuzz.suites
-   @ Test_multihop.suites @ Test_topology.suites @ Test_robustness.suites
+   @ Test_topology.suites @ Test_robustness.suites
    @ Test_fault.suites
    @ Test_experiments.suites @ Test_runner.suites @ Test_trace.suites)

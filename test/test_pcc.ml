@@ -380,37 +380,41 @@ let prop_controller_trials_bracket_base =
 let test_pcc_sender_completes_transfer () =
   let engine = Engine.create () in
   let rng = Rng.create 8 in
-  let path =
-    Pcc_scenario.Path.build engine ~rng ~bandwidth:(Units.mbps 20.) ~rtt:0.02
-      ~buffer:(Units.kib 64) ~loss:0.03
+  let topo =
+    Pcc_scenario.Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 20.)
+      ~rtt:0.02 ~buffer:(Units.kib 64) ~loss:0.03
       ~flows:
         [
-          Pcc_scenario.Path.flow ~size:(300 * Units.mss)
+          Pcc_scenario.Topology.flow ~route:[ 0; 1 ] ~size:(300 * Units.mss)
             (Pcc_scenario.Transport.pcc ());
         ]
       ()
   in
   Engine.run ~until:60. engine;
-  let f = (Pcc_scenario.Path.flows path).(0) in
+  let f = (Pcc_scenario.Topology.flows topo).(0) in
   Alcotest.(check bool) "complete despite 3% loss" true
-    (f.Pcc_scenario.Path.sender.Pcc_net.Sender.is_complete ())
+    (f.Pcc_scenario.Topology.sender.Pcc_net.Sender.is_complete ())
 
 let test_pcc_sender_stop_silences () =
   let engine = Engine.create () in
   let rng = Rng.create 8 in
-  let path =
-    Pcc_scenario.Path.build engine ~rng ~bandwidth:(Units.mbps 20.) ~rtt:0.02
-      ~buffer:(Units.kib 64)
-      ~flows:[ Pcc_scenario.Path.flow ~stop_at:1. (Pcc_scenario.Transport.pcc ()) ]
+  let topo =
+    Pcc_scenario.Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 20.)
+      ~rtt:0.02 ~buffer:(Units.kib 64)
+      ~flows:
+        [
+          Pcc_scenario.Topology.flow ~route:[ 0; 1 ] ~stop_at:1.
+            (Pcc_scenario.Transport.pcc ());
+        ]
       ()
   in
   Engine.run ~until:1.2 engine;
-  let f = (Pcc_scenario.Path.flows path).(0) in
-  let sent = f.Pcc_scenario.Path.sender.Pcc_net.Sender.sent_pkts () in
+  let f = (Pcc_scenario.Topology.flows topo).(0) in
+  let sent = f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts () in
   Engine.run ~until:3. engine;
   Alcotest.(check int) "no sends after stop"
     sent
-    (f.Pcc_scenario.Path.sender.Pcc_net.Sender.sent_pkts ())
+    (f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts ())
 
 (* Every rate change discards the open MI (§3.1's re-alignment), and a
    discarded MI never returns a result, so its plan is only dropped when

@@ -7,38 +7,40 @@ let solo ?(bandwidth = Units.mbps 50.) ?(rtt = 0.04) ?(loss = 0.)
     ?(jitter = 0.) ?(duration = 30.) ?size spec =
   let engine = Engine.create () in
   let rng = Rng.create 21 in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~loss ~jitter
-      ~flows:[ Path.flow ?size spec ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] ?size spec ]
       ()
   in
   Engine.run ~until:duration engine;
-  (engine, path, (Path.flows path).(0))
+  (engine, topo, (Topology.flows topo).(0))
 
 let test_sabul_reaches_capacity () =
   let _, _, f = solo Transport.sabul in
-  let tput = float_of_int (Path.goodput_bytes f * 8) /. 30. in
+  let tput = float_of_int (Topology.goodput_bytes f * 8) /. 30. in
   Alcotest.(check bool) "above 70% of capacity" true
     (tput > 0.7 *. Units.mbps 50.)
 
 let test_sabul_loss_tolerant_but_below_pcc () =
   let _, _, sab = solo ~loss:0.01 ~duration:60. Transport.sabul in
   let _, _, reno = solo ~loss:0.01 ~duration:60. (Transport.tcp "newreno") in
-  let t_sab = Path.goodput_bytes sab and t_reno = Path.goodput_bytes reno in
+  let t_sab = Topology.goodput_bytes sab
+  and t_reno = Topology.goodput_bytes reno in
   Alcotest.(check bool) "sabul beats reno under random loss" true
     (t_sab > 2 * t_reno)
 
 let test_sabul_finite_transfer () =
   let size = 200 * Units.mss in
   let _, _, f = solo ~loss:0.02 ~duration:60. ~size Transport.sabul in
-  Alcotest.(check bool) "completes" true (f.Path.sender.Pcc_net.Sender.is_complete ());
-  Alcotest.(check bool) "fct recorded" true (f.Path.fct <> None)
+  Alcotest.(check bool) "completes" true
+    (f.Topology.sender.Pcc_net.Sender.is_complete ());
+  Alcotest.(check bool) "fct recorded" true (f.Topology.fct <> None)
 
 let test_pcp_reaches_capacity_on_clean_link () =
   let _, _, f = solo ~duration:40. Transport.pcp in
-  let tput = float_of_int (Path.goodput_bytes f * 8) /. 40. in
+  let tput = float_of_int (Topology.goodput_bytes f * 8) /. 40. in
   Alcotest.(check bool) "above 60% of capacity" true
     (tput > 0.6 *. Units.mbps 50.)
 
@@ -46,8 +48,8 @@ let test_pcp_underestimates_with_jitter () =
   (* §5: latency jitter breaks packet-train dispersion estimates. *)
   let _, _, clean = solo ~duration:40. Transport.pcp in
   let _, _, jittery = solo ~jitter:0.004 ~duration:40. Transport.pcp in
-  let t_clean = Path.goodput_bytes clean in
-  let t_jit = Path.goodput_bytes jittery in
+  let t_clean = Topology.goodput_bytes clean in
+  let t_jit = Topology.goodput_bytes jittery in
   Alcotest.(check bool) "jitter hurts PCP" true
     (float_of_int t_jit < 0.8 *. float_of_int t_clean)
 
@@ -55,20 +57,20 @@ let test_pcp_finite_transfer () =
   let size = 100 * Units.mss in
   let _, _, f = solo ~loss:0.01 ~duration:60. ~size Transport.pcp in
   Alcotest.(check bool) "completes" true
-    (f.Path.sender.Pcc_net.Sender.is_complete ())
+    (f.Topology.sender.Pcc_net.Sender.is_complete ())
 
 let test_cross_traffic_occupies_share () =
   let engine = Engine.create () in
   let rng = Rng.create 4 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
       ~buffer:(Units.kib 64)
-      ~flows:[ Path.flow (Transport.tcp "newreno") ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.tcp "newreno") ]
       ()
   in
   let ct =
     Cross_traffic.onoff engine ~rng:(Rng.create 5)
-      ~sink:(Path.send_bottleneck path)
+      ~sink:(Topology.send_link topo 0)
       ~rate:(Units.mbps 5.) ~on_mean:0.5 ~off_mean:0.5 ()
   in
   Engine.run ~until:20. engine;
@@ -76,7 +78,7 @@ let test_cross_traffic_occupies_share () =
   Alcotest.(check bool) "cross traffic sent packets" true
     (Cross_traffic.sent_pkts ct > 100);
   let tcp_share =
-    float_of_int (Path.goodput_bytes (Path.flows path).(0) * 8) /. 20.
+    float_of_int (Topology.goodput_bytes (Topology.flows topo).(0) * 8) /. 20.
   in
   (* TCP should lose a visible share of the 10 Mbps to the bursts. *)
   Alcotest.(check bool) "tcp squeezed" true (tcp_share < Units.mbps 9.5);
@@ -85,15 +87,14 @@ let test_cross_traffic_occupies_share () =
 let test_dynamics_driver_changes_link () =
   let engine = Engine.create () in
   let rng = Rng.create 6 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.05
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 50.) ~rtt:0.05
       ~buffer:(Units.kib 128)
-      ~flows:[ Path.flow (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()) ]
       ()
   in
   let dyn =
-    Dynamics.start engine ~rng:(Rng.create 7) ~topo:(Path.topology path)
-      ~period:1. ()
+    Dynamics.start engine ~rng:(Rng.create 7) ~topo ~period:1. ()
   in
   Engine.run ~until:10.5 engine;
   Dynamics.stop dyn;

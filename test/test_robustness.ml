@@ -11,26 +11,28 @@ let build ?(bandwidth = Units.mbps 50.) ?(rtt = 0.03) ?(loss = 0.)
     ?(rev_loss = 0.) ?seed:(sd = 31) spec =
   let engine = Engine.create () in
   let rng = Rng.create sd in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
       ~loss ~rev_loss
-      ~flows:[ Path.flow spec ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
       ()
   in
-  (engine, path, (Path.flows path).(0))
+  (engine, topo, (Topology.flows topo).(0))
 
 let window_mbps engine f t0 t1 =
   Engine.run ~until:t0 engine;
-  let b0 = Path.goodput_bytes f in
+  let b0 = Topology.goodput_bytes f in
   Engine.run ~until:t1 engine;
-  float_of_int ((Path.goodput_bytes f - b0) * 8) /. (t1 -. t0) /. 1e6
+  float_of_int ((Topology.goodput_bytes f - b0) * 8) /. (t1 -. t0) /. 1e6
 
 let test_pcc_survives_blackout () =
-  let engine, path, f = build (Transport.pcc ()) in
-  ignore (Invariant.attach_path path);
+  let engine, topo, f = build (Transport.pcc ()) in
+  ignore (Invariant.attach_topology topo);
   (* Total blackout between t=10 and t=13. *)
-  Fault.inject_path path [ Fault.at 10. (Fault.Blackout { duration = 3. }) ];
+  Fault.inject
+    (Fault.target_of_topology topo)
+    [ Fault.at 10. (Fault.Blackout { duration = 3. }) ];
   let before = window_mbps engine f 5. 10. in
   let during = window_mbps engine f 10.5 12.5 in
   let after = window_mbps engine f 25. 40. in
@@ -48,8 +50,10 @@ let test_blackout_resume_with_rto_backstop () =
     let c = Pcc_trace.Collector.create ~capacity:500_000 () in
     Pcc_trace.Collector.install c;
     Fun.protect ~finally:Pcc_trace.Collector.uninstall @@ fun () ->
-    let engine, path, f = build spec in
-    Fault.inject_path path [ Fault.at 10. (Fault.Blackout { duration = 5. }) ];
+    let engine, topo, f = build spec in
+    Fault.inject
+      (Fault.target_of_topology topo)
+      [ Fault.at 10. (Fault.Blackout { duration = 5. }) ];
     let before = window_mbps engine f 5. 10. in
     let during = window_mbps engine f 10.5 14.5 in
     let after = window_mbps engine f 30. 45. in
@@ -77,10 +81,10 @@ let test_blackout_resume_with_rto_backstop () =
   Alcotest.(check bool) "cubic fired the RTO backstop" true (rto_cub >= 1)
 
 let test_pcc_adapts_to_bandwidth_cliff () =
-  let engine, path, f = build (Transport.pcc ()) in
-  ignore (Invariant.attach_path path);
+  let engine, topo, f = build (Transport.pcc ()) in
+  ignore (Invariant.attach_topology topo);
   (* 50 -> 5 Mbps at t=15, restored at t=30. *)
-  Fault.inject_path path
+  Fault.inject (Fault.target_of_topology topo)
     [ Fault.at 15. (Fault.Bandwidth_cliff { duration = 15.; factor = 0.1 }) ];
   let high1 = window_mbps engine f 8. 14. in
   let low = window_mbps engine f 22. 29. in
@@ -93,15 +97,15 @@ let test_pcc_adapts_to_bandwidth_cliff () =
 let test_pcc_tolerates_ack_loss () =
   (* 20% ack loss: cumulative acks must keep the monitor's loss estimate
      at the true (zero) data loss. *)
-  let engine, path, f = build (Transport.pcc ()) in
-  Fault.inject_path path
+  let engine, topo, f = build (Transport.pcc ()) in
+  Fault.inject (Fault.target_of_topology topo)
     [ Fault.at 0. (Fault.Reverse_loss_burst { duration = 45.; loss = 0.2 }) ];
   let tput = window_mbps engine f 10. 40. in
   Alcotest.(check bool) "still near capacity" true (tput > 35.)
 
 let test_tcp_tolerates_ack_loss () =
-  let engine, path, f = build (Transport.tcp "newreno") in
-  Fault.inject_path path
+  let engine, topo, f = build (Transport.tcp "newreno") in
+  Fault.inject (Fault.target_of_topology topo)
     [ Fault.at 0. (Fault.Reverse_loss_burst { duration = 45.; loss = 0.2 }) ];
   let tput = window_mbps engine f 10. 40. in
   Alcotest.(check bool) "cumulative acks carry reno" true (tput > 25.)
@@ -109,8 +113,8 @@ let test_tcp_tolerates_ack_loss () =
 let test_pcc_reverse_blackhole_then_recovery () =
   (* All acks vanish for 2 s: every MI during the hole reads 100% loss;
      PCC must neither crash nor deadlock, and must come back. *)
-  let engine, path, f = build ~seed:13 (Transport.pcc ()) in
-  Fault.inject_path path
+  let engine, topo, f = build ~seed:13 (Transport.pcc ()) in
+  Fault.inject (Fault.target_of_topology topo)
     [ Fault.at 8. (Fault.Reverse_blackhole { duration = 2. }) ];
   Engine.run ~until:30. engine;
   let late = window_mbps engine f 30. 45. in
@@ -119,8 +123,10 @@ let test_pcc_reverse_blackhole_then_recovery () =
 let test_pcc_forward_blackhole_then_recovery () =
   (* The forward-path variant of the same hole (the pre-Fault-API version
      of this test): the monitor again sees nothing come back. *)
-  let engine, path, f = build ~seed:13 (Transport.pcc ()) in
-  Fault.inject_path path [ Fault.at 8. (Fault.Blackout { duration = 2. }) ];
+  let engine, topo, f = build ~seed:13 (Transport.pcc ()) in
+  Fault.inject
+    (Fault.target_of_topology topo)
+    [ Fault.at 8. (Fault.Blackout { duration = 2. }) ];
   Engine.run ~until:30. engine;
   let late = window_mbps engine f 30. 45. in
   Alcotest.(check bool) "recovered" true (late > 30.)
@@ -128,9 +134,9 @@ let test_pcc_forward_blackhole_then_recovery () =
 let test_fault_restoration_is_exact () =
   (* Faults snapshot the knob they perturb and restore it, composing with
      a standing baseline impairment. *)
-  let engine, path, _ = build ~loss:0.01 (Transport.pcc ()) in
-  let link = Path.bottleneck path in
-  Fault.inject_path path
+  let engine, topo, _ = build ~loss:0.01 (Transport.pcc ()) in
+  let link = Topology.link_at topo 0 in
+  Fault.inject (Fault.target_of_topology topo)
     [
       Fault.at 2. (Fault.Loss_burst { duration = 1.; loss = 0.3 });
       Fault.at 5. (Fault.Bandwidth_cliff { duration = 1.; factor = 0.25 });
@@ -163,27 +169,27 @@ let test_chaos_gauntlet_pcc_vs_cubic () =
     let rng = Rng.create 11 in
     let fault_rng = Rng.split rng in
     let bandwidth = Units.mbps 50. in
-    let path =
-      Path.build engine ~rng ~bandwidth ~rtt:0.03
+    let topo =
+      Topology.dumbbell engine ~rng ~bandwidth ~rtt:0.03
         ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt:0.03)
-        ~flows:[ Path.flow spec ]
+        ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
         ()
     in
-    ignore (Invariant.attach_path path);
-    let f = (Path.flows path).(0) in
+    ignore (Invariant.attach_topology topo);
+    let f = (Topology.flows topo).(0) in
     let recorder =
       Pcc_metrics.Recorder.create engine ~interval:0.25 (fun () ->
-          float_of_int (Path.goodput_bytes f))
+          float_of_int (Topology.goodput_bytes f))
     in
     let schedule = Fault.chaos ~rng:fault_rng ~duration:60. () in
-    Fault.inject_path path schedule;
+    Fault.inject (Fault.target_of_topology topo) schedule;
     Engine.run ~until:60. engine;
     let reports =
       Pcc_metrics.Recovery.analyze
         ~series:(Pcc_metrics.Recorder.rates_bps recorder)
         (Fault.windows schedule)
     in
-    (Fault.windows schedule, reports, Path.goodput_bytes f)
+    (Fault.windows schedule, reports, Topology.goodput_bytes f)
   in
   let faults_pcc, reports_pcc, goodput_pcc = gauntlet (Transport.pcc ()) in
   let faults_cubic, reports_cubic, goodput_cubic =
@@ -219,7 +225,7 @@ let test_determinism_end_to_end () =
       build ~loss:0.01 ~seed:77 (Transport.pcc ())
     in
     Engine.run ~until:20. engine;
-    (Path.goodput_bytes f, f.Path.sender.Pcc_net.Sender.sent_pkts ())
+    (Topology.goodput_bytes f, f.Topology.sender.Pcc_net.Sender.sent_pkts ())
   in
   let a = run () and b = run () in
   Alcotest.(check (pair int int)) "bit-identical" a b
@@ -228,7 +234,7 @@ let test_seeds_actually_vary () =
   let run sd =
     let engine, _, f = build ~loss:0.01 ~seed:sd (Transport.pcc ()) in
     Engine.run ~until:10. engine;
-    Path.goodput_bytes f
+    Topology.goodput_bytes f
   in
   Alcotest.(check bool) "different seeds differ" true (run 1 <> run 2)
 
@@ -237,25 +243,27 @@ let test_many_flows_share_link () =
   let engine = Engine.create () in
   let rng = Rng.create 55 in
   let bandwidth = Units.mbps 80. in
-  let path =
-    Path.build engine ~rng ~bandwidth ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth ~rtt:0.02
       ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt:0.02)
-      ~flows:(List.init 16 (fun _ -> Path.flow (Transport.pcc ())))
+      ~flows:
+        (List.init 16 (fun _ ->
+             Topology.flow ~route:[ 0; 1 ] (Transport.pcc ())))
       ()
   in
-  ignore (Invariant.attach_path path);
+  ignore (Invariant.attach_topology topo);
   Engine.run ~until:60. engine;
-  let fs = Path.flows path in
-  let b0 = Array.map Path.goodput_bytes fs in
+  let fs = Topology.flows topo in
+  let b0 = Array.map Topology.goodput_bytes fs in
   let sent0 =
     Array.fold_left
-      (fun acc f -> acc + f.Path.sender.Pcc_net.Sender.sent_pkts ())
+      (fun acc f -> acc + f.Topology.sender.Pcc_net.Sender.sent_pkts ())
       0 fs
   in
   Engine.run ~until:140. engine;
   let shares =
     Array.mapi
-      (fun i f -> float_of_int ((Path.goodput_bytes f - b0.(i)) * 8) /. 80.)
+      (fun i f -> float_of_int ((Topology.goodput_bytes f - b0.(i)) * 8) /. 80.)
       fs
   in
   let total = Array.fold_left ( +. ) 0. shares in
@@ -270,12 +278,12 @@ let test_many_flows_share_link () =
      plus overshoot episodes. *)
   let sent1 =
     Array.fold_left
-      (fun acc f -> acc + f.Path.sender.Pcc_net.Sender.sent_pkts ())
+      (fun acc f -> acc + f.Topology.sender.Pcc_net.Sender.sent_pkts ())
       0 fs
   in
   let delivered =
     Array.to_list fs
-    |> List.mapi (fun i f -> (Path.goodput_bytes f - b0.(i)) / Units.mss)
+    |> List.mapi (fun i f -> (Topology.goodput_bytes f - b0.(i)) / Units.mss)
     |> List.fold_left ( + ) 0
   in
   let sent = max 1 (sent1 - sent0) in
@@ -285,16 +293,16 @@ let test_many_flows_share_link () =
 let test_zero_size_transfer () =
   let engine = Engine.create () in
   let rng = Rng.create 1 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
       ~buffer:(Units.kib 64)
-      ~flows:[ Path.flow ~size:1 (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] ~size:1 (Transport.pcc ()) ]
       ()
   in
   Engine.run ~until:5. engine;
-  let f = (Path.flows path).(0) in
+  let f = (Topology.flows topo).(0) in
   Alcotest.(check bool) "one-byte flow completes" true
-    (f.Path.sender.Pcc_net.Sender.is_complete ())
+    (f.Topology.sender.Pcc_net.Sender.is_complete ())
 
 let prop_conservation =
   (* End-to-end conservation on random single-flow scenarios: the receiver
@@ -318,19 +326,19 @@ let prop_conservation =
       in
       let engine = Engine.create () in
       let rng = Rng.create seed in
-      let path =
-        Path.build engine ~rng ~bandwidth ~rtt
+      let topo =
+        Topology.dumbbell engine ~rng ~bandwidth ~rtt
           ~buffer:(Units.bdp_bytes ~rate:bandwidth ~rtt)
           ~loss:0.005
-          ~flows:[ Path.flow spec ]
+          ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
           ()
       in
-      ignore (Invariant.attach_path path);
+      ignore (Invariant.attach_topology topo);
       let duration = 5. in
       Engine.run ~until:duration engine;
-      let f = (Path.flows path).(0) in
-      let sent = f.Path.sender.Pcc_net.Sender.sent_pkts () * Units.mss in
-      let good = Path.goodput_bytes f in
+      let f = (Topology.flows topo).(0) in
+      let sent = f.Topology.sender.Pcc_net.Sender.sent_pkts () * Units.mss in
+      let good = Topology.goodput_bytes f in
       good <= sent
       && float_of_int (good * 8)
          <= (bandwidth *. (duration +. rtt)) +. float_of_int (8 * Units.mss))

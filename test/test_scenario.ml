@@ -13,23 +13,24 @@ let invariants_enabled =
   | Some ("0" | "off" | "false") -> false
   | _ -> true
 
-let watch path = if invariants_enabled then ignore (Invariant.attach_path path)
+let watch topo =
+  if invariants_enabled then ignore (Invariant.attach_topology topo)
 
 let goodput_mbps f duration =
-  float_of_int (Path.goodput_bytes f * 8) /. duration /. 1e6
+  float_of_int (Topology.goodput_bytes f * 8) /. duration /. 1e6
 
 let test_pcc_fills_clean_link () =
   let engine = Engine.create () in
   let rng = Rng.create 42 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:(Units.mbps 100.) ~rtt:0.03)
-      ~flows:[ Path.flow (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()) ]
       ()
   in
-  watch path;
+  watch topo;
   Engine.run ~until:20. engine;
-  let f = (Path.flows path).(0) in
+  let f = (Topology.flows topo).(0) in
   Alcotest.(check bool) "above 80 Mbps average incl. startup" true
     (goodput_mbps f 20. > 80.)
 
@@ -37,16 +38,16 @@ let test_pcc_beats_cubic_on_lossy_link () =
   let run spec =
     let engine = Engine.create () in
     let rng = Rng.create 42 in
-    let path =
-      Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
+    let topo =
+      Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
         ~buffer:(Units.bdp_bytes ~rate:(Units.mbps 100.) ~rtt:0.03)
         ~loss:0.01
-        ~flows:[ Path.flow spec ]
+        ~flows:[ Topology.flow ~route:[ 0; 1 ] spec ]
         ()
     in
-    watch path;
+    watch topo;
     Engine.run ~until:30. engine;
-    goodput_mbps (Path.flows path).(0) 30.
+    goodput_mbps (Topology.flows topo).(0) 30.
   in
   let pcc = run (Transport.pcc ()) in
   let cubic = run (Transport.tcp "cubic") in
@@ -56,33 +57,37 @@ let test_pcc_shallow_buffer () =
   let engine = Engine.create () in
   let rng = Rng.create 42 in
   (* 6 MSS of buffer — the paper's 90%-of-capacity point. *)
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
       ~buffer:(6 * Units.mss)
-      ~flows:[ Path.flow (Transport.pcc ()) ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.pcc ()) ]
       ()
   in
-  watch path;
+  watch topo;
   Engine.run ~until:20. engine;
   Alcotest.(check bool) "90% capacity on 6-packet buffer" true
-    (goodput_mbps (Path.flows path).(0) 20. > 80.)
+    (goodput_mbps (Topology.flows topo).(0) 20. > 80.)
 
 let test_two_pcc_flows_converge_fair () =
   let engine = Engine.create () in
   let rng = Rng.create 5 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.03
       ~buffer:(Units.bdp_bytes ~rate:(Units.mbps 100.) ~rtt:0.03)
-      ~flows:[ Path.flow (Transport.pcc ()); Path.flow (Transport.pcc ()) ]
+      ~flows:
+        [
+          Topology.flow ~route:[ 0; 1 ] (Transport.pcc ());
+          Topology.flow ~route:[ 0; 1 ] (Transport.pcc ());
+        ]
       ()
   in
-  watch path;
+  watch topo;
   (* Both start together: convergence is fast; measure the last 30 s. *)
   Engine.run ~until:30. engine;
-  let f = Path.flows path in
-  let b0 = Array.map Path.goodput_bytes f in
+  let f = Topology.flows topo in
+  let b0 = Array.map Topology.goodput_bytes f in
   Engine.run ~until:60. engine;
-  let share i = float_of_int (Path.goodput_bytes f.(i) - b0.(i)) in
+  let share i = float_of_int (Topology.goodput_bytes f.(i) - b0.(i)) in
   let jain = Pcc_metrics.Stats.jain_index [| share 0; share 1 |] in
   Alcotest.(check bool) "fair split" true (jain > 0.95);
   Alcotest.(check bool) "link utilized" true
@@ -92,22 +97,22 @@ let test_pcc_rtt_fairness_beats_newreno () =
   let ratio spec =
     let engine = Engine.create () in
     let rng = Rng.create 9 in
-    let path =
-      Path.build engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.01
+    let topo =
+      Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 100.) ~rtt:0.01
         ~buffer:(Units.bdp_bytes ~rate:(Units.mbps 100.) ~rtt:0.01)
         ~flows:
           [
-            Path.flow ~extra_rtt:0.07 spec (* 80 ms flow *);
-            Path.flow ~start_at:2. spec (* 10 ms flow *);
+            Topology.flow ~route:[ 0; 1 ] ~extra_rtt:0.07 spec (* 80 ms flow *);
+            Topology.flow ~route:[ 0; 1 ] ~start_at:2. spec (* 10 ms flow *);
           ]
         ()
     in
-    watch path;
+    watch topo;
     Engine.run ~until:20. engine;
-    let f = Path.flows path in
-    let b0 = Array.map Path.goodput_bytes f in
+    let f = Topology.flows topo in
+    let b0 = Array.map Topology.goodput_bytes f in
     Engine.run ~until:60. engine;
-    let d i = float_of_int (Path.goodput_bytes f.(i) - b0.(i)) in
+    let d i = float_of_int (Topology.goodput_bytes f.(i) - b0.(i)) in
     d 0 /. Float.max (d 1) 1.
   in
   let pcc = ratio (Transport.pcc ()) in
@@ -118,44 +123,45 @@ let test_pcc_rtt_fairness_beats_newreno () =
 let test_flow_scheduling_and_fct () =
   let engine = Engine.create () in
   let rng = Rng.create 3 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
       ~buffer:(Units.kib 64)
       ~flows:
         [
-          Path.flow ~start_at:1. ~size:(100 * Units.mss) (Transport.tcp "newreno");
+          Topology.flow ~route:[ 0; 1 ] ~start_at:1. ~size:(100 * Units.mss)
+            (Transport.tcp "newreno");
         ]
       ()
   in
-  watch path;
+  watch topo;
   Engine.run ~until:0.5 engine;
-  let f = (Path.flows path).(0) in
+  let f = (Topology.flows topo).(0) in
   Alcotest.(check int) "nothing before start" 0
-    (f.Path.sender.Pcc_net.Sender.sent_pkts ());
+    (f.Topology.sender.Pcc_net.Sender.sent_pkts ());
   Engine.run ~until:10. engine;
-  (match f.Path.fct with
+  (match f.Topology.fct with
   | Some fct ->
     (* 100 MSS at 10 Mbps is ~0.12 s of wire time plus slow start. *)
     Alcotest.(check bool) "fct sane" true (fct > 0.12 && fct < 5.)
   | None -> Alcotest.fail "fct not recorded");
   Alcotest.(check bool) "complete" true
-    (f.Path.sender.Pcc_net.Sender.is_complete ())
+    (f.Topology.sender.Pcc_net.Sender.is_complete ())
 
 let test_set_base_rtt_applies () =
   let engine = Engine.create () in
   let rng = Rng.create 3 in
-  let path =
-    Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
+  let topo =
+    Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.02
       ~buffer:(Units.kib 64)
-      ~flows:[ Path.flow (Transport.tcp "newreno") ]
+      ~flows:[ Topology.flow ~route:[ 0; 1 ] (Transport.tcp "newreno") ]
       ()
   in
-  watch path;
-  Path.set_base_rtt path 0.2;
+  watch topo;
+  Topology.set_base_rtt topo 0.2;
   Engine.run ~until:5. engine;
-  let f = (Path.flows path).(0) in
+  let f = (Topology.flows topo).(0) in
   Alcotest.(check bool) "srtt reflects new base rtt" true
-    (f.Path.sender.Pcc_net.Sender.srtt () > 0.15)
+    (f.Topology.sender.Pcc_net.Sender.srtt () > 0.15)
 
 let test_internet_model_params_in_range () =
   let rng = Rng.create 77 in

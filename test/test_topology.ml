@@ -3,8 +3,7 @@ open Pcc_scenario
 
 (* ------------------------------------------------------------------ *)
 (* Shared validation: every malformed input is rejected in one place
-   (Topology.build) with Invalid_argument, for direct graph builds and
-   through both wrappers. *)
+   (Topology.build) with Invalid_argument. *)
 
 let reject name thunk =
   Alcotest.(check bool) name true
@@ -70,6 +69,8 @@ let test_flow_validation () =
       build_with ~flows:[ flow ~route:[ 0 ] () ] ());
   reject "route outside graph" (fun () ->
       build_with ~flows:[ flow ~route:[ 0; 7 ] () ] ());
+  reject "route with a negative node" (fun () ->
+      build_with ~flows:[ flow ~route:[ -1; 0 ] () ] ());
   reject "route with no link" (fun () ->
       build_with ~flows:[ flow ~route:[ 1; 0 ] () ] ());
   reject "route revisits a node" (fun () ->
@@ -108,82 +109,61 @@ let test_non_finite_flow_times () =
   rejected "start_at infinity" (flow ~start_at:Float.infinity ());
   rejected "start_at nan" (flow ~start_at:Float.nan ())
 
-let test_wrapper_validation () =
-  (* The wrappers inherit the shared checks the old builders lacked
-     (Path) or hand-rolled (Multihop). *)
-  let engine = Engine.create () in
-  let rng = Rng.create 1 in
-  reject "Path: stop before start" (fun () ->
-      Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.03
-        ~buffer:(Units.kib 64)
-        ~flows:[ Path.flow ~start_at:5. ~stop_at:1. (Transport.pcc ()) ]
-        ());
-  reject "Path: zero size" (fun () ->
-      Path.build engine ~rng ~bandwidth:(Units.mbps 10.) ~rtt:0.03
-        ~buffer:(Units.kib 64)
-        ~flows:[ Path.flow ~size:0 (Transport.pcc ()) ]
-        ());
-  reject "Multihop: enter = exit" (fun () ->
-      Multihop.build engine ~rng
-        ~hops:[ Multihop.hop ~bandwidth:(Units.mbps 10.) () ]
-        ~flows:[ Multihop.flow ~enter:0 ~exit:0 (Transport.pcc ()) ]
-        ());
-  reject "Multihop: backwards flow" (fun () ->
-      Multihop.build engine ~rng
-        ~hops:
-          [
-            Multihop.hop ~bandwidth:(Units.mbps 10.) ();
-            Multihop.hop ~bandwidth:(Units.mbps 10.) ();
-          ]
-        ~flows:[ Multihop.flow ~enter:2 ~exit:0 (Transport.pcc ()) ]
-        ());
-  reject "Multihop: negative enter" (fun () ->
-      Multihop.build engine ~rng
-        ~hops:[ Multihop.hop ~bandwidth:(Units.mbps 10.) () ]
-        ~flows:[ Multihop.flow ~enter:(-1) ~exit:1 (Transport.pcc ()) ]
-        ())
-
 (* ------------------------------------------------------------------ *)
-(* FCT dedup: a sized flow through Path and through a single-hop
-   Multihop with identical parameters records the identical completion
-   time, because both wrappers share Topology's lifecycle. *)
+(* The dumbbell contract: one link "bottleneck" 0 -> 1 at rtt/2 with the
+   given buffer, queue, loss and jitter, an ideal lossy-capable reverse line of
+   rtt/2 + extra_rtt/2 per flow, and FCTs recorded for sized flows. *)
 
-let test_fct_identical_through_wrappers () =
-  let bandwidth = Units.mbps 20. in
-  let buffer = 64 * Units.mss in
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_dumbbell_contract () =
+  let engine = Engine.create () in
   let size = 400 * Units.mss in
   let spec = Transport.tcp "newreno" in
-  let via_path () =
-    let engine = Engine.create () in
-    let rng = Rng.create 11 in
-    let path =
-      Path.build engine ~rng ~bandwidth ~rtt:0.02 ~buffer
-        ~flows:[ Path.flow ~size spec ]
-        ()
-    in
-    Engine.run ~until:60. engine;
-    let f = (Path.flows path).(0) in
-    (f.Path.fct, Path.goodput_bytes f)
+  let topo =
+    Topology.dumbbell engine ~rng:(Rng.create 11) ~bandwidth:(Units.mbps 20.)
+      ~rtt:0.02 ~buffer:(64 * Units.mss) ~queue:Topology.Codel ~loss:0.001
+      ~jitter:0.0005 ~rev_loss:0.01
+      ~flows:
+        [
+          Topology.flow ~route:[ 0; 1 ] ~size spec;
+          Topology.flow ~route:[ 0; 1 ] ~extra_rtt:0.01 ~start_at:0.5
+            ~stop_at:1. spec;
+        ]
+      ()
   in
-  let via_multihop () =
-    let engine = Engine.create () in
-    let rng = Rng.create 11 in
-    let mh =
-      Multihop.build engine ~rng
-        ~hops:[ Multihop.hop ~bandwidth ~delay:0.01 ~buffer () ]
-        ~flows:[ Multihop.flow ~enter:0 ~exit:1 ~size spec ]
-        ()
-    in
-    Engine.run ~until:60. engine;
-    let f = (Multihop.flows mh).(0) in
-    (f.Multihop.fct, Multihop.goodput_bytes f)
+  Alcotest.(check int) "one link" 1 (Topology.num_links topo);
+  Alcotest.(check string) "named bottleneck" "bottleneck"
+    (Topology.link_name topo 0);
+  Alcotest.(check (option int)) "runs 0 -> 1" (Some 0)
+    (Topology.link_between topo 0 1);
+  let link = Topology.link_at topo 0 in
+  Alcotest.(check (float 1e-12)) "delay rtt/2" 0.01 (Pcc_net.Link.delay link);
+  Alcotest.(check (float 1e-12)) "loss" 0.001 (Pcc_net.Link.loss link);
+  Alcotest.(check (float 1e-12)) "jitter" 0.0005 (Pcc_net.Link.jitter link);
+  Alcotest.(check (float 1e-12)) "initial rev_loss" 0.01
+    (Topology.rev_loss topo);
+  let d = Topology.describe topo in
+  let has what sub =
+    Alcotest.(check bool) (Printf.sprintf "describe: %s" what) true
+      (contains d sub)
   in
-  let fct_p, good_p = via_path () in
-  let fct_m, good_m = via_multihop () in
-  Alcotest.(check bool) "both completed" true
-    (fct_p <> None && fct_m <> None);
-  Alcotest.(check (option (float 1e-12))) "identical FCT" fct_p fct_m;
-  Alcotest.(check int) "identical goodput" good_p good_m
+  has "bottleneck link"
+    (Printf.sprintf
+       "link bottleneck   0 -> 1  20 Mbps  10 ms  buffer %d B  codel"
+       (64 * Units.mss));
+  has "ideal reverse at rtt/2" "reverse ideal (10 ms, lossy-capable)";
+  has "extra_rtt/2 on the reverse" "reverse ideal (15 ms, lossy-capable)";
+  Engine.run ~until:60. engine;
+  let f = (Topology.flows topo).(0) in
+  Alcotest.(check int) "sized flow delivered" size (Topology.goodput_bytes f);
+  match f.Topology.fct with
+  | Some fct when fct > 0. && fct < 60. -> ()
+  | Some fct -> Alcotest.failf "fct %g outside (0, 60)" fct
+  | None -> Alcotest.fail "sized flow recorded no fct"
 
 (* Same-seed rebuilds of one graph reproduce byte-identical results. *)
 let test_deterministic_rebuild () =
@@ -276,7 +256,7 @@ let test_parking_lot_conservation () =
 (* Congested reverse path: with acks squeezed through a link ~100x
    narrower than the data direction, CUBIC's ack clock starves and
    goodput collapses even though the forward link has idle capacity.
-   The flat Path API cannot express this shape. *)
+   A dumbbell's ideal reverse lines cannot express this shape. *)
 
 let test_congested_reverse_path_degrades_cubic () =
   let bandwidth = Units.mbps 50. in
@@ -371,14 +351,112 @@ let test_knobs_and_accessors () =
   Topology.set_rev_delay topo ~flow:1 0.01;
   reject "link id out of range" (fun () ->
       Topology.set_link_bandwidth topo 9 (Units.mbps 1.));
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let d = Topology.describe topo in
   Alcotest.(check bool) "describe mentions nodes" true (contains d "2 nodes");
   Alcotest.(check bool) "describe names links" true (contains d "down")
+
+(* ------------------------------------------------------------------ *)
+(* Parking-lot chains: link [i] runs node [i] -> [i+1] and a flow from
+   node [a] to node [b] crosses links [a .. b-1]. Reverse lines carry no
+   RNG ([~rev_lossy:false]), the split order these seeds were tuned
+   with. *)
+
+let chain ?loss bws =
+  List.mapi (fun i bw -> l ?loss ~delay:0.005 ~src:i ~dst:(i + 1) bw) bws
+
+let along ?size ?label a b spec =
+  Topology.flow ?size ?label ~rev_lossy:false
+    ~route:(List.init (b - a + 1) (fun k -> a + k))
+    spec
+
+let mbps_of flow duration =
+  float_of_int (Topology.goodput_bytes flow * 8) /. duration /. 1e6
+
+let test_single_hop_equivalent () =
+  (* One hop behaves like a plain bottleneck link. *)
+  let engine = Engine.create () in
+  let net =
+    Topology.build engine ~rng:(Rng.create 2)
+      ~links:[ l ~delay:0.01 ~src:0 ~dst:1 (Units.mbps 50.) ]
+      ~flows:[ along 0 1 (Transport.pcc ()) ]
+      ()
+  in
+  Engine.run ~until:15. engine;
+  Alcotest.(check bool) "fills the hop" true
+    (mbps_of (Topology.flows net).(0) 15. > 40.)
+
+let test_flow_bounded_by_narrowest_hop () =
+  let engine = Engine.create () in
+  let net =
+    Topology.build engine ~rng:(Rng.create 2)
+      ~links:(chain [ Units.mbps 100.; Units.mbps 20.; Units.mbps 100. ])
+      ~flows:[ along 0 3 (Transport.pcc ()) ]
+      ()
+  in
+  Engine.run ~until:20. engine;
+  let tput = mbps_of (Topology.flows net).(0) 20. in
+  Alcotest.(check bool) "bounded by 20 Mbps hop" true (tput < 21.);
+  Alcotest.(check bool) "but fills it" true (tput > 15.)
+
+let test_cross_flows_compete_per_hop () =
+  (* A long flow over two hops shares each hop with a local flow. The
+     long flow observes the SUM of both hops' loss rates, so the safe
+     utility — whose sigmoid caps tolerable loss at 5% — concedes most of
+     the capacity to the single-hop locals. (A known property of
+     loss-based objectives across multiple bottlenecks; the paper only
+     evaluates single-bottleneck topologies.) We assert the qualitative
+     outcome: locals prosper, the long flow is squeezed but alive, and no
+     hop is oversubscribed. *)
+  let engine = Engine.create () in
+  let net =
+    Topology.build engine ~rng:(Rng.create 9)
+      ~links:(chain [ Units.mbps 30.; Units.mbps 30. ])
+      ~flows:
+        [
+          along ~label:"long" 0 2 (Transport.pcc ());
+          along ~label:"hop0" 0 1 (Transport.pcc ());
+          along ~label:"hop1" 1 2 (Transport.pcc ());
+        ]
+      ()
+  in
+  (* Measure after convergence. *)
+  Engine.run ~until:40. engine;
+  let b0 = Array.map Topology.goodput_bytes (Topology.flows net) in
+  Engine.run ~until:80. engine;
+  let share i =
+    float_of_int ((Topology.goodput_bytes (Topology.flows net).(i)) - b0.(i))
+    *. 8. /. 40. /. 1e6
+  in
+  let long = share 0 and h0 = share 1 and h1 = share 2 in
+  Alcotest.(check bool) "hop capacities respected" true
+    (long +. h0 < 31. && long +. h1 < 31.);
+  Alcotest.(check bool) "long flow squeezed but alive" true (long > 0.1);
+  Alcotest.(check bool) "locals dominate" true
+    (h0 > 3. *. long && h1 > 3. *. long);
+  Alcotest.(check bool) "local flows fill their hops" true
+    (h0 > 20. && h1 > 20.)
+
+let test_bad_args_rejected () =
+  reject "empty chain" (fun () -> build_with ~links:[] ());
+  reject "exit past the chain" (fun () ->
+      build_with
+        ~links:(chain [ Units.mbps 10. ])
+        ~flows:[ along 0 2 (Transport.pcc ()) ]
+        ())
+
+let test_finite_transfer_across_hops () =
+  let engine = Engine.create () in
+  let net =
+    Topology.build engine ~rng:(Rng.create 4)
+      ~links:(chain ~loss:0.01 [ Units.mbps 20.; Units.mbps 20. ])
+      ~flows:[ along ~size:(200 * Units.mss) 0 2 (Transport.pcc ()) ]
+      ()
+  in
+  Engine.run ~until:60. engine;
+  let f = (Topology.flows net).(0) in
+  Alcotest.(check bool) "completes across lossy hops" true
+    (f.Topology.sender.Pcc_net.Sender.is_complete ());
+  Alcotest.(check bool) "fct recorded" true (f.Topology.fct <> None)
 
 let suites =
   [
@@ -388,9 +466,7 @@ let suites =
         Alcotest.test_case "flow validation" `Quick test_flow_validation;
         Alcotest.test_case "non-finite flow times" `Quick
           test_non_finite_flow_times;
-        Alcotest.test_case "wrapper validation" `Quick test_wrapper_validation;
-        Alcotest.test_case "fct identical through wrappers" `Slow
-          test_fct_identical_through_wrappers;
+        Alcotest.test_case "dumbbell contract" `Slow test_dumbbell_contract;
         Alcotest.test_case "deterministic rebuild" `Slow
           test_deterministic_rebuild;
         Alcotest.test_case "parking-lot conservation" `Slow
@@ -399,5 +475,16 @@ let suites =
           test_congested_reverse_path_degrades_cubic;
         Alcotest.test_case "knobs and accessors" `Quick
           test_knobs_and_accessors;
+      ] );
+    ( "scenario.multihop",
+      [
+        Alcotest.test_case "single hop" `Slow test_single_hop_equivalent;
+        Alcotest.test_case "narrowest hop binds" `Slow
+          test_flow_bounded_by_narrowest_hop;
+        Alcotest.test_case "per-hop competition" `Slow
+          test_cross_flows_compete_per_hop;
+        Alcotest.test_case "bad args" `Quick test_bad_args_rejected;
+        Alcotest.test_case "finite transfer" `Slow
+          test_finite_transfer_across_hops;
       ] );
   ]
