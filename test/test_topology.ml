@@ -109,6 +109,29 @@ let test_non_finite_flow_times () =
   rejected "start_at infinity" (flow ~start_at:Float.infinity ());
   rejected "start_at nan" (flow ~start_at:Float.nan ())
 
+let test_wrapper_validation () =
+  (* Topology.dumbbell adds no checks of its own: each malformed input
+     reaches Topology.build and is rejected there. *)
+  let dumbbell ?(rtt = 0.03) ?(buffer = Units.kib 64) flows =
+    Topology.dumbbell (Engine.create ()) ~rng:(Rng.create 1)
+      ~bandwidth:(Units.mbps 10.) ~rtt ~buffer ~flows ()
+  in
+  let pcc = Transport.pcc () in
+  reject "dumbbell: stop before start" (fun () ->
+      dumbbell [ Topology.flow ~route:[ 0; 1 ] ~start_at:5. ~stop_at:1. pcc ]);
+  reject "dumbbell: zero size" (fun () ->
+      dumbbell [ Topology.flow ~route:[ 0; 1 ] ~size:0 pcc ]);
+  reject "dumbbell: enter = exit" (fun () ->
+      dumbbell [ Topology.flow ~route:[ 0 ] pcc ]);
+  reject "dumbbell: backwards flow" (fun () ->
+      dumbbell [ Topology.flow ~route:[ 1; 0 ] pcc ]);
+  reject "dumbbell: negative enter" (fun () ->
+      dumbbell [ Topology.flow ~route:[ -1; 1 ] pcc ]);
+  reject "dumbbell: negative rtt" (fun () ->
+      dumbbell ~rtt:(-0.01) [ Topology.flow ~route:[ 0; 1 ] pcc ]);
+  reject "dumbbell: zero buffer" (fun () ->
+      dumbbell ~buffer:0 [ Topology.flow ~route:[ 0; 1 ] pcc ])
+
 (* ------------------------------------------------------------------ *)
 (* The dumbbell contract: one link "bottleneck" 0 -> 1 at rtt/2 with the
    given buffer, queue, loss and jitter, an ideal lossy-capable reverse line of
@@ -466,6 +489,7 @@ let suites =
         Alcotest.test_case "flow validation" `Quick test_flow_validation;
         Alcotest.test_case "non-finite flow times" `Quick
           test_non_finite_flow_times;
+        Alcotest.test_case "wrapper validation" `Quick test_wrapper_validation;
         Alcotest.test_case "dumbbell contract" `Slow test_dumbbell_contract;
         Alcotest.test_case "deterministic rebuild" `Slow
           test_deterministic_rebuild;
