@@ -765,6 +765,17 @@ let () =
     | Error msg ->
       Printf.eprintf "bench: %s\n" msg;
       exit 2);
+    let dump_dir = Sys.getenv_opt "PCC_DUMP_DIR" in
+    (* Output directories exist before any simulation runs, so a path
+       that cannot be created fails the bench up front. *)
+    (match
+       List.iter Runner.mkdir_p
+         (Option.to_list !trace_dir @ Option.to_list dump_dir)
+     with
+    | () -> ()
+    | exception Sys_error m ->
+      Printf.eprintf "bench: error: %s\n" m;
+      exit 2);
     (* Trace records live in domain-local state: a traced bench must keep
        every simulation in this domain. *)
     (match !trace_dir with
@@ -780,7 +791,6 @@ let () =
           c)
         !trace_dir
     in
-    let dump_dir = Sys.getenv_opt "PCC_DUMP_DIR" in
     Printf.printf
       "PCC reproduction benchmarks (scale %.2f of paper durations, seed %d, \
        jobs %d)\n"
@@ -906,16 +916,7 @@ let () =
     Printf.printf "\n[bench results written to %s]\n%!" !out;
     (match (collector, !trace_dir) with
     | Some c, Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Pcc_trace.Export.write_chrome_json
-        ~path:(Filename.concat dir "trace.json")
-        c;
-      Pcc_trace.Export.write_decision_log
-        ~path:(Filename.concat dir "decisions.log")
-        c;
-      Pcc_metrics.Series_io.write_multi_series
-        ~path:(Filename.concat dir "trace.csv")
-        (Pcc_trace.Export.csv_series c);
+      Runner.write_trace ~dir c;
       Printf.printf
         "[trace: %d events held (%d emitted, %d overwritten) -> %s]\n%!"
         (Pcc_trace.Collector.length c)

@@ -376,12 +376,7 @@ let mask_of_categories s =
   | r -> r
 
 let write_trace_artifacts ~dir c =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let p name = Filename.concat dir name in
-  Pcc_trace.Export.write_chrome_json ~path:(p "trace.json") c;
-  Pcc_trace.Export.write_decision_log ~path:(p "decisions.log") c;
-  Pcc_metrics.Series_io.write_multi_series ~path:(p "trace.csv")
-    (Pcc_trace.Export.csv_series c);
+  Pcc_experiments.Runner.write_trace ~dir c;
   Printf.printf
     "trace: %d events held (%d emitted, %d overwritten) -> \
      %s/{trace.json,trace.csv,decisions.log}\n"
@@ -389,6 +384,14 @@ let write_trace_artifacts ~dir c =
     (Pcc_trace.Collector.emitted c)
     (Pcc_trace.Collector.dropped c)
     dir
+
+(* Creates every output directory before any simulation runs, so a path
+   that cannot exist fails the command up front instead of after the
+   run. *)
+let with_output_dirs dirs k =
+  match List.iter Pcc_experiments.Runner.mkdir_p dirs with
+  | () -> k ()
+  | exception Sys_error m -> `Error (false, "error: " ^ m)
 
 let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
     categories probe_ms =
@@ -405,6 +408,7 @@ let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
           positive_f "--probe-interval" probe_ms;
         ])
     @@ fun () ->
+    with_output_dirs [ out_dir ] @@ fun () ->
     begin
       let bandwidth = Units.mbps bw_mbps in
       let rtt = rtt_ms /. 1000. in
@@ -506,7 +510,7 @@ let selftest_entry : Pcc_experiments.Exp_registry.entry =
   }
 
 let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
-    max_events retries backoff forensics forensic_trace checkpoint resume =
+    max_events forensics forensic_trace checkpoint resume =
   let open Pcc_experiments in
   if list_exps then begin
     List.iter
@@ -523,8 +527,6 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
           at_least "--jobs" 1 jobs;
           opt positive_f "--deadline" deadline;
           opt positive_i "--max-task-events" max_events;
-          non_negative_i "--retries" retries;
-          non_negative_f "--backoff" backoff;
         ])
     @@ fun () ->
     (* Tracing records into domain-local state, so a traced run must stay
@@ -565,7 +567,11 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
     in
     match entries with
     | Error msg -> `Error (false, msg)
-    | Ok entries -> (
+    | Ok entries ->
+      with_output_dirs
+        (List.filter_map Fun.id
+           [ dump_dir; trace_out; Option.map Filename.dirname checkpoint ])
+      @@ fun () ->
       let names_list = List.map (fun e -> e.Exp_registry.name) entries in
       (* A resumed run must be the same sweep: same seed, scale and
          experiment selection, or byte-identity is meaningless. *)
@@ -634,7 +640,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
                 out
               | None ->
                 let pool =
-                  Runner.create ~jobs ?deadline ?max_events ~retries ~backoff
+                  Runner.create ~jobs ?deadline ?max_events
                     ~forensics_dir:forensics ~forensic_trace
                     ~repro_context:
                       (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
@@ -681,7 +687,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
               Printf.sprintf "error: %d task(s) failed: %s%s (forensics in %s/)"
                 (List.length failures)
                 (String.concat ", " names)
-                suffix forensics )))
+                suffix forensics ))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario fuzzing *)
@@ -972,21 +978,6 @@ let exp_term =
             "Per-task engine event ceiling — a deterministic budget, unlike \
              $(b,--deadline).")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Re-run a failing task up to $(docv) times with bounded \
-             exponential backoff; a task that exhausts them is quarantined. \
-             Timeouts are never retried.")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "backoff" ] ~docv:"S"
-          ~doc:"Initial retry delay; doubles per attempt, capped at 2 s.")
-  in
   let forensics_arg =
     Arg.(
       value & opt string "forensics"
@@ -1029,9 +1020,8 @@ let exp_term =
   Term.(
     ret
       (const exp_cmd $ names_arg $ scale_arg $ seed_arg $ jobs_arg $ dump_arg
-     $ trace_out_arg $ list_arg $ deadline_arg $ max_events_arg $ retries_arg
-     $ backoff_arg $ forensics_arg $ forensic_trace_arg $ checkpoint_arg
-     $ resume_arg))
+     $ trace_out_arg $ list_arg $ deadline_arg $ max_events_arg
+     $ forensics_arg $ forensic_trace_arg $ checkpoint_arg $ resume_arg))
 
 let trace_term =
   let shape_arg =

@@ -5,15 +5,16 @@
    Determinism contract: the executor never decides *what* a task
    computes, only *when* it runs. Results land in a slot array indexed
    by task position, seeds are derived from (master_seed, task_index)
-   with {!derive_seed}, retries re-run the same pure thunk, and the
-   first (lowest-index) exception wins in {!map} — so the observable
-   outcome is a pure function of the task array, independent of worker
-   count and scheduling order. Timeouts are wall-clock and therefore
-   inherently nondeterministic; they only occur on runs that would
-   otherwise hang.
+   with {!derive_seed}, each task runs exactly once, and the first
+   (lowest-index) exception wins in {!map} — so the observable outcome
+   is a pure function of the task array, independent of worker count
+   and scheduling order. A pure task that failed once fails the same
+   way again, so nothing is ever re-run. Timeouts are wall-clock and
+   therefore inherently nondeterministic; they only occur on runs that
+   would otherwise hang.
 
    Supervision, all driven by the executor's settings:
-   - in-band limits: with a deadline or event ceiling each attempt runs
+   - in-band limits: with a deadline or event ceiling each task runs
      under a Pcc_sim.Task_guard, so the limit raises *inside* the task
      and the worker survives;
    - out-of-band watchdog: with a deadline and jobs >= 2 the calling
@@ -21,12 +22,9 @@
      is abandoned — its outcome is recorded as timed out, its domain is
      leaked until process exit, and a replacement worker keeps the
      sweep's width;
-   - retries: with retries > 0 every non-timeout failure is re-queued
-     with bounded exponential backoff; tasks that exhaust their retries
-     are quarantined;
-   - forensics: every final failure can write a bundle (exception,
-     backtrace, seed, repro command, and the failing domain's trace
-     ring when one is recording) for offline reproduction. *)
+   - forensics: every failure can write a bundle (exception, backtrace,
+     seed, repro command, and the failing domain's trace ring when one
+     is recording) for offline reproduction. *)
 
 type 'a task = {
   label : string;
@@ -35,13 +33,8 @@ type 'a task = {
   run : unit -> 'a;
 }
 
-type failure = { attempt : int; exn_text : string; backtrace : string }
-
-type status =
-  | Completed of { retries : int }
-  | Timed_out of { attempts : int }
-  | Crashed of failure
-  | Quarantined of { attempts : int; last : failure }
+type failure = { exn_text : string; backtrace : string }
+type status = Completed | Timed_out | Crashed of failure
 
 type outcome = {
   index : int;
@@ -49,7 +42,6 @@ type outcome = {
   seed : int option;
   repro : string option;
   status : status;
-  failures : failure list;  (* newest first *)
   forensics : string option;  (* bundle directory, when one was written *)
 }
 
@@ -57,55 +49,39 @@ type report = {
   total : int;
   outcomes : outcome array;
   ok : int;
-  retried : int;
   timed_out : int;
   crashed : int;
-  quarantined : int;
 }
 
 type t = {
   jobs : int;
   deadline : float option;
   max_events : int option;
-  retries : int;
-  backoff : float;
   forensics_dir : string option;
   forensic_trace : bool;
   repro_context : string option;
 }
 
-(* Fixed supervision constants: the longest retry delay, how long past
-   its deadline a silent worker may stay before the watchdog abandons
-   it, and the watchdog's polling period. *)
-let backoff_cap = 2.0
+(* Fixed supervision constants: how long past its deadline a silent
+   worker may stay before the watchdog abandons it, and the watchdog's
+   polling period. *)
 let grace = 1.0
 let poll = 0.05
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let create ?jobs ?deadline ?max_events ?(retries = 0) ?(backoff = 0.1)
-    ?forensics_dir ?(forensic_trace = false) ?repro_context () =
+let create ?jobs ?deadline ?max_events ?forensics_dir
+    ?(forensic_trace = false) ?repro_context () =
   let jobs = match jobs with None -> default_jobs () | Some n -> n in
   let bad fmt = Printf.ksprintf invalid_arg ("Runner.create: " ^^ fmt) in
   if jobs < 1 then bad "jobs must be >= 1, got %d" jobs;
-  if retries < 0 then bad "retries must be >= 0, got %d" retries;
-  if backoff < 0. then bad "backoff must be >= 0, got %g" backoff;
   (match deadline with
   | Some d when d <= 0. -> bad "deadline must be positive, got %g" d
   | _ -> ());
   (match max_events with
   | Some n when n <= 0 -> bad "max_events must be positive, got %d" n
   | _ -> ());
-  {
-    jobs;
-    deadline;
-    max_events;
-    retries;
-    backoff;
-    forensics_dir;
-    forensic_trace;
-    repro_context;
-  }
+  { jobs; deadline; max_events; forensics_dir; forensic_trace; repro_context }
 
 let jobs t = t.jobs
 let with_pool ?jobs f = f (create ?jobs ())
@@ -129,26 +105,31 @@ let derive_seed ~master ~index =
 let clock = Unix.gettimeofday
 
 let status_name = function
-  | Completed { retries = 0 } -> "ok"
-  | Completed { retries } -> Printf.sprintf "retried %d" retries
-  | Timed_out _ -> "timed_out"
+  | Completed -> "ok"
+  | Timed_out -> "timed_out"
   | Crashed _ -> "crashed"
-  | Quarantined _ -> "quarantined"
 
-let is_failure = function
-  | Completed _ -> false
-  | Timed_out _ | Crashed _ | Quarantined _ -> true
+let is_failure = function Completed -> false | Timed_out | Crashed _ -> true
 
-(* ---- forensics ----------------------------------------------------- *)
+(* ---- output directories and forensics ------------------------------ *)
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    (* Another domain or process may create it first. *)
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
+
+let write_trace ~dir c =
+  mkdir_p dir;
+  let p name = Filename.concat dir name in
+  Pcc_trace.Export.write_chrome_json ~path:(p "trace.json") c;
+  Pcc_trace.Export.write_decision_log ~path:(p "decisions.log") c;
+  Pcc_metrics.Series_io.write_multi_series ~path:(p "trace.csv")
+    (Pcc_trace.Export.csv_series c)
 
 let sanitize label =
   String.map
@@ -161,7 +142,7 @@ let sanitize label =
 (* Writes <root>/<NNN-label>/{report.txt,trace.*}. Returns the bundle
    directory, or None when no root is configured or the write failed
    (forensics must never take the sweep down with them). *)
-let write_bundle t ~index ~(task : _ task) ~status ~failures ~collector =
+let write_bundle t ~index ~(task : _ task) ~status ~failure ~collector =
   match t.forensics_dir with
   | None -> None
   | Some root -> (
@@ -184,26 +165,11 @@ let write_bundle t ~index ~(task : _ task) ~status ~failures ~collector =
       | Some r, _ -> p "repro: %s\n" r
       | None, Some ctx -> p "repro: %s   # task %s\n" ctx task.label
       | None, None -> p "repro: (not recorded)\n");
-      List.iter
-        (fun f ->
-          p "attempt %d: %s\n" f.attempt f.exn_text;
-          if f.backtrace <> "" then
-            String.split_on_char '\n' f.backtrace
-            |> List.iter (fun l -> if l <> "" then p "    %s\n" l))
-        (List.rev failures);
+      p "exception: %s\n" failure.exn_text;
+      String.split_on_char '\n' failure.backtrace
+      |> List.iter (fun l -> if l <> "" then p "    %s\n" l);
       close_out oc;
-      (match collector with
-      | Some c ->
-        Pcc_trace.Export.write_chrome_json
-          ~path:(Filename.concat dir "trace.json")
-          c;
-        Pcc_trace.Export.write_decision_log
-          ~path:(Filename.concat dir "decisions.log")
-          c;
-        Pcc_metrics.Series_io.write_multi_series
-          ~path:(Filename.concat dir "trace.csv")
-          (Pcc_trace.Export.csv_series c)
-      | None -> ());
+      Option.iter (write_trace ~dir) collector;
       Some dir
     with Sys_error _ -> None)
 
@@ -234,14 +200,14 @@ let reset_failures () =
   tally := [];
   Mutex.unlock tally_m
 
-(* ---- one attempt --------------------------------------------------- *)
+(* ---- one task ------------------------------------------------------ *)
 
-(* Runs one attempt, under a Task_guard when a limit is set and, with
+(* Runs one task, under a Task_guard when a limit is set and, with
    [forensic_trace], into a private trace ring so a failure has its own
    recent history to dump. Returns the result and, on failure, the
    collector that was recording in this domain — the private ring or
    whatever the caller had installed (e.g. a traced jobs=1 run). *)
-let attempt_run t (task : _ task) ~heartbeat =
+let run_task t (task : _ task) ~heartbeat =
   (* Forensics bundles are only as good as their backtraces; recording is
      domain-local in OCaml 5, so arm it here in the running domain. *)
   if t.forensics_dir <> None && not (Printexc.backtrace_status ()) then
@@ -287,10 +253,16 @@ let is_timeout_exn exn =
 type slot = {
   mutable s_epoch : int;  (* bumped when the watchdog abandons the slot *)
   mutable s_task : int;  (* running task index, -1 when idle *)
-  mutable s_attempt : int;
   mutable s_started : float;
   s_beat : float Atomic.t;  (* stamped by the task's guard *)
 }
+
+(* A task's state. A failure keeps its exception for {!map} to
+   re-raise. *)
+type 'a cell =
+  | Pending
+  | Finished of 'a
+  | Failed of { exn : exn; bt : Printexc.raw_backtrace; outcome : outcome }
 
 type 'a sched = {
   cfg : t;
@@ -298,114 +270,63 @@ type 'a sched = {
   n : int;
   m : Mutex.t;
   cv : Condition.t;
-  mutable fresh : int;  (* next never-attempted task *)
-  mutable retry_q : (float * int * int) list;
-      (* (ready_at, index, attempt), sorted by ready_at *)
-  mutable completed : int;  (* tasks with a final outcome *)
+  mutable fresh : int;  (* next task to start *)
+  mutable completed : int;  (* tasks no longer [Pending] *)
   mutable live_workers : int;
-  results : 'a option array;
-  errors : (exn * Printexc.raw_backtrace) option array;
-      (* each failed task's last exception, for {!map} to re-raise *)
-  outcomes : outcome option array;
-  failures : failure list array;  (* per task, newest first *)
+  cells : 'a cell array;
   slots : slot array;
 }
 
-let push_retry s ~ready_at ~index ~attempt =
-  let rec insert = function
-    | [] -> [ (ready_at, index, attempt) ]
-    | (r, _, _) :: _ as rest when ready_at < r ->
-      (ready_at, index, attempt) :: rest
-    | e :: rest -> e :: insert rest
-  in
-  s.retry_q <- insert s.retry_q
-
-(* Caller holds the lock. Records the final outcome for task [i] and
-   writes its forensics bundle. Bundle IO happens under the lock: it
-   only runs on failure paths, where contention is the least concern. *)
-let finalize s i status collector =
+let outcome_of s i status forensics =
   let task = s.tasks.(i) in
-  let forensics =
-    if is_failure status then
-      write_bundle s.cfg ~index:i ~task ~status ~failures:s.failures.(i)
-        ~collector
-    else None
-  in
-  s.outcomes.(i) <-
-    Some
-      {
-        index = i;
-        label = task.label;
-        seed = task.seed;
-        repro = task.repro;
-        status;
-        failures = s.failures.(i);
-        forensics;
-      };
+  {
+    index = i;
+    label = task.label;
+    seed = task.seed;
+    repro = task.repro;
+    status;
+    forensics;
+  }
+
+(* Caller holds the lock. *)
+let settle s i cell =
+  s.cells.(i) <- cell;
   s.completed <- s.completed + 1;
   Condition.broadcast s.cv
 
-(* Caller holds the lock. Settles one finished attempt: success, retry,
-   or final failure. Timeouts are never retried; any other failure is,
-   while the retry budget lasts. *)
-let settle s ~index:i ~attempt result collector =
-  match result with
-  | Ok v ->
-    s.results.(i) <- Some v;
-    finalize s i (Completed { retries = attempt - 1 }) None
-  | Error ((exn, bt) as e) ->
-    let f =
-      {
-        attempt;
-        exn_text = Printexc.to_string exn;
-        backtrace = Printexc.raw_backtrace_to_string bt;
-      }
-    in
-    s.failures.(i) <- f :: s.failures.(i);
-    s.errors.(i) <- Some e;
-    if is_timeout_exn exn then
-      finalize s i (Timed_out { attempts = attempt }) collector
-    else if s.cfg.retries = 0 then finalize s i (Crashed f) collector
-    else if attempt <= s.cfg.retries then begin
-      let backoff =
-        Float.min backoff_cap
-          (s.cfg.backoff *. Float.pow 2. (float_of_int (attempt - 1)))
-      in
-      push_retry s ~ready_at:(clock () +. backoff) ~index:i
-        ~attempt:(attempt + 1);
-      Condition.broadcast s.cv
-    end
-    else finalize s i (Quarantined { attempts = attempt; last = f }) collector
+(* Caller holds the lock. Records task [i]'s failure and writes its
+   forensics bundle. Bundle IO happens under the lock: it only runs on
+   failure paths, where contention is the least concern. *)
+let fail s i ~timed_out ~failure (exn, bt) collector =
+  let status = if timed_out then Timed_out else Crashed failure in
+  let forensics =
+    write_bundle s.cfg ~index:i ~task:s.tasks.(i) ~status ~failure ~collector
+  in
+  settle s i (Failed { exn; bt; outcome = outcome_of s i status forensics })
+
+(* A failure raised by the executor itself: no backtrace to show. *)
+let fail_with s i ~timed_out text =
+  fail s i ~timed_out
+    ~failure:{ exn_text = text; backtrace = "" }
+    (Failure text, Printexc.get_callstack 0)
+    None
 
 (* ---- worker -------------------------------------------------------- *)
 
-type work = Run of int * int | Wait_until of float | Wait | Done
+type work = Run of int | Wait | Done
 
-(* Caller holds the lock. Due retries first, then the shared cursor over
-   never-attempted tasks. *)
+(* Caller holds the lock. *)
 let take_work s =
   if s.completed >= s.n then Done
-  else begin
-    let now = clock () in
-    match s.retry_q with
-    | (ready, i, attempt) :: rest when ready <= now ->
-      s.retry_q <- rest;
-      Run (i, attempt)
-    | _ ->
-      if s.fresh < s.n then begin
-        let i = s.fresh in
-        s.fresh <- s.fresh + 1;
-        Run (i, 1)
-      end
-      else begin
-        match s.retry_q with
-        | (ready, _, _) :: _ -> Wait_until ready
-        | [] -> Wait
-      end
+  else if s.fresh < s.n then begin
+    let i = s.fresh in
+    s.fresh <- s.fresh + 1;
+    Run i
   end
+  else Wait
 
 (* The worker bound to [slot] while [slot.s_epoch = epoch]. Holds the
-   lock except while running a task or sleeping out a backoff. *)
+   lock except while running a task. *)
 let worker s slot epoch =
   Mutex.lock s.m;
   let rec loop () =
@@ -414,19 +335,13 @@ let worker s slot epoch =
     | Wait ->
       Condition.wait s.cv s.m;
       loop ()
-    | Wait_until ready ->
-      Mutex.unlock s.m;
-      Unix.sleepf (Float.min 0.05 (Float.max 0.001 (ready -. clock ())));
-      Mutex.lock s.m;
-      loop ()
-    | Run (i, attempt) ->
+    | Run i ->
       slot.s_task <- i;
-      slot.s_attempt <- attempt;
       slot.s_started <- clock ();
       Atomic.set slot.s_beat slot.s_started;
       Mutex.unlock s.m;
       let result, collector =
-        attempt_run s.cfg s.tasks.(i) ~heartbeat:slot.s_beat
+        run_task s.cfg s.tasks.(i) ~heartbeat:slot.s_beat
       in
       Mutex.lock s.m;
       if slot.s_epoch <> epoch then
@@ -436,7 +351,16 @@ let worker s slot epoch =
         Mutex.unlock s.m
       else begin
         slot.s_task <- -1;
-        settle s ~index:i ~attempt result collector;
+        (match result with
+        | Ok v -> settle s i (Finished v)
+        | Error ((exn, bt) as e) ->
+          let failure =
+            {
+              exn_text = Printexc.to_string exn;
+              backtrace = Printexc.raw_backtrace_to_string bt;
+            }
+          in
+          fail s i ~timed_out:(is_timeout_exn exn) ~failure e collector);
         loop ()
       end
   in
@@ -458,12 +382,7 @@ let abandon s w slot =
   let stale = clock () -. Float.max slot.s_started (Atomic.get slot.s_beat) in
   slot.s_epoch <- slot.s_epoch + 1;
   slot.s_task <- -1;
-  let text = watchdog_text stale in
-  s.failures.(i) <-
-    { attempt = slot.s_attempt; exn_text = text; backtrace = "" }
-    :: s.failures.(i);
-  s.errors.(i) <- Some (Failure text, Printexc.get_callstack 0);
-  finalize s i (Timed_out { attempts = slot.s_attempt }) None;
+  fail_with s i ~timed_out:true (watchdog_text stale);
   let epoch = slot.s_epoch in
   match Domain.spawn (fun () -> worker s slot epoch) with
   | d -> Some (w, epoch, d)
@@ -475,23 +394,13 @@ let abandon s w slot =
 (* Caller holds the lock. Every worker hung and could not be replaced:
    fail the rest of the sweep rather than wait forever. *)
 let fail_unstarted s =
-  for i = 0 to s.n - 1 do
-    if
-      Option.is_none s.outcomes.(i)
-      && not (Array.exists (fun sl -> sl.s_task = i) s.slots)
-    then begin
-      let f =
-        {
-          attempt = 0;
-          exn_text = "runner: no worker domains left";
-          backtrace = "";
-        }
-      in
-      s.failures.(i) <- f :: s.failures.(i);
-      s.errors.(i) <- Some (Failure f.exn_text, Printexc.get_callstack 0);
-      finalize s i (Crashed f) None
-    end
-  done
+  Array.iteri
+    (fun i cell ->
+      match cell with
+      | Pending when not (Array.exists (fun sl -> sl.s_task = i) s.slots) ->
+        fail_with s i ~timed_out:false "runner: no worker domains left"
+      | _ -> ())
+    s.cells
 
 (* The calling domain's part in a pooled sweep: wait for completions
    and, with a deadline, poll the per-slot heartbeats. *)
@@ -531,19 +440,14 @@ let execute cfg tasks =
       m = Mutex.create ();
       cv = Condition.create ();
       fresh = 0;
-      retry_q = [];
       completed = 0;
       live_workers = width;
-      results = Array.make n None;
-      errors = Array.make n None;
-      outcomes = Array.make n None;
-      failures = Array.make n [];
+      cells = Array.make n Pending;
       slots =
         Array.init width (fun _ ->
             {
               s_epoch = 0;
               s_task = -1;
-              s_attempt = 0;
               s_started = 0.;
               s_beat = Atomic.make 0.;
             });
@@ -578,24 +482,17 @@ let execute cfg tasks =
 let report_of s =
   let outcomes =
     Array.mapi
-      (fun i o ->
-        match o with
-        | Some o -> o
-        | None ->
+      (fun i cell ->
+        match cell with
+        | Finished _ -> outcome_of s i Completed None
+        | Failed { outcome; _ } -> outcome
+        | Pending ->
           (* Unreachable: every task gets a final outcome before the
              loop returns. *)
-          {
-            index = i;
-            label = s.tasks.(i).label;
-            seed = s.tasks.(i).seed;
-            repro = s.tasks.(i).repro;
-            status =
-              Crashed
-                { attempt = 0; exn_text = "missing outcome"; backtrace = "" };
-            failures = [];
-            forensics = None;
-          })
-      s.outcomes
+          outcome_of s i
+            (Crashed { exn_text = "missing outcome"; backtrace = "" })
+            None)
+      s.cells
   in
   let count f =
     Array.fold_left (fun a o -> if f o.status then a + 1 else a) 0 outcomes
@@ -603,38 +500,36 @@ let report_of s =
   {
     total = s.n;
     outcomes;
-    ok = count (function Completed { retries = 0 } -> true | _ -> false);
-    retried =
-      count (function Completed { retries } -> retries > 0 | _ -> false);
-    timed_out = count (function Timed_out _ -> true | _ -> false);
+    ok = count (( = ) Completed);
+    timed_out = count (( = ) Timed_out);
     crashed = count (function Crashed _ -> true | _ -> false);
-    quarantined = count (function Quarantined _ -> true | _ -> false);
   }
 
 let run t tasks =
   let s = execute t (Array.of_list tasks) in
   let report = report_of s in
   record_failures report;
-  (Array.to_list s.results, report)
+  ( Array.to_list
+      (Array.map (function Finished v -> Some v | _ -> None) s.cells),
+    report )
 
 let map t f inputs =
   let task x =
     { label = ""; seed = None; repro = None; run = (fun () -> f x) }
   in
   let s = execute t (Array.map task inputs) in
-  (* Every task without a result has a recorded error; the lowest index
-     wins, whatever order the failures happened in. *)
-  Array.iteri
-    (fun i r ->
-      match (r, s.errors.(i)) with
-      | None, Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | _ -> ())
-    s.results;
-  Array.map Option.get s.results
+  (* The lowest-indexed failure wins, whatever order the failures
+     happened in. *)
+  Array.map
+    (function
+      | Finished v -> v
+      | Failed { exn; bt; _ } -> Printexc.raise_with_backtrace exn bt
+      | Pending -> failwith "Runner.map: missing outcome")
+    s.cells
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))
 
-let failed (r : report) = r.timed_out + r.crashed + r.quarantined > 0
+let failed (r : report) = r.timed_out + r.crashed > 0
 
 let describe o =
   Printf.sprintf "%s (%s)"
@@ -647,13 +542,9 @@ let summary_line (r : report) =
     |> List.filter (fun o -> is_failure o.status)
     |> List.map describe
   in
-  let base =
-    Printf.sprintf "%d/%d task(s) ok%s" (r.ok + r.retried) r.total
-      (if r.retried > 0 then Printf.sprintf " (%d after retries)" r.retried
-       else "")
-  in
+  let base = Printf.sprintf "%d/%d task(s) ok" r.ok r.total in
   if failing = [] then base
   else
-    Printf.sprintf "%s; %d timed out, %d crashed, %d quarantined: %s" base
-      r.timed_out r.crashed r.quarantined
+    Printf.sprintf "%s; %d timed out, %d crashed: %s" base r.timed_out
+      r.crashed
       (String.concat ", " failing)

@@ -16,7 +16,11 @@
       shared RNG streams consumed inside tasks.
     - Tasks must not share mutable state. Each simulation task builds its
       own [Engine]/[Rng]; {!Pcc_scenario.Transport.spec} values are
-      immutable and safe to share. Retries re-run the same thunk.
+      immutable and safe to share.
+    - Each task runs exactly once. A pure, seeded task that failed would
+      fail the same way again, so nothing is re-run: a task that only
+      succeeds on a second run has broken this contract, and a second
+      run would hide that.
     - If several tasks fail, {!map} re-raises the exception of the
       {e lowest-indexed} failing task — again independent of scheduling.
 
@@ -28,7 +32,7 @@
     The settings of a {!t} decide how much the executor polices its
     tasks:
 
-    - {b in-band limits}: with a [deadline] or [max_events] each attempt
+    - {b in-band limits}: with a [deadline] or [max_events] each task
       runs under a {!Pcc_sim.Task_guard}, so the limit raises inside the
       task at the engine's dispatch loop and the worker survives;
     - {b out-of-band watchdog}: with a [deadline] and [jobs >= 2], the
@@ -37,15 +41,10 @@
       is abandoned once it is [deadline + 1 s] stale: its outcome
       becomes [Timed_out], the wedged domain is leaked until process
       exit, and a replacement worker keeps the sweep's width;
-    - {b retries}: with [retries > 0], every failure other than a
-      timeout is re-queued with bounded exponential backoff
-      ([backoff * 2^(attempt-1)], capped at 2 s); a task that exhausts
-      its retries is quarantined. Timeouts are never retried;
-    - {b forensics}: with a [forensics_dir], every final failure writes
+    - {b forensics}: with a [forensics_dir], every failure writes
       [<dir>/<index-label>/report.txt] (exception, backtrace, seed,
       repro command line) plus the failing domain's trace ring
-      ([trace.json] / [decisions.log] / [trace.csv]) when one was
-      recording. *)
+      ({!write_trace}) when one was recording. *)
 
 type t
 (** An executor: a worker count plus supervision settings. Holds no
@@ -59,8 +58,6 @@ val create :
   ?jobs:int ->
   ?deadline:float ->
   ?max_events:int ->
-  ?retries:int ->
-  ?backoff:float ->
   ?forensics_dir:string ->
   ?forensic_trace:bool ->
   ?repro_context:string ->
@@ -68,17 +65,14 @@ val create :
   t
 (** [create ()] is an executor with [jobs] workers (default
     {!default_jobs}); [jobs = 1] runs every task inline in the caller.
-    [deadline] is each attempt's wall-clock budget in seconds and
+    [deadline] is each task's wall-clock budget in seconds and
     [max_events] its engine event ceiling (default: neither, and no
-    guard is installed). [retries] (default 0) bounds the re-runs of a
-    failing task, the first after [backoff] seconds (default 0.1).
-    [forensics_dir] roots the failure bundles (default: none).
-    [forensic_trace] records each attempt into a private trace ring so
-    failures can dump their recent history even in otherwise untraced
-    runs. [repro_context] is the sweep-level repro command written for
-    tasks without their own.
-    @raise Invalid_argument if [jobs < 1], [retries < 0], [backoff < 0]
-    or a limit is not positive. *)
+    guard is installed). [forensics_dir] roots the failure bundles
+    (default: none). [forensic_trace] records each task into a private
+    trace ring so failures can dump their recent history even in
+    otherwise untraced runs. [repro_context] is the sweep-level repro
+    command written for tasks without their own.
+    @raise Invalid_argument if [jobs < 1] or a limit is not positive. *)
 
 val jobs : t -> int
 (** Worker count. *)
@@ -92,18 +86,15 @@ type 'a task = {
   label : string;  (** for reports and forensics paths *)
   seed : int option;  (** the derived seed the task consumes, if any *)
   repro : string option;  (** exact command line reproducing this task *)
-  run : unit -> 'a;  (** pure thunk; retries re-run it verbatim *)
+  run : unit -> 'a;  (** pure thunk, run exactly once *)
 }
 
-type failure = { attempt : int; exn_text : string; backtrace : string }
+type failure = { exn_text : string; backtrace : string }
 
 type status =
-  | Completed of { retries : int }  (** succeeded, possibly after retries *)
-  | Timed_out of { attempts : int }
-      (** guard deadline/event ceiling, or watchdog abandonment *)
-  | Crashed of failure  (** raised, with no retries configured *)
-  | Quarantined of { attempts : int; last : failure }
-      (** failures exhausted the retry budget *)
+  | Completed
+  | Timed_out  (** guard deadline/event ceiling, or watchdog abandonment *)
+  | Crashed of failure  (** the task raised *)
 
 type outcome = {
   index : int;
@@ -111,18 +102,15 @@ type outcome = {
   seed : int option;
   repro : string option;
   status : status;
-  failures : failure list;  (** newest first *)
   forensics : string option;  (** bundle directory, when one was written *)
 }
 
 type report = {
   total : int;
   outcomes : outcome array;  (** indexed by task position *)
-  ok : int;  (** completed on the first attempt *)
-  retried : int;  (** completed after at least one retry *)
+  ok : int;
   timed_out : int;
   crashed : int;
-  quarantined : int;
 }
 
 (** {2 Running sweeps} *)
@@ -155,13 +143,25 @@ val summary_line : report -> string
 (** One-line sweep summary naming each failing task and its status. *)
 
 val status_name : status -> string
-(** ["ok"], ["retried n"], ["timed_out"], ["crashed"],
-    ["quarantined"]. *)
+(** ["ok"], ["timed_out"] or ["crashed"]. *)
 
 val is_failure : status -> bool
 
 val describe : outcome -> string
 (** ["label (status)"], the index standing in for an empty label. *)
+
+(** {2 Output directories} *)
+
+val mkdir_p : string -> unit
+(** [mkdir_p dir] creates [dir] and its missing parents; an existing
+    directory is left alone.
+    @raise Sys_error if [dir] cannot be created or is not a directory. *)
+
+val write_trace : dir:string -> Pcc_trace.Collector.t -> unit
+(** [write_trace ~dir c] writes [c]'s events into [dir] (created with
+    {!mkdir_p}) as [trace.json] (Chrome trace), [decisions.log] and
+    [trace.csv].
+    @raise Sys_error if a file cannot be written. *)
 
 (** {2 Process-wide failure tally}
 

@@ -54,4 +54,4 @@ val events : unit -> int
 
 val is_guard_exn : exn -> bool
 (** Whether an exception is one of the two guard limits — the
-    executor classifies these as timeouts, never retries. *)
+    executor reports these as timeouts rather than crashes. *)

@@ -226,10 +226,15 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let contains hay needle =
+let count_occurrences hay needle =
   let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+  let rec go i acc =
+    if i + nn > nh then acc
+    else go (i + 1) (if String.sub hay i nn = needle then acc + 1 else acc)
+  in
+  go 0 0
+
+let contains hay needle = count_occurrences hay needle > 0
 
 (* An engine that reschedules itself forever: only the in-band Task_guard
    (deadline or event ceiling) gets out of [Engine.run]. *)
@@ -242,14 +247,22 @@ let engine_hang () =
 
 let status_at (r : Runner.report) i = r.Runner.outcomes.(i).status
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let test_gauntlet_partial_results () =
   let dir = temp_dir "pcc-gauntlet" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let crash_runs = Atomic.make 0 in
   let tasks =
     [
       Exp_common.task ~label:"ok-before" (fun () -> 10);
       Exp_common.task ~label:"hang" engine_hang;
       Exp_common.task ~label:"crash" ~repro:"pcc_sim exp crash" (fun () ->
+          Atomic.incr crash_runs;
           failwith "gauntlet: injected crash");
       Exp_common.task ~label:"ok-after" (fun () -> 20);
     ]
@@ -268,13 +281,21 @@ let test_gauntlet_partial_results () =
     [ 4; 2; 1; 1 ]
     [ report.total; report.ok; report.timed_out; report.crashed ];
   (match status_at report 1 with
-  | Runner.Timed_out { attempts = 1 } -> ()
+  | Runner.Timed_out -> ()
   | s -> Alcotest.failf "hang should time out, got %s" (Runner.status_name s));
   (match status_at report 2 with
   | Runner.Crashed f ->
     Alcotest.(check bool) "crash text recorded" true
       (contains f.Runner.exn_text "injected crash")
   | s -> Alcotest.failf "crash should crash, got %s" (Runner.status_name s));
+  Alcotest.(check int) "the crash ran exactly once" 1 (Atomic.get crash_runs);
+  (match report.outcomes.(2).forensics with
+  | Some d ->
+    Alcotest.(check int) "bundle holds the exception once" 1
+      (count_occurrences
+         (read_file (Filename.concat d "report.txt"))
+         "gauntlet: injected crash")
+  | None -> Alcotest.fail "no forensics bundle for the crash");
   Alcotest.(check bool) "report failed" true (Runner.failed report);
   let line = Runner.summary_line report in
   Alcotest.(check bool) "summary names the hang" true (contains line "hang");
@@ -323,63 +344,9 @@ let test_watchdog_abandons_non_engine_hang () =
     [ Some 1; None; Some 2 ]
     results;
   (match status_at report 1 with
-  | Runner.Timed_out _ -> ()
+  | Runner.Timed_out -> ()
   | s ->
     Alcotest.failf "watchdog should time the spinner out, got %s"
-      (Runner.status_name s));
-  Runner.reset_failures ()
-
-let test_retry_then_success () =
-  let attempts = Atomic.make 0 in
-  let flaky () =
-    if Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky" else 42
-  in
-  let results, report =
-    Runner.run
-      (Runner.create ~jobs:1 ~retries:3 ~backoff:0. ())
-      [ Exp_common.task ~label:"flaky" flaky ]
-  in
-  Alcotest.(check (list (option int))) "succeeds eventually" [ Some 42 ] results;
-  Alcotest.(check int) "counted as retried, not ok" 1 report.Runner.retried;
-  Alcotest.(check int) "three attempts ran" 3 (Atomic.get attempts);
-  (match status_at report 0 with
-  | Runner.Completed { retries = 2 } -> ()
-  | s -> Alcotest.failf "expected 2 retries, got %s" (Runner.status_name s));
-  Alcotest.(check int) "both failures kept" 2
-    (List.length report.Runner.outcomes.(0).Runner.failures);
-  Alcotest.(check bool) "retried-to-success is not a failure" false
-    (Runner.failed report)
-
-let test_quarantine_after_retry_exhaustion () =
-  let attempts = Atomic.make 0 in
-  let doomed () =
-    ignore (Atomic.fetch_and_add attempts 1);
-    failwith "always down"
-  in
-  let results, report =
-    Runner.run
-      (Runner.create ~jobs:1 ~retries:2 ~backoff:0. ())
-      [ Exp_common.task ~label:"doomed" doomed ]
-  in
-  Alcotest.(check (list (option int))) "no result" [ None ] results;
-  Alcotest.(check int) "1 + 2 retries" 3 (Atomic.get attempts);
-  (match status_at report 0 with
-  | Runner.Quarantined { attempts = 3; _ } -> ()
-  | s -> Alcotest.failf "expected quarantine, got %s" (Runner.status_name s));
-  Runner.reset_failures ()
-
-let test_timeouts_never_retried () =
-  (* Even with retries to spare, a task that blew its event ceiling is
-     not re-run: timeouts are deterministic. *)
-  let _, report =
-    Runner.run
-      (Runner.create ~jobs:1 ~retries:3 ~backoff:0. ~max_events:1_000 ())
-      [ Exp_common.task ~label:"hog" engine_hang ]
-  in
-  (match status_at report 0 with
-  | Runner.Timed_out { attempts = 1 } -> ()
-  | s ->
-    Alcotest.failf "ceiling should give one timed-out attempt, got %s"
       (Runner.status_name s));
   Runner.reset_failures ()
 
@@ -403,42 +370,41 @@ let test_supervised_tables_byte_identical () =
   Alcotest.(check string) "supervised jobs=4 = plain sequential" seq (render 4)
 
 (* The executor's settings reach the tasks an experiment hands to
-   [run_tasks_opt]: the event ceiling times the hang out in place and
-   both neighbours complete. *)
+   [run_tasks_opt], inline and across domains: the event ceiling times
+   the hang out in place and both neighbours complete. *)
 let test_run_tasks_opt_applies_settings () =
-  Runner.reset_failures ();
-  let results =
-    Exp_common.run_tasks_opt
-      ~pool:(Runner.create ~jobs:2 ~max_events:10_000 ())
-      [
-        Exp_common.task ~label:"ok-a" (fun () -> 1);
-        Exp_common.task ~label:"hang" engine_hang;
-        Exp_common.task ~label:"ok-b" (fun () -> 2);
-      ]
-  in
-  Alcotest.(check (list (option int)))
-    "hang is a hole, neighbours complete"
-    [ Some 1; None; Some 2 ]
-    results;
-  (match Runner.failures () with
-  | [ { Runner.label = "hang"; status = Runner.Timed_out _; _ } ] -> ()
-  | l ->
-    Alcotest.failf "expected one timed-out tally entry for the hang, got [%s]"
-      (String.concat "; "
-         (List.map
-            (fun (o : Runner.outcome) ->
-              o.label ^ ": " ^ Runner.status_name o.status)
-            l)));
+  List.iter
+    (fun jobs ->
+      Runner.reset_failures ();
+      let results =
+        Exp_common.run_tasks_opt
+          ~pool:(Runner.create ~jobs ~max_events:10_000 ())
+          [
+            Exp_common.task ~label:"ok-a" (fun () -> 1);
+            Exp_common.task ~label:"hang" engine_hang;
+            Exp_common.task ~label:"ok-b" (fun () -> 2);
+          ]
+      in
+      Alcotest.(check (list (option int)))
+        (Printf.sprintf "jobs=%d: hang is a hole, neighbours complete" jobs)
+        [ Some 1; None; Some 2 ]
+        results;
+      match Runner.failures () with
+      | [ { Runner.label = "hang"; status = Runner.Timed_out; _ } ] -> ()
+      | l ->
+        Alcotest.failf
+          "jobs=%d: expected one timed-out tally entry for the hang, got [%s]"
+          jobs
+          (String.concat "; "
+             (List.map
+                (fun (o : Runner.outcome) ->
+                  o.label ^ ": " ^ Runner.status_name o.status)
+                l)))
+    [ 1; 2 ];
   Runner.reset_failures ()
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned frames, truncation tolerance, identity. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -543,11 +509,6 @@ let suites =
           test_gauntlet_partial_results;
         Alcotest.test_case "watchdog abandons non-engine hang" `Quick
           test_watchdog_abandons_non_engine_hang;
-        Alcotest.test_case "retry then success" `Quick test_retry_then_success;
-        Alcotest.test_case "quarantine on retry exhaustion" `Quick
-          test_quarantine_after_retry_exhaustion;
-        Alcotest.test_case "timeouts never retried" `Quick
-          test_timeouts_never_retried;
         Alcotest.test_case "empty sweep" `Quick test_empty_sweep;
         Alcotest.test_case "supervised tables byte-identical jobs 1/4" `Slow
           test_supervised_tables_byte_identical;
