@@ -350,6 +350,27 @@ let test_watchdog_abandons_non_engine_hang () =
       (Runner.status_name s));
   Runner.reset_failures ()
 
+let test_timeouts_never_retried () =
+  (* A task that blew its event ceiling is not re-run: timeouts are
+     deterministic, so one run gives one timed-out outcome. *)
+  let runs = Atomic.make 0 in
+  let _, report =
+    Runner.run
+      (Runner.create ~jobs:1 ~max_events:1_000 ())
+      [
+        Exp_common.task ~label:"hog" (fun () ->
+            Atomic.incr runs;
+            engine_hang ());
+      ]
+  in
+  (match status_at report 0 with
+  | Runner.Timed_out -> ()
+  | s ->
+    Alcotest.failf "ceiling should time the hog out, got %s"
+      (Runner.status_name s));
+  Alcotest.(check int) "the hog ran exactly once" 1 (Atomic.get runs);
+  Runner.reset_failures ()
+
 let test_empty_sweep () =
   let results, report = Runner.run (Runner.create ~jobs:4 ()) [] in
   Alcotest.(check int) "no results" 0 (List.length results);
@@ -509,6 +530,8 @@ let suites =
           test_gauntlet_partial_results;
         Alcotest.test_case "watchdog abandons non-engine hang" `Quick
           test_watchdog_abandons_non_engine_hang;
+        Alcotest.test_case "timeouts never retried" `Quick
+          test_timeouts_never_retried;
         Alcotest.test_case "empty sweep" `Quick test_empty_sweep;
         Alcotest.test_case "supervised tables byte-identical jobs 1/4" `Slow
           test_supervised_tables_byte_identical;
