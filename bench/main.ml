@@ -838,7 +838,7 @@ let () =
                land in the executor's tally; anything else raises. *)
             Runner.reset_failures ();
             let rendered =
-              match e.render ?pool ?dump_dir ~scale:!scale ~seed:!seed () with
+              match Exp_registry.run ?pool ~scale:!scale ~seed:!seed e with
               | exception exn -> Error (Printexc.to_string exn)
               | out -> (
                 match Runner.failures () with
@@ -865,10 +865,14 @@ let () =
                   b_identical = None;
                   b_error = Some msg;
                 }
-            | Ok rendered ->
+            | Ok (rendered, series) ->
               let wall = now_s () -. t0 in
               let events = Pcc_sim.Engine.total_executed () - e0 in
               print_string rendered;
+              Option.iter
+                (fun dir ->
+                  print_string (Exp_registry.write_series ~dir series))
+                dump_dir;
               Printf.printf "[%s took %.1fs wall, %d events]\n%!" e.name wall
                 events;
               let seq_wall, identical =
@@ -876,9 +880,9 @@ let () =
                 | None -> (None, None)
                 | Some _ ->
                   (* Sequential re-run: measures speedup and proves the
-                     parallel output is byte-identical. *)
+                     parallel tables are byte-identical. *)
                   let t0 = now_s () in
-                  let seq = e.render ~scale:!scale ~seed:!seed () in
+                  let seq, _ = Exp_registry.run ~scale:!scale ~seed:!seed e in
                   let sw = now_s () -. t0 in
                   let same = String.equal seq rendered in
                   if not same then begin

@@ -20,6 +20,26 @@ let transport_conv =
   let print fmt t = Format.pp_print_string fmt (Transport.name t) in
   Arg.conv (parse, print)
 
+(* Exit statuses: a bad command line is cmdliner's 124 ([`Error]); a
+   run that started and failed prints one error line and exits 1. *)
+let failed msg =
+  prerr_endline ("pcc_sim: " ^ msg);
+  `Ok 1
+
+let exits =
+  Cmd.Exit.info 1
+    ~doc:
+      "on a runtime failure: a failed task, run, oracle or replay, an \
+       output path that cannot be created, or a checkpoint that does not \
+       match or is corrupt."
+  :: Cmd.Exit.info Cmd.Exit.cli_error
+       ~doc:
+         "on a command-line error: an unparsable or out-of-range value, or \
+          an unknown name."
+  :: List.filter
+       (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.cli_error)
+       Cmd.Exit.defaults
+
 (* ------------------------------------------------------------------ *)
 
 let queue_of_string = function
@@ -124,7 +144,7 @@ let run_cmd transports bw_mbps rtt_ms loss rev_loss jitter_ms buffer_kb queue
         (mbps (Topology.goodput_bytes f) duration)
         (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
     flows;
-  `Ok ()
+  `Ok 0
 
 let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
   Pcc_experiments.Cli_validate.(
@@ -177,15 +197,13 @@ let chaos_cmd transport bw_mbps rtt_ms duration seed rate check_invariants =
      pre-fault throughput)\n"
     (mbps (Topology.goodput_bytes f) duration)
     recovered (List.length reports);
-  `Ok ()
+  `Ok 0
   with exn ->
     (* A chaos gauntlet that dies mid-run (engine livelock guard, event
        error, invariant violation) must report and exit nonzero, not
        dump a backtrace. *)
-    `Error
-      ( false,
-        Printf.sprintf "error: chaos run failed: %s" (Printexc.to_string exn)
-      )
+    failed
+      (Printf.sprintf "error: chaos run failed: %s" (Printexc.to_string exn))
 
 (* Demo shapes for the graph topology layer. "dumbbell" is what `run`
    builds; "parking" and "revpath" are shapes a dumbbell cannot express
@@ -311,15 +329,15 @@ let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
     Printf.printf "%d nodes, %d links, %d flows\n" (Topology.num_nodes topo)
       (Topology.num_links topo)
       (Array.length (Topology.flows topo));
-    if describe then `Ok ()
+    if describe then `Ok 0
     else begin
       if check_invariants then ignore (Invariant.attach_topology topo);
       topo_report_aggregate ~engine ~duration ~interval topo;
-      `Ok ()
+      `Ok 0
     end
   | Ok topo ->
     print_string (Topology.describe topo);
-    if describe then `Ok ()
+    if describe then `Ok 0
     else begin
       if check_invariants then ignore (Invariant.attach_topology topo);
       let flows = Topology.flows topo in
@@ -343,7 +361,7 @@ let topo_cmd transports shape flows_n bw_mbps rtt_ms duration seed interval
             (min_cap /. 1e6)
             (f.Topology.sender.Pcc_net.Sender.srtt () *. 1e3))
         flows;
-      `Ok ()
+      `Ok 0
     end
 
 (* ------------------------------------------------------------------ *)
@@ -391,7 +409,7 @@ let write_trace_artifacts ~dir c =
 let with_output_dirs dirs k =
   match List.iter Pcc_experiments.Runner.mkdir_p dirs with
   | () -> k ()
-  | exception Sys_error m -> `Error (false, "error: " ^ m)
+  | exception Sys_error m -> failed ("error: " ^ m)
 
 let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
     categories probe_ms =
@@ -430,7 +448,7 @@ let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
         Engine.run ~until:duration engine;
         write_trace_artifacts ~dir:out_dir collector;
         Pcc_trace.Collector.uninstall ();
-        `Ok ()
+        `Ok 0
     end
 
 let game_cmd senders capacity steps =
@@ -456,7 +474,7 @@ let game_cmd senders capacity steps =
     end;
     x := Pcc_core.Game.step ~c:capacity !x
   done;
-  `Ok ()
+  `Ok 0
 
 (* Hidden supervision self-test: a sweep with a deliberate hang and a
    deliberate crash, enabled by PCC_TEST_HANG so CI can assert that a
@@ -464,49 +482,55 @@ let game_cmd senders capacity steps =
    nonzero. *)
 let selftest_entry : Pcc_experiments.Exp_registry.entry =
   let open Pcc_experiments in
+  let hang () =
+    (* An engine that reschedules itself forever: only a Task_guard
+       deadline or event ceiling gets us out. *)
+    let engine = Engine.create () in
+    let rec tick () = Engine.post_in engine ~after:1e-3 tick in
+    tick ();
+    Engine.run engine;
+    0.
+  in
+  let tasks =
+    [
+      Exp_common.task ~label:"selftest/ok-before" (fun () -> 1.);
+      Exp_common.task ~label:"selftest/hang" hang;
+      Exp_common.task ~label:"selftest/crash" (fun () ->
+          failwith "selftest: injected crash");
+      Exp_common.task ~label:"selftest/ok-after" (fun () -> 2.);
+    ]
+  in
   {
     Exp_registry.name = "selftest";
     descr = "supervision self-test: ok / hang / crash / ok (PCC_TEST_HANG)";
     parallel = true;
-    render =
-      (fun ?pool ?dump_dir:_ ~scale:_ ~seed:_ () ->
-        let hang () =
-          (* An engine that reschedules itself forever: only a Task_guard
-             deadline or event ceiling gets us out. *)
-          let engine = Engine.create () in
-          let rec tick () =
-            Engine.post_in engine ~after:1e-3 tick
-          in
-          tick ();
-          Engine.run engine;
-          0.
-        in
-        let tasks =
-          [
-            Exp_common.task ~label:"selftest/ok-before" (fun () -> 1.);
-            Exp_common.task ~label:"selftest/hang" hang;
-            Exp_common.task ~label:"selftest/crash" (fun () ->
-                failwith "selftest: injected crash");
-            Exp_common.task ~label:"selftest/ok-after" (fun () -> 2.);
-          ]
-        in
-        let results = Exp_common.run_tasks_opt ?pool tasks in
-        Exp_common.render_table
-          {
-            Exp_common.title = "supervision self-test";
-            header = [ "task"; "result" ];
-            rows =
-              List.map2
-                (fun t r ->
-                  [
-                    Exp_common.task_label t;
-                    (match r with
-                    | Some v -> Printf.sprintf "%.0f" v
-                    | None -> "n/a");
-                  ])
-                tasks results;
-            note = None;
-          });
+    exp =
+      Exp
+        {
+          run =
+            (fun ?pool ~scale:_ ~seed:_ () ->
+              Exp_common.run_tasks_opt ?pool tasks);
+          tables =
+            (fun results ->
+              [
+                {
+                  Exp_common.title = "supervision self-test";
+                  header = [ "task"; "result" ];
+                  rows =
+                    List.map2
+                      (fun t r ->
+                        [
+                          Exp_common.task_label t;
+                          (match r with
+                          | Some v -> Printf.sprintf "%.0f" v
+                          | None -> "n/a");
+                        ])
+                      tasks results;
+                  note = None;
+                };
+              ]);
+          series = (fun _ -> []);
+        };
   }
 
 let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
@@ -517,7 +541,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
       (fun e ->
         Printf.printf "%-10s %s\n" e.Exp_registry.name e.Exp_registry.descr)
       Exp_registry.all;
-    `Ok ()
+    `Ok 0
   end
   else
     Pcc_experiments.Cli_validate.(
@@ -598,7 +622,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
             Error (Printf.sprintf "error: cannot read checkpoint: %s" m))
       in
       match resume_loaded with
-      | Error msg -> `Error (false, msg)
+      | Error msg -> failed msg
       | Ok stored ->
         if stored <> [] then
           Printf.eprintf
@@ -647,7 +671,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
                          e.name scale seed)
                     ()
                 in
-                let out = e.render ~pool ?dump_dir ~scale ~seed () in
+                let out = render ~pool ?dump_dir ~scale ~seed e in
                 Option.iter
                   (fun t -> Checkpoint.append t ~name:e.name ~output:out)
                   ckpt;
@@ -675,19 +699,18 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
         (* Partial results were printed above; now make the failure
            visible in the exit status with a one-line summary. *)
         (match Runner.failures () with
-        | [] -> `Ok ()
+        | [] -> `Ok 0
         | failures ->
           let shown = List.filteri (fun i _ -> i < 6) failures in
           let names = List.map Runner.describe shown in
           let suffix =
             if List.length failures > List.length shown then ", ..." else ""
           in
-          `Error
-            ( false,
-              Printf.sprintf "error: %d task(s) failed: %s%s (forensics in %s/)"
-                (List.length failures)
-                (String.concat ", " names)
-                suffix forensics ))
+          failed
+            (Printf.sprintf "error: %d task(s) failed: %s%s (forensics in %s/)"
+               (List.length failures)
+               (String.concat ", " names)
+               suffix forensics))
 
 (* ------------------------------------------------------------------ *)
 (* Scenario fuzzing *)
@@ -739,56 +762,51 @@ let fuzz_cmd runs seed corpus deep_every shrink_budget transports replay
       match Pcc_fuzz.Driver.replay ~synth path with
       | Ok () ->
         Printf.printf "replay %s: all oracles pass\n" path;
-        `Ok ()
+        `Ok 0
       | Error f ->
-        `Error
-          ( false,
-            Printf.sprintf "error: replay %s fails %s: %s" path
-              f.Pcc_fuzz.Oracle.oracle f.Pcc_fuzz.Oracle.detail )
-      | exception Failure m -> `Error (false, "error: " ^ m)
-      | exception Persist.Corrupt m ->
-        `Error (false, "error: corrupt repro: " ^ m)
-      | exception Sys_error m -> `Error (false, "error: " ^ m))
+        failed
+          (Printf.sprintf "error: replay %s fails %s: %s" path
+             f.Pcc_fuzz.Oracle.oracle f.Pcc_fuzz.Oracle.detail)
+      | exception Failure m -> failed ("error: " ^ m)
+      | exception Persist.Corrupt m -> failed ("error: corrupt repro: " ^ m)
+      | exception Sys_error m -> failed ("error: " ^ m))
     | None, Some dir -> (
       match Pcc_fuzz.Driver.replay_dir ~synth ~log:print_endline dir with
       | [] ->
         Printf.printf "corpus %s: all repros pass\n" dir;
-        `Ok ()
+        `Ok 0
       | failing ->
-        `Error
-          ( false,
-            Printf.sprintf "error: %d corpus repro(s) still fail"
-              (List.length failing) )
-      | exception Failure m -> `Error (false, "error: " ^ m)
-      | exception Persist.Corrupt m ->
-        `Error (false, "error: corrupt repro: " ^ m)
-      | exception Sys_error m -> `Error (false, "error: " ^ m))
+        failed
+          (Printf.sprintf "error: %d corpus repro(s) still fail"
+             (List.length failing))
+      | exception Failure m -> failed ("error: " ^ m)
+      | exception Persist.Corrupt m -> failed ("error: corrupt repro: " ^ m)
+      | exception Sys_error m -> failed ("error: " ^ m))
     | None, None -> (
       let summary =
         Pcc_fuzz.Driver.fuzz ~synth ~deep_every ~shrink_budget
           ?corpus_dir:corpus ?menu ~log:print_endline ~runs ~seed ()
       in
       match summary.Pcc_fuzz.Driver.failed with
-      | [] -> `Ok ()
-      | failed ->
+      | [] -> `Ok 0
+      | reports ->
         let oracles =
           List.map
             (fun (r : Pcc_fuzz.Driver.failure_report) ->
               Printf.sprintf "run %d (%s)" r.Pcc_fuzz.Driver.run
                 r.Pcc_fuzz.Driver.failure.Pcc_fuzz.Oracle.oracle)
-            failed
+            reports
         in
-        `Error
-          ( false,
-            Printf.sprintf "error: %d/%d fuzz run(s) failed: %s"
-              (List.length failed) runs
-              (String.concat ", " oracles) )))
+        failed
+          (Printf.sprintf "error: %d/%d fuzz run(s) failed: %s"
+             (List.length reports) runs
+             (String.concat ", " oracles))))
 
 let list_cmd () =
   Printf.printf "transports:\n";
   List.iter (Printf.printf "  %s\n") Transport.all_names;
   Printf.printf "queues:\n  droptail codel red infinite fq fq-codel\n";
-  `Ok ()
+  `Ok 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -1148,47 +1166,48 @@ let fuzz_term =
 let cmds =
   [
     Cmd.v
-      (Cmd.info "run" ~doc:"Simulate flows sharing one bottleneck link")
+      (Cmd.info "run" ~exits ~doc:"Simulate flows sharing one bottleneck link")
       run_term;
     Cmd.v
-      (Cmd.info "exp"
+      (Cmd.info "exp" ~exits
          ~doc:
            "Reproduce the paper's experiments (optionally in parallel with \
             --jobs)")
       exp_term;
     Cmd.v
-      (Cmd.info "topo"
+      (Cmd.info "topo" ~exits
          ~doc:
            "Simulate flows on a graph topology (multi-hop chains, congested \
             reverse paths)")
       topo_term;
     Cmd.v
-      (Cmd.info "trace"
+      (Cmd.info "trace" ~exits
          ~doc:
            "Run a scenario with the structured tracer on and export \
             Perfetto-loadable JSON, CSV series and a decision log")
       trace_term;
     Cmd.v
-      (Cmd.info "chaos"
+      (Cmd.info "chaos" ~exits
          ~doc:
            "Run a transport through a seeded fault gauntlet and report \
             per-fault recovery")
       chaos_term;
     Cmd.v
-      (Cmd.info "game" ~doc:"Run the Sec. 2.2 game dynamics (Theorems 1-2)")
+      (Cmd.info "game" ~exits
+         ~doc:"Run the Sec. 2.2 game dynamics (Theorems 1-2)")
       game_term;
     Cmd.v
-      (Cmd.info "fuzz"
+      (Cmd.info "fuzz" ~exits
          ~doc:
            "Generate random scenarios, test them against invariant and \
             differential oracles, and minimize any failure into a replayable \
             repro file")
       fuzz_term;
     Cmd.v
-      (Cmd.info "list" ~doc:"List transports and queue disciplines")
+      (Cmd.info "list" ~exits ~doc:"List transports and queue disciplines")
       Term.(ret (const list_cmd $ const ()));
   ]
 
 let () =
   let doc = "packet-level simulator for the PCC congestion-control paper" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "pcc_sim" ~doc) cmds))
+  exit (Cmd.eval' (Cmd.group (Cmd.info "pcc_sim" ~doc ~exits) cmds))

@@ -46,10 +46,9 @@ let tasks ?(scale = 1.) ?(seed = 42) () =
         (variants ()))
     [ 0.0; 0.01 ]
 
-let collect results = Exp_common.present results
-
 let run ?pool ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
+  Exp_common.present
+    (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   Exp_common.

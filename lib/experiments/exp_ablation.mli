@@ -16,11 +16,5 @@ type row = {
   throughput : float;  (** bits/s over the measurement window *)
 }
 
-val tasks : ?scale:float -> ?seed:int -> unit -> row Exp_common.task list
-(** One simulation per (variant, loss); each task yields its row. *)
-
-val collect : row option list -> row list
-(** Identity — each task already yields a finished row. *)
-
 val run : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> row list
 val table : row list -> Exp_common.table

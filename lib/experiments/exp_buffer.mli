@@ -13,17 +13,6 @@ type row = {
   paced_reno : float;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?buffers:int list ->
-  unit ->
-  (int * float) Exp_common.task list
-(** One simulation per (buffer, protocol), yielding
-    [(buffer, throughput)]. *)
-
-val collect : (int * float) option list -> row list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

@@ -3,8 +3,8 @@
     Every experiment module follows the same convention: a [run] function
     parameterized by a [scale] (multiplying the paper's measurement
     durations, so tests can run cheap versions) and a [seed], returning
-    structured rows, plus a [table] that shapes them like the paper's
-    figure. *)
+    typed rows, plus a [table] that shapes them like the paper's figure.
+    {!Exp_registry} pairs the two for each experiment. *)
 
 type table = {
   title : string;
@@ -22,13 +22,13 @@ val print_table : table -> unit
 
 (** {2 Task plumbing}
 
-    Every experiment module splits into [tasks] (a pure, cheap
-    description of its independent simulation runs — all randomness
-    derived from the seed at construction time) and [collect] (folds the
-    per-task results, {e in task order}, back into rows). {!run_tasks}
-    and {!run_tasks_opt} execute a task list on a {!Runner} executor; by
-    the Runner's determinism contract the results do not depend on its
-    job count. *)
+    Inside its [run], every experiment module builds a list of tasks (a
+    pure, cheap description of its independent simulation runs — all
+    randomness derived from the seed at construction time) and folds
+    their results, {e in task order}, back into rows. {!run_tasks} and
+    {!run_tasks_opt} execute a task list on a {!Runner} executor; by the
+    Runner's determinism contract the results do not depend on its job
+    count. *)
 
 module Task : sig
   type 'a t = 'a Runner.task = {

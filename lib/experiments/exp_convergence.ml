@@ -78,10 +78,9 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(flows = 4) () =
         (fun () -> measure ~seed ~stagger ~flows spec name))
     (specs ())
 
-let collect results = Exp_common.present results
-
 let run ?pool ?scale ?seed ?flows () =
-  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?flows ()))
+  Exp_common.present
+    (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?flows ()))
 
 let table results =
   let header =

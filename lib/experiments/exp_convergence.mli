@@ -16,17 +16,6 @@ type protocol_result = {
   series : (float * float) array list;  (** Per-flow 1 s throughput. *)
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?flows:int ->
-  unit ->
-  protocol_result Exp_common.task list
-(** One simulation per protocol; each task yields its result. *)
-
-val collect : protocol_result option list -> protocol_result list
-(** Identity — each task already yields a finished result. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

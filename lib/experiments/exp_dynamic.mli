@@ -16,18 +16,6 @@ type row = {
 
 type series_point = { time : float; optimal : float; rate : float }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  unit ->
-  (row * (string * series_point list)) Exp_common.task list
-(** One simulation per protocol, yielding the summary row and the
-    sampled series together. *)
-
-val collect :
-  (row * (string * series_point list)) option list ->
-  row list * (string * series_point list) list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

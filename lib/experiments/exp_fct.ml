@@ -70,10 +70,9 @@ let tasks ?(scale = 1.) ?(seed = 42) ?(loads = [ 0.05; 0.25; 0.5; 0.75 ]) () =
         (specs ()))
     loads
 
-let collect results = Exp_common.present results
-
 let run ?pool ?scale ?seed ?loads () =
-  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?loads ()))
+  Exp_common.present
+    (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ?loads ()))
 
 let table rows =
   Exp_common.

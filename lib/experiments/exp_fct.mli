@@ -15,17 +15,6 @@ type row = {
   completed : int;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?loads:float list ->
-  unit ->
-  row Exp_common.task list
-(** One simulation per (load, protocol); each task yields its row. *)
-
-val collect : row option list -> row list
-(** Identity — each task already yields a finished row. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

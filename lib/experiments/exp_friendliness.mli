@@ -17,19 +17,6 @@ type row = {
       ratio > 1 means PCC friendlier (paper's "relative unfriendliness"). *)
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?selfish_counts:int list ->
-  unit ->
-  float Exp_common.task list
-(** Two simulations per (link, N) cell: the normal flow against N PCC
-    flows, then against N bundles of 10 TCPs. *)
-
-val collect : ?selfish_counts:int list -> float option list -> row list
-(** Pairs up the per-cell measurements; pass the same [selfish_counts]
-    given to {!tasks}. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

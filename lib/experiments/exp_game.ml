@@ -68,10 +68,9 @@ let tasks ?(seed = 42) ?(ns = [ 2; 3; 5; 10; 20 ]) () =
       }))
     starts
 
-let collect results = Exp_common.present results
-
 let run ?pool ?seed ?ns () =
-  collect (Exp_common.run_tasks_opt ?pool (tasks ?seed ?ns ()))
+  Exp_common.present
+    (Exp_common.run_tasks_opt ?pool (tasks ?seed ?ns ()))
 
 let table rows =
   Exp_common.

@@ -20,13 +20,9 @@ type row = {
   loss_naive : float;  (** equilibrium loss rate, T − x·L utility *)
 }
 
-val tasks : ?seed:int -> ?ns:int list -> unit -> row Exp_common.task list
+val run : ?pool:Runner.t -> ?seed:int -> ?ns:int list -> unit -> row list
 (** One dynamics run per sender count. Initial rates for every n are
     drawn up front from a sequential RNG, so they are a pure function of
     [seed] and [ns]. *)
 
-val collect : row option list -> row list
-(** Identity — each task already yields a finished row. *)
-
-val run : ?pool:Runner.t -> ?seed:int -> ?ns:int list -> unit -> row list
 val table : row list -> Exp_common.table

@@ -14,15 +14,6 @@ type row = {
   cubic : float;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?losses:float list ->
-  unit ->
-  (float * float) Exp_common.task list
-
-val collect : (float * float) option list -> row list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

@@ -15,29 +15,6 @@ type row = {
   tcp : float;
 }
 
-type sample = {
-  s_block : int;
-  s_senders : int;
-  s_proto : string;
-  v : float;  (** one round's goodput, bits/s *)
-}
-(** One round's measurement, tagged with its cell so {!collect} can
-    average rounds without knowing how many [scale] produced. *)
-
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?senders:int list ->
-  ?blocks:int list ->
-  unit ->
-  sample Exp_common.task list
-(** One simulation per (block, senders, protocol, round). Round seeds
-    are a pure function of [seed] and the round index. *)
-
-val collect : sample option list -> row list
-(** Averages rounds per (block, senders) cell, preserving first-seen
-    cell order. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

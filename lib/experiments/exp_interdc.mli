@@ -19,12 +19,6 @@ type row = {
 val pairs : (string * float) list
 (** The paper's transmission pairs with their RTTs (ms converted to s). *)
 
-val tasks :
-  ?scale:float -> ?seed:int -> unit -> float Exp_common.task list
-(** One simulation per (pair, protocol), yielding a throughput. *)
-
-val collect : float option list -> row list
-
 val run : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> row list
 (** Base duration 100 s per pair and protocol. *)
 

@@ -24,19 +24,6 @@ type summary = {
   frac_ge_10x : float;  (** Fraction of pairs with PCC ≥ 10× baseline. *)
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?pairs:int ->
-  unit ->
-  (Pcc_scenario.Internet_model.params * float) Exp_common.task list
-(** One simulation per (path, protocol). All paths are drawn up front
-    from a sequential RNG, so the path set — and every per-pair run seed
-    — is a pure function of [seed] and [pairs]. *)
-
-val collect :
-  (Pcc_scenario.Internet_model.params * float) option list -> pair_result list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->
@@ -44,7 +31,9 @@ val run :
   ?pairs:int ->
   unit ->
   pair_result list
-(** [pairs] defaults to 40; per-protocol run is 60 s · [scale]. *)
+(** [pairs] defaults to 40; per-protocol run is 60 s · [scale]. All
+    paths are drawn up front from a sequential RNG, so the path set — and
+    every per-pair run seed — is a pure function of [seed] and [pairs]. *)
 
 val summarize : pair_result list -> summary list
 val table : pair_result list -> Exp_common.table

@@ -16,18 +16,6 @@ type row = {
   newreno : float;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?losses:float list ->
-  unit ->
-  (float * float) Exp_common.task list
-(** One independent simulation per (loss, protocol); each yields
-    [(loss, throughput)]. *)
-
-val collect : (float * float) option list -> row list
-(** Reassemble task results (in task order) into rows. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

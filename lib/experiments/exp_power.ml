@@ -72,10 +72,9 @@ let tasks ?(scale = 1.) ?(seed = 42) () =
         (fun () -> measure ~seed ~duration ~queue spec name))
     (combos ())
 
-let collect results = Exp_common.present results
-
 let run ?pool ?scale ?seed () =
-  collect (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
+  Exp_common.present
+    (Exp_common.run_tasks_opt ?pool (tasks ?scale ?seed ()))
 
 let table rows =
   let find name =

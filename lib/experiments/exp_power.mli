@@ -15,12 +15,6 @@ type row = {
   power : float;  (** throughput / rtt *)
 }
 
-val tasks : ?scale:float -> ?seed:int -> unit -> row Exp_common.task list
-(** One simulation per combination; each task yields its row. *)
-
-val collect : row option list -> row list
-(** Identity — each task already yields a finished row. *)
-
 val run : ?pool:Runner.t -> ?scale:float -> ?seed:int -> unit -> row list
 (** Base duration 60 s · scale per combination. *)
 

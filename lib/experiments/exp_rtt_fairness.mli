@@ -15,16 +15,6 @@ type row = {
   newreno : float;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?rtts:float list ->
-  unit ->
-  (float * float) Exp_common.task list
-(** One simulation per (RTT, protocol), yielding (long_rtt, ratio). *)
-
-val collect : (float * float) option list -> row list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

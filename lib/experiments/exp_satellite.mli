@@ -15,15 +15,6 @@ type row = {
   newreno : float;
 }
 
-val tasks :
-  ?scale:float ->
-  ?seed:int ->
-  ?buffers:int list ->
-  unit ->
-  (int * float) Exp_common.task list
-
-val collect : (int * float) option list -> row list
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

@@ -15,22 +15,6 @@ type point = {
   stddev : float;  (** bits/s *)
 }
 
-type sample = {
-  s_label : string;
-  s_ct : float option;
-  s_sd : float;
-}
-(** One trial's measurement, tagged with its configuration label so
-    {!collect} can average trials without knowing how many ran. *)
-
-val tasks :
-  ?scale:float -> ?seed:int -> ?trials:int -> unit -> sample Exp_common.task list
-(** One simulation per (configuration, trial). Trial seeds are a pure
-    function of [seed] and the trial index. *)
-
-val collect : sample option list -> point list
-(** Averages trials per configuration, preserving configuration order. *)
-
 val run :
   ?pool:Runner.t ->
   ?scale:float ->

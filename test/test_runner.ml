@@ -425,6 +425,44 @@ let test_run_tasks_opt_applies_settings () =
   Runner.reset_failures ()
 
 (* ------------------------------------------------------------------ *)
+(* Registry: unique names, one rendering whatever the pool, and a series
+   dump that adds only its note line. *)
+
+let test_registry () =
+  let names = Exp_registry.names () in
+  Alcotest.(check int)
+    "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n ->
+      match Exp_registry.find n with
+      | Some e ->
+        Alcotest.(check string) "find round-trips" n e.Exp_registry.name
+      | None -> Alcotest.failf "find %s: not found" n)
+    names;
+  let entry n = Option.get (Exp_registry.find n) in
+  let game jobs =
+    Exp_registry.render ~pool:(Runner.create ~jobs ()) ~scale:0.05 ~seed:42
+      (entry "game")
+  in
+  Alcotest.(check string) "game: jobs 1 = jobs 2" (game 1) (game 2);
+  let dir = temp_dir "pcc-registry" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let fig11 = entry "fig11" in
+  let plain = Exp_registry.render ~scale:0.01 ~seed:42 fig11 in
+  let dumped = Exp_registry.render ~dump_dir:dir ~scale:0.01 ~seed:42 fig11 in
+  let path = Filename.concat dir "fig11_rate_tracking.csv" in
+  Alcotest.(check string)
+    "dump appends one note line"
+    (plain ^ Printf.sprintf "[series written to %s]\n" path)
+    dumped;
+  let csv = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " series written") true (contains csv s))
+    [ "pcc-rate,"; "pcc-optimal," ]
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned frames, truncation tolerance, identity. *)
 
 let write_file path s =
@@ -537,6 +575,11 @@ let suites =
           test_supervised_tables_byte_identical;
         Alcotest.test_case "run_tasks_opt applies executor settings" `Quick
           test_run_tasks_opt_applies_settings;
+      ] );
+    ( "registry",
+      [
+        Alcotest.test_case "names, render across pools, series dump" `Quick
+          test_registry;
       ] );
     ( "checkpoint",
       [
