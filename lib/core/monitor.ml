@@ -27,11 +27,28 @@ type config = {
 let default_config =
   { min_pkts = 10; rtt_lo = 1.7; rtt_hi = 2.2; eval_margin = 2.0; initial_rtt = 0.05 }
 
+(* The floats rewritten per ack live in float-only records, which OCaml
+   stores unboxed: an update is a plain store, with no box and no write
+   barrier into a record that is often already in the major heap. *)
+type mi_floats = {
+  mutable close_time : float;
+  mutable rtt_sum : float;
+  mutable planned_dur : float;
+  mutable rtt_early_sum : float;  (* samples in the MI's first quarter *)
+  mutable rtt_late_sum : float;  (* samples in (or after) the last quarter *)
+}
+
+type rtts = {
+  mutable est : float;
+  mutable latest : float;
+  mutable min : float;  (* lifetime minimum RTT sample (∞ before any) *)
+}
+
 type mi = {
   mi_id : int;
   mi_rate : float;
   start : float;
-  mutable close_time : float;
+  f : mi_floats;
   mutable closed : bool;
   mutable evaluated : bool;
   mutable rollover : Engine.timer option;
@@ -40,12 +57,8 @@ type mi = {
   mutable sent_bytes : int;
   mutable acked_pkts : int;
   mutable acked_bytes : int;
-  mutable rtt_sum : float;
   mutable rtt_cnt : int;
-  mutable planned_dur : float;
-  mutable rtt_early_sum : float;  (* samples in the MI's first quarter *)
   mutable rtt_early_cnt : int;
-  mutable rtt_late_sum : float;  (* samples in (or after) the last quarter *)
   mutable rtt_late_cnt : int;
   (* Sequences charged to this MI and still unresolved. A sequence is
      unresolved by this MI exactly while [seq_owner] still names this MI;
@@ -82,9 +95,7 @@ type t = {
   mutable trace_id : int;  (* flow id, for the trace layer *)
   mutable current : mi option;
   mutable next_id : int;
-  mutable rtt_est : float;
-  mutable rtt_latest : float;
-  mutable rtt_min : float;  (* lifetime minimum RTT sample (∞ before any) *)
+  rtt : rtts;
   mutable have_rtt : bool;
   mutable last_avg_rtt : float option;
   mutable last_class : int;  (* last utility class seen (-1 before any) *)
@@ -112,9 +123,8 @@ let create engine cfg ~rng ~utility ~cum_ack ~rate_for_mi ~on_result
     trace_id = -1;
     current = None;
     next_id = 0;
-    rtt_est = cfg.initial_rtt;
-    rtt_latest = cfg.initial_rtt;
-    rtt_min = Float.infinity;
+    rtt =
+      { est = cfg.initial_rtt; latest = cfg.initial_rtt; min = Float.infinity };
     have_rtt = false;
     last_avg_rtt = None;
     last_class = -1;
@@ -161,7 +171,7 @@ let take_owned t (mi : mi) =
   mi.unresolved <- 0;
   !owned
 
-let rtt_estimate t = t.rtt_est
+let rtt_estimate t = t.rtt.est
 let current_mi_id t = match t.current with Some mi -> mi.mi_id | None -> -1
 let set_trace_id t id = t.trace_id <- id
 
@@ -180,8 +190,8 @@ let mi_duration t rate =
      doubling far slower than TCP slow start (hurting short-flow FCT,
      which §4.3.2 shows staying close to TCP's). Cap the stretch at 4
      RTTs; the confidence-bound loss estimate covers the smaller sample. *)
-  let send_time = Float.min send_time (4. *. t.rtt_est) in
-  Float.max send_time (rtt_mult *. t.rtt_est)
+  let send_time = Float.min send_time (4. *. t.rtt.est) in
+  Float.max send_time (rtt_mult *. t.rtt.est)
 
 (* [on_result] may settle further MIs (a rate change discards the open
    one), so the cursor moves before each delivery. *)
@@ -219,29 +229,30 @@ let evaluate t (mi : mi) =
   | None -> ());
   let losses = take_owned t mi in
   drop_live t mi;
-  let duration = Float.max (mi.close_time -. mi.start) 1e-9 in
+  let duration = Float.max (mi.f.close_time -. mi.start) 1e-9 in
   let loss =
     if mi.sent_pkts = 0 then 0.
     else 1. -. (float_of_int mi.acked_pkts /. float_of_int mi.sent_pkts)
   in
   let avg_rtt =
-    if mi.rtt_cnt = 0 then None else Some (mi.rtt_sum /. float_of_int mi.rtt_cnt)
+    if mi.rtt_cnt = 0 then None
+    else Some (mi.f.rtt_sum /. float_of_int mi.rtt_cnt)
   in
   let throughput = float_of_int (mi.acked_bytes * 8) /. duration in
   let prev_avg_rtt = t.last_avg_rtt in
   let rtt_for_utility =
-    match avg_rtt with Some v -> v | None -> t.rtt_est
+    match avg_rtt with Some v -> v | None -> t.rtt.est
   in
   let prev_rtt_for_utility =
     match prev_avg_rtt with Some v -> v | None -> rtt_for_utility
   in
   let rtt_early =
     if mi.rtt_early_cnt = 0 then rtt_for_utility
-    else mi.rtt_early_sum /. float_of_int mi.rtt_early_cnt
+    else mi.f.rtt_early_sum /. float_of_int mi.rtt_early_cnt
   in
   let rtt_late =
     if mi.rtt_late_cnt = 0 then rtt_for_utility
-    else mi.rtt_late_sum /. float_of_int mi.rtt_late_cnt
+    else mi.f.rtt_late_sum /. float_of_int mi.rtt_late_cnt
   in
   let metrics =
     Utility.
@@ -255,7 +266,7 @@ let evaluate t (mi : mi) =
         rtt_early;
         rtt_late;
         min_rtt =
-          (if t.rtt_min < Float.infinity then t.rtt_min
+          (if t.rtt.min < Float.infinity then t.rtt.min
            else rtt_for_utility);
         rtt_samples = mi.rtt_cnt;
         prev_class = t.last_class;
@@ -307,7 +318,7 @@ let close_mi t (mi : mi) =
     Engine.cancel timer;
     mi.rollover <- None
   | None -> ());
-  mi.close_time <- Engine.now t.engine;
+  mi.f.close_time <- Engine.now t.engine;
   mi.closed <- true;
   if mi.unresolved = 0 then evaluate t mi
   else begin
@@ -316,7 +327,7 @@ let close_mi t (mi : mi) =
        fires when feedback dries up entirely — e.g. every remaining packet
        and its successors were lost — and then counts the rest as lost. *)
     let wait =
-      (t.cfg.eval_margin *. Float.max t.rtt_est t.rtt_latest) +. 0.002
+      (t.cfg.eval_margin *. Float.max t.rtt.est t.rtt.latest) +. 0.002
     in
     (* Before the first RTT sample the estimate is only a configuration
        guess; do not let a low guess declare unacked packets lost. *)
@@ -339,7 +350,14 @@ let rec open_mi t =
         mi_id = id;
         mi_rate = rate;
         start = now;
-        close_time = now;
+        f =
+          {
+            close_time = now;
+            rtt_sum = 0.;
+            planned_dur = 0.;
+            rtt_early_sum = 0.;
+            rtt_late_sum = 0.;
+          };
         closed = false;
         evaluated = false;
         rollover = None;
@@ -348,19 +366,15 @@ let rec open_mi t =
         sent_bytes = 0;
         acked_pkts = 0;
         acked_bytes = 0;
-        rtt_sum = 0.;
         rtt_cnt = 0;
-        planned_dur = 0.;
-        rtt_early_sum = 0.;
         rtt_early_cnt = 0;
-        rtt_late_sum = 0.;
         rtt_late_cnt = 0;
         unresolved = 0;
       }
     in
     t.live_mis <- mi :: t.live_mis;
     let duration = mi_duration t rate in
-    mi.planned_dur <- duration;
+    mi.f.planned_dur <- duration;
     if Pcc_trace.Collector.enabled () then
       Pcc_trace.Collector.emit Pcc_trace.Event.Mi_start ~time:now
         ~id:t.trace_id ~a:rate ~b:duration ~i:id;
@@ -428,10 +442,16 @@ let on_send t ~seq ~size =
     if owner t seq <> mi.mi_id then mi.unresolved <- mi.unresolved + 1;
     set_owner t seq mi.mi_id
 
-(* The live MI owning [seq], which resolves it there. *)
+let rec find_live id = function
+  | [] -> None
+  | mi :: rest -> if mi.mi_id = id then Some mi else find_live id rest
+
+(* The live MI owning [seq], which resolves it there. An unowned
+   sequence (-1) skips the search, and the search allocates no closure:
+   this runs once per ack. *)
 let resolve t seq =
   let id = owner t seq in
-  match List.find_opt (fun m -> m.mi_id = id) t.live_mis with
+  match if id < 0 then None else find_live id t.live_mis with
   | Some mi as found ->
     set_owner t seq (-1);
     mi.unresolved <- mi.unresolved - 1;
@@ -441,11 +461,11 @@ let resolve t seq =
 let on_ack t ~seq ~rtt ~size =
   (match rtt with
   | Some sample ->
-    t.rtt_latest <- sample;
-    if sample < t.rtt_min then t.rtt_min <- sample;
-    if t.have_rtt then t.rtt_est <- (0.9 *. t.rtt_est) +. (0.1 *. sample)
+    t.rtt.latest <- sample;
+    if sample < t.rtt.min then t.rtt.min <- sample;
+    if t.have_rtt then t.rtt.est <- (0.9 *. t.rtt.est) +. (0.1 *. sample)
     else begin
-      t.rtt_est <- sample;
+      t.rtt.est <- sample;
       t.have_rtt <- true
     end
   | None -> ());
@@ -457,19 +477,19 @@ let on_ack t ~seq ~rtt ~size =
       mi.acked_bytes <- mi.acked_bytes + size;
       (match rtt with
       | Some sample ->
-        mi.rtt_sum <- mi.rtt_sum +. sample;
+        mi.f.rtt_sum <- mi.f.rtt_sum +. sample;
         mi.rtt_cnt <- mi.rtt_cnt + 1;
         (* Attribute the sample to the MI's first or last quarter (by the
            data packet's send time relative to the planned duration) so
            the latency utility can read the within-MI RTT trend. *)
         let now = Engine.now t.engine in
         let sent_at = now -. sample in
-        if sent_at < mi.start +. (0.25 *. mi.planned_dur) then begin
-          mi.rtt_early_sum <- mi.rtt_early_sum +. sample;
+        if sent_at < mi.start +. (0.25 *. mi.f.planned_dur) then begin
+          mi.f.rtt_early_sum <- mi.f.rtt_early_sum +. sample;
           mi.rtt_early_cnt <- mi.rtt_early_cnt + 1
         end
-        else if sent_at >= mi.start +. (0.75 *. mi.planned_dur) then begin
-          mi.rtt_late_sum <- mi.rtt_late_sum +. sample;
+        else if sent_at >= mi.start +. (0.75 *. mi.f.planned_dur) then begin
+          mi.f.rtt_late_sum <- mi.f.rtt_late_sum +. sample;
           mi.rtt_late_cnt <- mi.rtt_late_cnt + 1
         end
       | None -> ());

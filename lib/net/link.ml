@@ -1,5 +1,9 @@
 open Pcc_sim
 
+(* Float-only, so OCaml stores it unboxed: the per-packet write is a
+   plain store, with no box and no write barrier. *)
+type clock = { mutable busy_time : float }
+
 type t = {
   engine : Engine.t;
   name : string;
@@ -28,7 +32,7 @@ type t = {
   mutable duplicated_pkts : int;
   mutable duplicated_bytes : int;
   mutable reordered_pkts : int;
-  mutable busy_time : float;
+  clock : clock;
 }
 
 let on_arrive t (p : Packet.t) =
@@ -64,8 +68,10 @@ let rec start_transmission t =
   | None -> t.busy <- false
   | Some p ->
     t.busy <- true;
-    let tx = Units.transmission_time ~size:p.Packet.size ~rate:t.bandwidth in
-    t.busy_time <- t.busy_time +. tx;
+    (* [Units.transmission_time] spelled out ([bandwidth] is positive):
+       a call across modules would box its result on every packet. *)
+    let tx = float_of_int p.Packet.size *. 8. /. t.bandwidth in
+    t.clock.busy_time <- t.clock.busy_time +. tx;
     Engine.post_apply_in t.engine ~after:tx t.tx_done p
 
 and on_tx_done t p =
@@ -104,7 +110,7 @@ let create engine ?(name = "link") ?(loss = 0.) ?(jitter = 0.) ~rng ~bandwidth
     duplicated_pkts = 0;
     duplicated_bytes = 0;
     reordered_pkts = 0;
-    busy_time = 0.;
+    clock = { busy_time = 0. };
   }
   in
   t
@@ -157,6 +163,6 @@ let channel_losses t = t.channel_losses
 let duplicated_pkts t = t.duplicated_pkts
 let duplicated_bytes t = t.duplicated_bytes
 let reordered_pkts t = t.reordered_pkts
-let busy_time t = t.busy_time
+let busy_time t = t.clock.busy_time
 let name t = t.name
 let trace_id t = t.trace_id

@@ -8,17 +8,15 @@ type ack = {
 
 type kind = Data of { retx : bool } | Ack of ack
 
-type t = {
-  flow : int;
-  seq : int;
-  size : int;
-  sent_at : float;
-  mutable enqueued_at : float;
-  kind : kind;
-}
+type t = { flow : int; seq : int; size : int; sent_at : float; kind : kind }
+
+(* The only two data kinds: a data packet allocates its record alone. *)
+let fresh_kind = Data { retx = false }
+let retx_kind = Data { retx = true }
 
 let data ~flow ~seq ~size ~now ~retx =
-  { flow; seq; size; sent_at = now; enqueued_at = now; kind = Data { retx } }
+  let kind = if retx then retx_kind else fresh_kind in
+  { flow; seq; size; sent_at = now; kind }
 
 let ack_of pkt ~cum_ack ~recv_bytes ~now =
   match pkt.kind with
@@ -29,7 +27,6 @@ let ack_of pkt ~cum_ack ~recv_bytes ~now =
       seq = pkt.seq;
       size = Pcc_sim.Units.ack_size;
       sent_at = now;
-      enqueued_at = now;
       kind =
         Ack
           {

@@ -4,7 +4,12 @@
     per-packet selective acknowledgment (the seq being acked plus the
     receiver's cumulative ack) and echo the data packet's send timestamp so
     senders can compute RTT samples without keeping extra state. This is the
-    idealized "TCP SACK is enough feedback" receiver the paper assumes. *)
+    idealized "TCP SACK is enough feedback" receiver the paper assumes.
+
+    Packets are immutable: a hop never writes to one, so a packet that
+    has been promoted to the major heap costs the minor collector
+    nothing. Per-queue state such as the enqueue time lives in the queue
+    (see {!Queue_disc}). *)
 
 type ack = {
   acked_seq : int;  (** Sequence number of the data packet being acked. *)
@@ -23,14 +28,13 @@ type t = {
   seq : int;  (** Per-flow sequence number (data) or echo (ack). *)
   size : int;  (** Wire size in bytes, headers included. *)
   sent_at : float;  (** Time the packet was handed to the first link. *)
-  mutable enqueued_at : float;
-      (** Time of entry into the current queue; maintained by queue
-          disciplines to compute sojourn times (CoDel). *)
   kind : kind;
 }
 
 val data : flow:int -> seq:int -> size:int -> now:float -> retx:bool -> t
-(** [data ~flow ~seq ~size ~now ~retx] is a data packet sent at [now]. *)
+(** [data ~flow ~seq ~size ~now ~retx] is a data packet sent at [now].
+    Its [kind] is one of two shared values, so data packets with equal
+    [retx] have physically equal kinds. *)
 
 val ack_of : t -> cum_ack:int -> recv_bytes:int -> now:float -> t
 (** [ack_of pkt ~cum_ack ~recv_bytes ~now] is the acknowledgment a receiver

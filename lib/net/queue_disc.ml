@@ -9,26 +9,107 @@ type t = {
   capacity_bytes : unit -> int option;
 }
 
-(* Shared FIFO core: all disciplines below are policies layered on it. *)
+(* Shared FIFO core: all disciplines below are policies layered on it.
+   Packets sit in a chain of fixed-size chunks, each packet's enqueue
+   time beside it in the chunk's [since] (CoDel's sojourn). A chunk the
+   head leaves is kept for reuse, so a queue allocates only when it
+   grows past its longest length so far, never per packet; a popped
+   slot is reset to [empty], so the queue never keeps a sent packet
+   alive. Chunks stay below 128 words, the largest block the OCaml heap
+   keeps in its own pools: one ring array doubling past that went to
+   malloc, and freeing such arrays let malloc return memory to the
+   system that the next engine's setup then faulted back in (perfbench
+   [longhaul-loss] [setup_s] rose by a quarter). *)
 module Fifo = struct
-  type fifo = { q : Packet.t Queue.t; mutable bytes : int }
+  let slots = 64
 
-  let create () = { q = Queue.create (); bytes = 0 }
+  type chunk = {
+    pkts : Packet.t array;
+    since : float array;
+    mutable next : chunk;
+  }
 
-  let push f (p : Packet.t) =
-    Queue.push p f.q;
+  type fifo = {
+    mutable head : chunk;  (* the oldest packet is at [hi] *)
+    mutable hi : int;
+    mutable tail : chunk;  (* the next packet goes at [ti] *)
+    mutable ti : int;
+    mutable spare : chunk;  (* chunks for reuse, linked through [next] *)
+    mutable len : int;
+    mutable bytes : int;
+  }
+
+  let empty = Packet.data ~flow:0 ~seq:(-1) ~size:0 ~now:0. ~retx:false
+
+  (* Ends every chain, and stands in for the first chunk until the
+     first push, so an idle queue allocates no chunk. Never written. *)
+  let rec none =
+    { pkts = Array.make slots empty; since = Array.make slots 0.; next = none }
+
+  let chunk () =
+    { none with pkts = Array.make slots empty; since = Array.make slots 0. }
+
+  let create () =
+    {
+      head = none;
+      hi = 0;
+      tail = none;
+      ti = slots;
+      spare = none;
+      len = 0;
+      bytes = 0;
+    }
+
+  let push f (p : Packet.t) ~now =
+    if f.ti = slots then begin
+      let c =
+        if f.spare == none then chunk ()
+        else begin
+          let c = f.spare in
+          f.spare <- c.next;
+          c.next <- none;
+          c
+        end
+      in
+      if f.tail == none then f.head <- c else f.tail.next <- c;
+      f.tail <- c;
+      f.ti <- 0
+    end;
+    f.tail.pkts.(f.ti) <- p;
+    f.tail.since.(f.ti) <- now;
+    f.ti <- f.ti + 1;
+    f.len <- f.len + 1;
     f.bytes <- f.bytes + p.size
 
-  let pop f =
-    match Queue.take_opt f.q with
-    | None -> None
-    | Some p ->
-      f.bytes <- f.bytes - p.size;
-      Some p
+  (* Enqueue time of the head packet; only meaningful when non-empty. *)
+  let[@inline] head_since f = f.head.since.(f.hi)
 
-  let peek f = Queue.peek_opt f.q
+  let pop f =
+    if f.len = 0 then None
+    else begin
+      let c = f.head in
+      let p = c.pkts.(f.hi) in
+      c.pkts.(f.hi) <- empty;
+      f.hi <- f.hi + 1;
+      f.len <- f.len - 1;
+      f.bytes <- f.bytes - p.size;
+      if f.len = 0 then begin
+        (* The last packet was the tail's: start that chunk over. *)
+        f.hi <- 0;
+        f.ti <- 0
+      end
+      else if f.hi = slots then begin
+        f.head <- c.next;
+        c.next <- f.spare;
+        f.spare <- c;
+        f.hi <- 0
+      end;
+      Some p
+    end
+
+  let peek f = if f.len = 0 then None else Some f.head.pkts.(f.hi)
   let bytes f = f.bytes
-  let pkts f = Queue.length f.q
+  let pkts f = f.len
 end
 
 let droptail_generic ~name ~fits ?(capacity_bytes = fun () -> None) () =
@@ -39,8 +120,7 @@ let droptail_generic ~name ~fits ?(capacity_bytes = fun () -> None) () =
     enqueue =
       (fun ~now p ->
         if fits f p then begin
-          p.Packet.enqueued_at <- now;
-          Fifo.push f p;
+          Fifo.push f p ~now;
           true
         end
         else begin
@@ -83,12 +163,13 @@ let codel ?(target = 0.005) ?(interval = 0.1) ~capacity () =
   let control_law t cnt = t +. (interval /. sqrt (float_of_int (max 1 cnt))) in
   (* Pop one packet and decide whether CoDel would drop it. *)
   let dodeque now =
+    let since = Fifo.head_since f in
     match Fifo.pop f with
     | None ->
       first_above := 0.;
       None
     | Some p ->
-      let sojourn = now -. p.Packet.enqueued_at in
+      let sojourn = now -. since in
       let ok_to_drop =
         if sojourn < target || Fifo.bytes f <= Pcc_sim.Units.mss then begin
           first_above := 0.;
@@ -164,8 +245,7 @@ let codel ?(target = 0.005) ?(interval = 0.1) ~capacity () =
     enqueue =
       (fun ~now p ->
         if Fifo.bytes f + p.Packet.size <= capacity then begin
-          p.Packet.enqueued_at <- now;
-          Fifo.push f p;
+          Fifo.push f p ~now;
           true
         end
         else begin
@@ -218,8 +298,7 @@ let red ?min_th ?max_th ?(max_p = 0.1) ~capacity () =
           false
         end
         else begin
-          p.Packet.enqueued_at <- now;
-          Fifo.push f p;
+          Fifo.push f p ~now;
           true
         end);
     dequeue = (fun ~now:_ -> Fifo.pop f);
@@ -230,90 +309,100 @@ let red ?min_th ?max_th ?(max_p = 0.1) ~capacity () =
     capacity_bytes = (fun () -> Some capacity);
   }
 
+(* A fair-queuing sub-queue. Active sub-queues form a service-order
+   list linked through [next], so a rotation allocates nothing. *)
+type sub = {
+  sq : t;
+  mutable deficit : int;
+  mutable active : bool;
+  mutable next : sub;
+}
+
 (* Deficit round robin (Shreedhar & Varghese) with pluggable per-flow
    sub-queues, so FQ+CoDel composes from the pieces above. *)
 let fq ?(quantum = Pcc_sim.Units.mss) ~per_flow () =
   let quantum = max quantum Pcc_sim.Units.mss in
-  let flows : (int, t * int ref * bool ref) Hashtbl.t = Hashtbl.create 16 in
-  let active : int Queue.t = Queue.create () in
-  let drops_here = ref 0 in
+  let flows : (int, sub) Hashtbl.t = Hashtbl.create 16 in
+  (* The list's end marker; its own queue is never used. *)
+  let rec nil = { sq = infinite (); deficit = 0; active = false; next = nil } in
+  let first = ref nil and last = ref nil in
+  let activate s =
+    s.active <- true;
+    s.next <- nil;
+    if !first == nil then first := s else !last.next <- s;
+    last := s
+  in
+  (* Take the head sub-queue off the list. *)
+  let advance () =
+    let s = !first in
+    first := s.next;
+    s.next <- nil;
+    if !first == nil then last := nil;
+    s
+  in
+  let retire s =
+    ignore (advance ());
+    s.active <- false;
+    s.deficit <- 0
+  in
   let flow_state id =
     match Hashtbl.find_opt flows id with
-    | Some st -> st
+    | Some s -> s
     | None ->
-      let st = (per_flow (), ref 0, ref false) in
-      Hashtbl.add flows id st;
-      st
+      let s = { sq = per_flow (); deficit = 0; active = false; next = nil } in
+      Hashtbl.add flows id s;
+      s
   in
-  let total f = Hashtbl.fold (fun _ (q, _, _) acc -> acc + f q) flows 0 in
+  let total f = Hashtbl.fold (fun _ s acc -> acc + f s.sq) flows 0 in
   let enqueue ~now (p : Packet.t) =
-    let q, _, is_active = flow_state p.flow in
-    let accepted = q.enqueue ~now p in
-    if accepted && not !is_active then begin
-      is_active := true;
-      Queue.push p.flow active
-    end;
+    let s = flow_state p.flow in
+    let accepted = s.sq.enqueue ~now p in
+    if accepted && not s.active then activate s;
     accepted
   in
   let rec dequeue ~now =
-    match Queue.peek_opt active with
-    | None -> None
-    | Some id -> (
-      let q, deficit, is_active = flow_state id in
-      match q.peek () with
+    let s = !first in
+    if s == nil then None
+    else
+      match s.sq.peek () with
       | None ->
         (* Sub-queue drained (or only holds packets CoDel will drop):
            retire the flow from the active list and keep going. *)
-        ignore (Queue.pop active);
-        is_active := false;
-        deficit := 0;
+        retire s;
         dequeue ~now
       | Some head ->
-        if head.size <= !deficit then begin
-          match q.dequeue ~now with
+        if head.size <= s.deficit then begin
+          match s.sq.dequeue ~now with
           | Some p ->
-            deficit := !deficit - p.size;
-            if q.peek () = None then begin
-              ignore (Queue.pop active);
-              is_active := false;
-              deficit := 0
-            end;
+            s.deficit <- s.deficit - p.size;
+            if s.sq.peek () = None then retire s;
             Some p
           | None ->
             (* CoDel consumed the remaining packets at dequeue time. *)
-            ignore (Queue.pop active);
-            is_active := false;
-            deficit := 0;
+            retire s;
             dequeue ~now
         end
         else begin
-          deficit := !deficit + quantum;
-          ignore (Queue.pop active);
-          Queue.push id active;
+          s.deficit <- s.deficit + quantum;
+          activate (advance ());
           dequeue ~now
-        end)
+        end
   in
   {
     name = "fq";
     enqueue;
     dequeue;
-    peek =
-      (fun () ->
-        match Queue.peek_opt active with
-        | None -> None
-        | Some id ->
-          let q, _, _ = flow_state id in
-          q.peek ());
+    peek = (fun () -> if !first == nil then None else !first.sq.peek ());
     len_bytes = (fun () -> total (fun q -> q.len_bytes ()));
     len_pkts = (fun () -> total (fun q -> q.len_pkts ()));
-    drops = (fun () -> !drops_here + total (fun q -> q.drops ()));
+    drops = (fun () -> total (fun q -> q.drops ()));
     (* The aggregate bound depends on how many flows have appeared, so it
        is only meaningful as a point-in-time figure. *)
     capacity_bytes =
       (fun () ->
         Hashtbl.fold
-          (fun _ (q, _, _) acc ->
-            match (acc, q.capacity_bytes ()) with
+          (fun _ s acc ->
+            match (acc, s.sq.capacity_bytes ()) with
             | Some a, Some c -> Some (a + c)
             | _ -> None)
           flows (Some 0));

@@ -3,7 +3,15 @@
     A queue discipline is a first-class value so links can be composed with
     DropTail, CoDel, RED or fair-queuing buffers without functorizing the
     link code. Disciplines are allowed to drop packets at enqueue time
-    (DropTail, RED) or at dequeue time (CoDel); all drops are counted. *)
+    (DropTail, RED) or at dequeue time (CoDel); all drops are counted.
+
+    Every discipline buffers packets in the same FIFO: a chain of
+    fixed-size chunks, reused as the queue drains and refills, so an
+    enqueue allocates nothing (a queue allocates only when it grows past
+    its longest length so far). Each dequeued slot is cleared, so a
+    queue never keeps a sent packet alive. The FIFO keeps each packet's
+    enqueue time beside it, slot for slot, in an unboxed [float array];
+    CoDel reads its sojourn times there, since packets are immutable. *)
 
 type t = {
   name : string;

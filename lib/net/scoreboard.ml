@@ -242,9 +242,19 @@ let detect_losses ?(highest_first = false) t ~now ~min_age =
     end
     else sift_down t t.cand_len seq (sent_at t seq)
   done;
-  let lost = List.sort Int.compare !lost in
-  List.iter (queue_retx t) (if highest_first then List.rev lost else lost);
-  lost
+  (* Pops come in send-time order, which is nearly always sequence
+     order, so the consed list is usually strictly descending already;
+     sort only when a retransmission interleaves. *)
+  let rec descending = function
+    | a :: (b :: _ as rest) -> a > b && descending rest
+    | [ _ ] | [] -> true
+  in
+  let down = !lost in
+  let sorted = descending down in
+  let up = if sorted then List.rev down else List.sort Int.compare down in
+  List.iter (queue_retx t)
+    (if not highest_first then up else if sorted then down else List.rev up);
+  up
 
 let mark_lost t seq ~now ~min_age =
   if seq > t.high_ack && kind t seq = 1 && now -. sent_at t seq >= min_age

@@ -1,28 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer, and [mix] and
+   [bits64] inline into the draws below, so a draw that returns an int,
+   a bool or a float compared in place allocates nothing. An [int64]
+   record field would box a fresh state on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* splitmix64 finalizer (Steele, Lea, Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let copy t = { state = t.state }
+let split t = of_state (mix (bits64 t))
+
+let copy t = Bytes.copy t
 
 (* Explicit state capture for checkpointing: the full generator state
    is one int64, serialized field-by-field by Persist (never Marshal). *)
-let state t = t.state
+let state t = Bytes.get_int64_ne t 0
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -31,7 +39,7 @@ let int t n =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod n
 
-let float t =
+let[@inline] float t =
   (* 53 random bits into [0,1). *)
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. 0x1p-53

@@ -7,7 +7,7 @@
     perturb the others and every experiment is reproducible from a seed. *)
 
 type t
-(** A mutable generator state. *)
+(** A mutable generator state. Draws allocate nothing. *)
 
 val create : int -> t
 (** [create seed] is a fresh generator deterministically derived from

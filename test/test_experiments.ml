@@ -171,6 +171,35 @@ let test_manyflow_per_flow_memory () =
     Alcotest.failf "%.2f KB per flow after completion (> 6)" finished;
   ignore (Sys.opaque_identity topo)
 
+(* The packet path stores nothing freshly allocated into long-lived
+   state (immutable packets, ring FIFOs, float-only records), so the
+   minor collector promotes little beyond the packets in flight. A
+   300-flow fan-in, one domain, from an empty minor heap: 40,200
+   delivered packets promote 11.1 words each, against 15.5 when every
+   enqueue stamped the packet and allocated a queue cell. *)
+let test_manyflow_promotion_budget () =
+  let open Pcc_sim in
+  let engine = Engine.create () in
+  let topo =
+    Exp_manyflow.topology engine ~rng:(Rng.create 42) ~n:300
+      ~bandwidth:Exp_manyflow.default_bandwidth ~rtt:Exp_manyflow.default_rtt
+  in
+  Gc.full_major ();
+  let promoted () =
+    let _, p, _ = Gc.counters () in
+    p
+  in
+  let before = promoted () in
+  Engine.run ~until:1. engine;
+  let words = promoted () -. before in
+  let delivered =
+    Pcc_net.Link.delivered_pkts (Pcc_scenario.Topology.links topo).(0)
+  in
+  Alcotest.(check int) "delivered" 40_200 delivered;
+  let per_pkt = words /. float_of_int delivered in
+  if per_pkt > 13. then
+    Alcotest.failf "%.2f promoted words per delivered packet (> 13)" per_pkt
+
 let suites =
   [
     ( "experiments.scaled",
@@ -193,5 +222,7 @@ let suites =
       [
         Alcotest.test_case "fan-in state per flow" `Quick
           test_manyflow_per_flow_memory;
+        Alcotest.test_case "fan-in promotion per packet" `Quick
+          test_manyflow_promotion_budget;
       ] );
   ]

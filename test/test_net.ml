@@ -12,6 +12,17 @@ let test_packet_data () =
   Alcotest.(check int) "seq" 5 p.Packet.seq;
   check_float "sent_at" 2. p.Packet.sent_at
 
+(* A data packet allocates its record alone: its kind is shared. *)
+let test_packet_shared_kinds () =
+  let mk seq retx = Packet.data ~flow:1 ~seq ~size:1500 ~now:0. ~retx in
+  Alcotest.(check bool) "fresh kinds shared" true
+    ((mk 1 false).Packet.kind == (mk 2 false).Packet.kind);
+  Alcotest.(check bool) "retx kinds shared" true
+    ((mk 1 true).Packet.kind == (mk 2 true).Packet.kind);
+  match ((mk 1 false).Packet.kind, (mk 1 true).Packet.kind) with
+  | Packet.Data { retx = false }, Packet.Data { retx = true } -> ()
+  | _ -> Alcotest.fail "kinds keep their retx flag"
+
 let test_packet_ack () =
   let p = Packet.data ~flow:1 ~seq:5 ~size:1500 ~now:2. ~retx:true in
   let a = Packet.ack_of p ~cum_ack:3 ~recv_bytes:6000 ~now:2.5 in
@@ -887,6 +898,47 @@ let test_scoreboard_resent_candidate () =
   Alcotest.(check (list int)) "old resend declared" [ 0 ]
     (Scoreboard.detect_losses sb ~now:0.4 ~min_age:0.15)
 
+(* A retransmitted low sequence is due after fresher, higher ones: the
+   send-time order of the candidate heap is then not sequence order,
+   and [detect_losses] must still return ascending sequences and queue
+   them in the order asked for. *)
+let test_scoreboard_retx_interleaved () =
+  let run ~highest_first =
+    let sb = Scoreboard.create () in
+    let send seq now =
+      if seq >= Scoreboard.next_seq sb then ignore (Scoreboard.fresh_seq sb);
+      Scoreboard.record_send sb seq ~now
+    in
+    for seq = 0 to 9 do
+      send seq (0.1 *. float_of_int seq)
+    done;
+    for s = 1 to 9 do
+      ignore (Scoreboard.on_ack sb (ack s))
+    done;
+    Alcotest.(check (list int)) "first loss" [ 0 ]
+      (Scoreboard.detect_losses ~highest_first sb ~now:1. ~min_age:0.5);
+    send 10 1.0;
+    send 11 1.1;
+    (match Scoreboard.take_retx sb with
+    | Some 0 -> send 0 1.2
+    | _ -> Alcotest.fail "expected retx of 0");
+    List.iter (fun s -> send s 1.3) [ 12; 13; 14 ];
+    List.iter (fun s -> ignore (Scoreboard.on_ack sb (ack s))) [ 12; 13; 14 ];
+    let lost =
+      Scoreboard.detect_losses ~highest_first sb ~now:2. ~min_age:0.5
+    in
+    let queued = List.init 3 (fun _ -> Scoreboard.take_retx sb) in
+    (lost, queued)
+  in
+  let lost, queued = run ~highest_first:false in
+  Alcotest.(check (list int)) "ascending" [ 0; 10; 11 ] lost;
+  Alcotest.(check (list (option int))) "queued lowest first"
+    [ Some 0; Some 10; Some 11 ] queued;
+  let lost, queued = run ~highest_first:true in
+  Alcotest.(check (list int)) "ascending (highest first)" [ 0; 10; 11 ] lost;
+  Alcotest.(check (list (option int))) "queued highest first"
+    [ Some 11; Some 10; Some 0 ] queued
+
 let q = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -894,6 +946,7 @@ let suites =
     ( "net.packet",
       [
         Alcotest.test_case "data" `Quick test_packet_data;
+        Alcotest.test_case "shared data kinds" `Quick test_packet_shared_kinds;
         Alcotest.test_case "ack" `Quick test_packet_ack;
         Alcotest.test_case "ack of ack rejected" `Quick
           test_packet_ack_of_ack_rejected;
@@ -949,6 +1002,8 @@ let suites =
         Alcotest.test_case "sweep stale" `Quick test_scoreboard_sweep_stale;
         Alcotest.test_case "resent candidate re-keyed" `Quick
           test_scoreboard_resent_candidate;
+        Alcotest.test_case "retransmission interleaved" `Quick
+          test_scoreboard_retx_interleaved;
         q prop_scoreboard_never_negative_inflight;
         q prop_scoreboard_matches_byte_scan;
       ] );

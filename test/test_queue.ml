@@ -102,6 +102,47 @@ let test_codel_recovers_when_queue_drains () =
   | None -> Alcotest.fail "fresh packet dropped");
   Alcotest.(check int) "no new drops" drops_before (q.Queue_disc.drops ())
 
+(* The same standing queue, once on a fresh FIFO and once on one whose
+   earlier burst left chunks to reuse, refilled while it drains so the
+   head and the tail both move through reused chunks: CoDel reads the
+   same sojourn times from both, so it drops the same packets. *)
+let test_codel_drops_on_reused_chunks () =
+  let run q =
+    for seq = 0 to 499 do
+      ignore (q.Queue_disc.enqueue ~now:1.0 (data ~now:1.0 seq))
+    done;
+    let now = ref 1.5 and out = ref [] and step = ref 0 in
+    let continue = ref true in
+    while !continue do
+      if !step < 300 then
+        ignore (q.Queue_disc.enqueue ~now:!now (data ~now:!now (1000 + !step)));
+      incr step;
+      match q.Queue_disc.dequeue ~now:!now with
+      | Some p ->
+        out := p.Packet.seq :: !out;
+        now := !now +. 0.002
+      | None -> continue := false
+    done;
+    List.rev !out
+  in
+  let fresh = Queue_disc.codel ~capacity:10_000_000 () in
+  let want = run fresh in
+  let reused = Queue_disc.codel ~capacity:10_000_000 () in
+  (* A burst well under the target sojourn: no drop, no CoDel state. *)
+  for seq = 0 to 199 do
+    ignore (reused.Queue_disc.enqueue ~now:0. (data ~now:0. (5000 + seq)))
+  done;
+  for _ = 0 to 199 do
+    ignore (reused.Queue_disc.dequeue ~now:0.001)
+  done;
+  let got = run reused in
+  Alcotest.(check bool) "dropped some" true (fresh.Queue_disc.drops () > 0);
+  Alcotest.(check (list int)) "same deliveries" want got;
+  Alcotest.(check int) "same drops" (fresh.Queue_disc.drops ())
+    (reused.Queue_disc.drops ());
+  Alcotest.(check int) "every packet accounted" 800
+    (List.length got + reused.Queue_disc.drops ())
+
 (* ------------------------------------------------------------------ *)
 (* RED *)
 
@@ -206,6 +247,70 @@ let test_fq_drops_in_overloaded_subqueue_only () =
     (q.Queue_disc.enqueue ~now:0. (data ~flow:2 ~now:0. 100));
   Alcotest.(check int) "drops only from flow1" 7 (q.Queue_disc.drops ())
 
+(* ------------------------------------------------------------------ *)
+(* The shared FIFO *)
+
+(* Random enqueues and dequeues against a list model: the queue grows
+   over several chunks, then drains and refills, so chunks are handed
+   back and reused many times. *)
+let check_against_model name q =
+  let rng = Pcc_sim.Rng.create 7 in
+  let model = ref [] and next = ref 0 in
+  for step = 0 to 3999 do
+    let push_p = if step mod 1000 < 600 then 0.7 else 0.3 in
+    if Pcc_sim.Rng.bernoulli rng push_p then begin
+      let p = data ~size:(100 + Pcc_sim.Rng.int rng 1400) ~now:0. !next in
+      incr next;
+      if q.Queue_disc.enqueue ~now:(float_of_int step) p then
+        model := !model @ [ p ]
+    end
+    else begin
+      let got = q.Queue_disc.dequeue ~now:(float_of_int step) in
+      match (got, !model) with
+      | None, [] -> ()
+      | Some p, m :: rest when p == m -> model := rest
+      | _ -> Alcotest.failf "%s: wrong packet out at step %d" name step
+    end;
+    Alcotest.(check int) (name ^ " pkts") (List.length !model)
+      (q.Queue_disc.len_pkts ());
+    Alcotest.(check int) (name ^ " bytes")
+      (List.fold_left (fun a (p : Packet.t) -> a + p.size) 0 !model)
+      (q.Queue_disc.len_bytes ());
+    match (q.Queue_disc.peek (), !model) with
+    | None, [] -> ()
+    | Some p, m :: _ when p == m -> ()
+    | _ -> Alcotest.failf "%s: wrong head at step %d" name step
+  done
+
+let test_fifo_matches_model () =
+  check_against_model "droptail"
+    (Queue_disc.droptail_bytes ~capacity:1_000_000 ());
+  (* Small enough that RED's early drops fire: only accepted packets
+     enter the model. *)
+  let red = Queue_disc.red ~capacity:150_000 () in
+  check_against_model "red" red;
+  Alcotest.(check bool) "red dropped some" true (red.Queue_disc.drops () > 0)
+
+(* A dequeued packet is no longer reachable from the queue. *)
+let test_fifo_releases_dequeued () =
+  let q = Queue_disc.droptail_bytes ~capacity:1_000_000 () in
+  let weak = Weak.create 1 in
+  let enqueue () =
+    let p = data ~now:0. 0 in
+    Weak.set weak 0 (Some p);
+    ignore (q.Queue_disc.enqueue ~now:0. p)
+  in
+  enqueue ();
+  ignore (q.Queue_disc.enqueue ~now:0. (data ~now:0. 1));
+  Gc.full_major ();
+  Alcotest.(check bool) "queued packet kept alive" true (Weak.check weak 0);
+  (match q.Queue_disc.dequeue ~now:1. with
+  | Some p -> Alcotest.(check int) "head out" 0 p.Packet.seq
+  | None -> Alcotest.fail "empty queue");
+  Gc.full_major ();
+  Alcotest.(check bool) "dequeued packet released" false (Weak.check weak 0);
+  Alcotest.(check int) "other packet still queued" 1 (q.Queue_disc.len_pkts ())
+
 let prop_droptail_never_exceeds_capacity =
   QCheck.Test.make ~name:"droptail occupancy <= capacity" ~count:200
     QCheck.(pair (int_range 1500 100000) (list (int_range 0 100)))
@@ -231,6 +336,10 @@ let suites =
         Alcotest.test_case "packet limit" `Quick test_droptail_pkts;
         Alcotest.test_case "infinite" `Quick test_infinite_never_drops;
         q prop_droptail_never_exceeds_capacity;
+        Alcotest.test_case "fifo matches list model" `Quick
+          test_fifo_matches_model;
+        Alcotest.test_case "fifo releases dequeued" `Quick
+          test_fifo_releases_dequeued;
       ] );
     ( "queue.codel",
       [
@@ -240,6 +349,8 @@ let suites =
           test_codel_drops_on_persistent_delay;
         Alcotest.test_case "recovers after drain" `Quick
           test_codel_recovers_when_queue_drains;
+        Alcotest.test_case "drops on reused chunks" `Quick
+          test_codel_drops_on_reused_chunks;
       ] );
     ( "queue.red",
       [

@@ -289,6 +289,47 @@ let test_rng_copy_replays () =
   let b = Rng.copy a in
   Alcotest.(check (float 0.)) "copy replays" (Rng.float a) (Rng.float b)
 
+(* The first eight raw outputs of two seeds, as the splitmix64 stream
+   has always produced them: a change of the state's representation
+   must not move a single bit. *)
+let test_rng_golden_stream () =
+  let golden =
+    [
+      ( 1,
+        [
+          0xBFEF8030DDC2D772L; 0x5F552CE482F2AA47L; 0x70335FC3DAF3D8A7L;
+          0xF440FE3B62C79D2CL; 0x33BA2F29E7C168BBL; 0x98843F48A94B7866L;
+          0x74AD4C24D41A25F8L; 0x2F9A1F13648EAB6EL;
+        ] );
+      ( 42,
+        [
+          0x989B3F130A063869L; 0x290DB4BF2570DED7L; 0x2A990BE63A01B2D5L;
+          0x0C4B6B24EF01890EL; 0xFB16A06E52EC10A7L; 0x3C30FC5FD50692C3L;
+          0x4782C4B4C4FDF7C9L; 0x272404A0A3926552L;
+        ] );
+    ]
+  in
+  List.iter
+    (fun (seed, want) ->
+      let rng = Rng.create seed in
+      let got = List.init 8 (fun _ -> Rng.bits64 rng) in
+      Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) want got)
+    golden
+
+(* Lossy links draw once per packet: those draws must not allocate. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 9 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    if Rng.bernoulli rng 0.3 then incr hits;
+    hits := !hits + Rng.int rng (1 + (i land 7))
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 100. then
+    Alcotest.failf "10,000 draws allocated %.0f minor words (>= 100)" words;
+  ignore (Sys.opaque_identity !hits)
+
 let test_rng_bernoulli_extremes () =
   let rng = Rng.create 5 in
   for _ = 1 to 50 do
@@ -557,6 +598,9 @@ let suites =
         Alcotest.test_case "seeds differ" `Quick test_rng_seeds_differ;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         Alcotest.test_case "copy replays" `Quick test_rng_copy_replays;
+        Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+        Alcotest.test_case "draws allocate nothing" `Quick
+          test_rng_draws_allocate_nothing;
         Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
         Alcotest.test_case "bernoulli rate" `Quick test_rng_bernoulli_rate;
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
