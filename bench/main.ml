@@ -745,89 +745,60 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !list_only then begin
-    List.iter
-      (fun e -> Printf.printf "%-10s %s\n" e.Exp_registry.name e.Exp_registry.descr)
-      Exp_registry.all;
+    print_string (Exp_registry.listing ());
     exit 0
   end;
   if !run_micro then micro ()
   else begin
-    (match
-       Cli_validate.(
-         all
-           [
-             positive_f "--scale" !scale;
-             at_least "--jobs" 1 !jobs;
-             non_negative_i "--seed" !seed;
-           ])
-     with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "bench: %s\n" msg;
-      exit 2);
-    let dump_dir = Sys.getenv_opt "PCC_DUMP_DIR" in
-    (* Output directories exist before any simulation runs, so a path
-       that cannot be created fails the bench up front. *)
-    (match
-       List.iter Runner.mkdir_p
-         (Option.to_list !trace_dir @ Option.to_list dump_dir)
-     with
-    | () -> ()
-    | exception Sys_error m ->
-      Printf.eprintf "bench: error: %s\n" m;
-      exit 2);
-    (* Trace records live in domain-local state: a traced bench must keep
-       every simulation in this domain. *)
-    (match !trace_dir with
-    | Some _ when !jobs > 1 ->
-      Printf.eprintf "--trace forces --jobs 1 (was %d)\n%!" !jobs;
-      jobs := 1
-    | _ -> ());
-    let collector =
-      Option.map
-        (fun _ ->
-          let c = Pcc_trace.Collector.create () in
-          Pcc_trace.Collector.install c;
-          c)
-        !trace_dir
+    (* Every argument is checked before any output: a bad one prints one
+       "bench: error:" line and exits 2. *)
+    let check = function
+      | Ok v -> v
+      | Error msg ->
+        Printf.eprintf "bench: %s\n" msg;
+        exit 2
     in
-    Printf.printf
-      "PCC reproduction benchmarks (scale %.2f of paper durations, seed %d, \
-       jobs %d)\n"
-      !scale !seed !jobs;
+    check
+      Cli_validate.(
+        all
+          [
+            positive_f "--scale" !scale;
+            at_least "--jobs" 1 !jobs;
+            non_negative_i "--seed" !seed;
+          ]);
     (* [--only none] selects no experiments: a run that only wants the
        --sched micro-benchmarks. *)
-    let wanted e =
-      (!only = [] || List.mem e.Exp_registry.name !only)
-      && !only <> [ "none" ]
+    let selected =
+      check
+        (if !only = [ "none" ] then Ok []
+         else Exp_registry.select ~extra:[] !only)
     in
-    (match
-       List.filter
-         (fun n -> Exp_registry.find n = None)
-         (if !only = [ "none" ] then [] else !only)
-     with
-    | [] -> ()
-    | unknown ->
-      Printf.eprintf "unknown experiment(s): %s (see --list)\n"
-        (String.concat ", " unknown);
-      exit 2);
-    let pool = if !jobs > 1 then Some (Runner.create ~jobs:!jobs ()) else None in
-    let mismatches = ref [] in
-    let crashed = ref [] in
-    let t_start = now_s () in
-    let records =
-      List.filter_map
-        (fun e ->
-          if not (wanted e) then None
-          else begin
+    let dump_dir = Sys.getenv_opt "PCC_DUMP_DIR" in
+    Runner.make_dirs (Option.to_list !trace_dir @ Option.to_list dump_dir)
+    |> Result.map_error (( ^ ) "error: ")
+    |> check;
+    let (mismatches, crashed), trace =
+      Runner.traced !trace_dir ~jobs:!jobs @@ fun ~jobs ->
+      Printf.printf
+        "PCC reproduction benchmarks (scale %.2f of paper durations, seed \
+         %d, jobs %d)\n"
+        !scale !seed jobs;
+      let pool = if jobs > 1 then Some (Runner.create ~jobs ()) else None in
+      let mismatches = ref [] in
+      let crashed = ref [] in
+      let t_start = now_s () in
+      let records =
+        List.map
+          (fun e ->
             let open Exp_registry in
-            Printf.printf "\n### %s — %s\n%!" e.name e.descr;
+            print_string (header e);
+            flush stdout;
             let e0 = Pcc_sim.Engine.total_executed () in
             (* Sub-second sweeps marked [parallel = false] skip the pool:
                domain fan-out costs more than it saves there (game
                measured 0.44x at --jobs 2 on this workload). *)
             let pool = if e.parallel then pool else None in
-            if pool = None && !jobs > 1 then
+            if pool = None && jobs > 1 then
               Printf.printf "[%s runs sequentially: sweep too small to \
                              amortize the domain pool]\n%!"
                 e.name;
@@ -841,100 +812,90 @@ let () =
               match Exp_registry.run ?pool ~scale:!scale ~seed:!seed e with
               | exception exn -> Error (Printexc.to_string exn)
               | out -> (
-                match Runner.failures () with
-                | [] -> Ok out
-                | failures ->
-                  Error
-                    (Printf.sprintf "%d task(s) failed: %s"
-                       (List.length failures)
-                       (String.concat ", "
-                          (List.map Runner.describe failures))))
+                match Runner.failure_summary () with
+                | None -> Ok out
+                | Some msg -> Error msg)
             in
-            match rendered with
+            let wall = now_s () -. t0 in
+            let events = Pcc_sim.Engine.total_executed () - e0 in
+            let record =
+              {
+                b_name = e.name;
+                b_wall = wall;
+                b_events = events;
+                b_seq_wall = None;
+                b_identical = None;
+                b_error = None;
+              }
+            in
+            let written =
+              Result.bind rendered (fun (text, series) ->
+                  print_string text;
+                  match dump_dir with
+                  | None -> Ok text
+                  | Some dir ->
+                    Result.map
+                      (fun lines -> print_string lines; text)
+                      (write_series ~dir series))
+            in
+            match written with
             | Error msg ->
-              let wall = now_s () -. t0 in
-              let events = Pcc_sim.Engine.total_executed () - e0 in
               crashed := e.name :: !crashed;
               Printf.printf "[%s FAILED after %.1fs: %s]\n%!" e.name wall msg;
-              Some
-                {
-                  b_name = e.name;
-                  b_wall = wall;
-                  b_events = events;
-                  b_seq_wall = None;
-                  b_identical = None;
-                  b_error = Some msg;
-                }
-            | Ok (rendered, series) ->
-              let wall = now_s () -. t0 in
-              let events = Pcc_sim.Engine.total_executed () - e0 in
-              print_string rendered;
-              Option.iter
-                (fun dir ->
-                  print_string (Exp_registry.write_series ~dir series))
-                dump_dir;
+              { record with b_error = Some msg }
+            | Ok rendered -> (
               Printf.printf "[%s took %.1fs wall, %d events]\n%!" e.name wall
                 events;
-              let seq_wall, identical =
-                match pool with
-                | None -> (None, None)
-                | Some _ ->
-                  (* Sequential re-run: measures speedup and proves the
-                     parallel tables are byte-identical. *)
-                  let t0 = now_s () in
-                  let seq, _ = Exp_registry.run ~scale:!scale ~seed:!seed e in
-                  let sw = now_s () -. t0 in
-                  let same = String.equal seq rendered in
-                  if not same then begin
-                    mismatches := e.name :: !mismatches;
-                    Printf.printf
-                      "[%s MISMATCH: parallel output differs from sequential]\n%!"
-                      e.name
-                  end
-                  else
-                    Printf.printf "[%s sequential re-run %.1fs, speedup %.2fx, \
-                                   outputs identical]\n%!"
-                      e.name sw
-                      (if wall > 0. then sw /. wall else 0.);
-                  (Some sw, Some same)
-              in
-              Some
-                {
-                  b_name = e.name;
-                  b_wall = wall;
-                  b_events = events;
-                  b_seq_wall = seq_wall;
-                  b_identical = identical;
-                  b_error = None;
-                }
-          end)
-        Exp_registry.all
+              match pool with
+              | None -> record
+              | Some _ ->
+                (* Sequential re-run: measures speedup and proves the
+                   parallel tables are byte-identical. *)
+                let t0 = now_s () in
+                let seq, _ = Exp_registry.run ~scale:!scale ~seed:!seed e in
+                let sw = now_s () -. t0 in
+                let same = String.equal seq rendered in
+                if not same then begin
+                  mismatches := e.name :: !mismatches;
+                  Printf.printf
+                    "[%s MISMATCH: parallel output differs from sequential]\n%!"
+                    e.name
+                end
+                else
+                  Printf.printf "[%s sequential re-run %.1fs, speedup %.2fx, \
+                                 outputs identical]\n%!"
+                    e.name sw
+                    (if wall > 0. then sw /. wall else 0.);
+                { record with b_seq_wall = Some sw; b_identical = Some same }))
+          (* In registry order, whatever the order of --only. *)
+          (List.filter (fun e -> List.memq e selected) Exp_registry.all)
+      in
+      let scheduler = if !run_sched then sched_bench () else [] in
+      let controllers =
+        if !run_controllers then controller_bench ~seed:!seed else []
+      in
+      let total_wall = now_s () -. t_start in
+      write_bench_json ~path:!out ~scale:!scale ~seed:!seed ~jobs
+        ~total_wall ~scheduler ~controllers records;
+      Printf.printf "\n[bench results written to %s]\n%!" !out;
+      (!mismatches, !crashed)
     in
-    let scheduler = if !run_sched then sched_bench () else [] in
-    let controllers =
-      if !run_controllers then controller_bench ~seed:!seed else []
+    let trace_error =
+      match trace with
+      | Some (Ok line) ->
+        Printf.printf "[%s]\n%!" line;
+        false
+      | Some (Error m) ->
+        Printf.eprintf "bench: error: %s\n" m;
+        true
+      | None -> false
     in
-    let total_wall = now_s () -. t_start in
-    write_bench_json ~path:!out ~scale:!scale ~seed:!seed ~jobs:!jobs
-      ~total_wall ~scheduler ~controllers records;
-    Printf.printf "\n[bench results written to %s]\n%!" !out;
-    (match (collector, !trace_dir) with
-    | Some c, Some dir ->
-      Runner.write_trace ~dir c;
-      Printf.printf
-        "[trace: %d events held (%d emitted, %d overwritten) -> %s]\n%!"
-        (Pcc_trace.Collector.length c)
-        (Pcc_trace.Collector.emitted c)
-        (Pcc_trace.Collector.dropped c)
-        dir;
-      Pcc_trace.Collector.uninstall ()
-    | _ -> ());
-    if !mismatches <> [] then
+    if mismatches <> [] then
       Printf.eprintf "determinism violation in: %s\n"
-        (String.concat ", " (List.rev !mismatches));
-    if !crashed <> [] then
+        (String.concat ", " (List.rev mismatches));
+    if crashed <> [] then
       Printf.eprintf "bench: %d experiment(s) crashed: %s\n"
-        (List.length !crashed)
-        (String.concat ", " (List.rev !crashed));
-    if !mismatches <> [] || !crashed <> [] then exit 1
+        (List.length crashed)
+        (String.concat ", " (List.rev crashed));
+    if mismatches <> [] || crashed <> [] || trace_error then exit 1
   end

@@ -30,8 +30,8 @@ let exits =
   Cmd.Exit.info 1
     ~doc:
       "on a runtime failure: a failed task, run, oracle or replay, an \
-       output path that cannot be created, or a checkpoint that does not \
-       match or is corrupt."
+       output path that cannot be created or written, or a checkpoint \
+       that does not match or is corrupt."
   :: Cmd.Exit.info Cmd.Exit.cli_error
        ~doc:
          "on a command-line error: an unparsable or out-of-range value, or \
@@ -393,23 +393,21 @@ let mask_of_categories s =
   | Ok 0 -> Error "no trace category selected"
   | r -> r
 
-let write_trace_artifacts ~dir c =
-  Pcc_experiments.Runner.write_trace ~dir c;
-  Printf.printf
-    "trace: %d events held (%d emitted, %d overwritten) -> \
-     %s/{trace.json,trace.csv,decisions.log}\n"
-    (Pcc_trace.Collector.length c)
-    (Pcc_trace.Collector.emitted c)
-    (Pcc_trace.Collector.dropped c)
-    dir
+(* Prints a written trace's summary line; returns the error of a trace
+   that could not be written. *)
+let trace_written = function
+  | Ok line ->
+    Printf.printf "%s/{trace.json,trace.csv,decisions.log}\n" line;
+    []
+  | Error m -> [ m ]
 
 (* Creates every output directory before any simulation runs, so a path
    that cannot exist fails the command up front instead of after the
    run. *)
 let with_output_dirs dirs k =
-  match List.iter Pcc_experiments.Runner.mkdir_p dirs with
-  | () -> k ()
-  | exception Sys_error m -> failed ("error: " ^ m)
+  match Pcc_experiments.Runner.make_dirs dirs with
+  | Ok () -> k ()
+  | Error m -> failed ("error: " ^ m)
 
 let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
     categories probe_ms =
@@ -444,11 +442,14 @@ let trace_cmd transports shape bw_mbps rtt_ms duration seed out_dir capacity
       | Error msg ->
         Pcc_trace.Collector.uninstall ();
         `Error (false, msg)
-      | Ok _topo ->
+      | Ok _topo -> (
         Engine.run ~until:duration engine;
-        write_trace_artifacts ~dir:out_dir collector;
-        Pcc_trace.Collector.uninstall ();
-        `Ok 0
+        match
+          trace_written
+            (Pcc_experiments.Runner.finish_trace ~dir:out_dir collector)
+        with
+        | [] -> `Ok 0
+        | m :: _ -> failed ("error: " ^ m))
     end
 
 let game_cmd senders capacity steps =
@@ -537,10 +538,7 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
     max_events forensics forensic_trace checkpoint resume =
   let open Pcc_experiments in
   if list_exps then begin
-    List.iter
-      (fun e ->
-        Printf.printf "%-10s %s\n" e.Exp_registry.name e.Exp_registry.descr)
-      Exp_registry.all;
+    print_string (Exp_registry.listing ());
     `Ok 0
   end
   else
@@ -553,43 +551,10 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
           opt positive_i "--max-task-events" max_events;
         ])
     @@ fun () ->
-    (* Tracing records into domain-local state, so a traced run must stay
-       in this domain: force the fan-out to be sequential. *)
-    let jobs =
-      match trace_out with
-      | Some _ when jobs > 1 ->
-        Printf.eprintf "exp: --trace-out forces --jobs 1 (was %d)\n%!" jobs;
-        1
-      | _ -> jobs
+    let extra =
+      if Sys.getenv_opt "PCC_TEST_HANG" <> None then [ selftest_entry ] else []
     in
-    let collector =
-      Option.map
-        (fun _ ->
-          let c = Pcc_trace.Collector.create () in
-          Pcc_trace.Collector.install c;
-          c)
-        trace_out
-    in
-    let registry =
-      if Sys.getenv_opt "PCC_TEST_HANG" <> None then
-        Exp_registry.all @ [ selftest_entry ]
-      else Exp_registry.all
-    in
-    let entries =
-      match names with
-      | [] -> Ok Exp_registry.all
-      | names ->
-        let find n =
-          List.find_opt (fun e -> e.Exp_registry.name = n) registry
-        in
-        let unknown = List.filter (fun n -> find n = None) names in
-        if unknown <> [] then
-          Error
-            (Printf.sprintf "error: unknown experiment(s): %s (try --list)"
-               (String.concat ", " unknown))
-        else Ok (List.filter_map find names)
-    in
-    match entries with
+    match Exp_registry.select ~extra names with
     | Error msg -> `Error (false, msg)
     | Ok entries ->
       with_output_dirs
@@ -653,64 +618,62 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
           Option.bind (Sys.getenv_opt "PCC_TEST_EXIT_AFTER") int_of_string_opt
         in
         let completed = ref 0 in
-        List.iter
-          (fun e ->
-            let open Exp_registry in
-            Printf.printf "\n### %s — %s\n%!" e.name e.descr;
-            let out =
-              match List.assoc_opt e.name stored with
-              | Some out ->
-                Printf.eprintf "exp: %s restored from checkpoint\n%!" e.name;
-                out
-              | None ->
-                let pool =
-                  Runner.create ~jobs ?deadline ?max_events
-                    ~forensics_dir:forensics ~forensic_trace
-                    ~repro_context:
-                      (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
-                         e.name scale seed)
-                    ()
-                in
-                let out = render ~pool ?dump_dir ~scale ~seed e in
-                Option.iter
-                  (fun t -> Checkpoint.append t ~name:e.name ~output:out)
-                  ckpt;
-                out
-            in
-            print_string out;
-            flush stdout;
-            incr completed;
-            match exit_after with
-            | Some n when !completed >= n && !completed < List.length entries
-              ->
-              (* Checkpoint-resume smoke hook: die mid-sweep, cleanly. *)
-              Printf.eprintf "exp: PCC_TEST_EXIT_AFTER=%d, exiting early\n%!"
-                n;
-              Option.iter Checkpoint.close ckpt;
-              exit 3
-            | _ -> ())
-          entries;
+        let sweep ~jobs =
+          List.filter_map
+            (fun e ->
+              let open Exp_registry in
+              print_string (header e);
+              flush stdout;
+              let out, write_error =
+                match List.assoc_opt e.name stored with
+                | Some out ->
+                  Printf.eprintf "exp: %s restored from checkpoint\n%!" e.name;
+                  (out, None)
+                | None ->
+                  let pool =
+                    Runner.create ~jobs ?deadline ?max_events
+                      ~forensics_dir:forensics ~forensic_trace
+                      ~repro_context:
+                        (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
+                           e.name scale seed)
+                      ()
+                  in
+                  let out, write_error =
+                    render ~pool ?dump_dir ~scale ~seed e
+                  in
+                  Option.iter
+                    (fun t -> Checkpoint.append t ~name:e.name ~output:out)
+                    ckpt;
+                  (out, write_error)
+              in
+              print_string out;
+              flush stdout;
+              incr completed;
+              (match exit_after with
+              | Some n
+                when !completed >= n && !completed < List.length entries ->
+                (* Checkpoint-resume smoke hook: die mid-sweep, cleanly. *)
+                Printf.eprintf
+                  "exp: PCC_TEST_EXIT_AFTER=%d, exiting early\n%!" n;
+                Option.iter Checkpoint.close ckpt;
+                exit 3
+              | _ -> ());
+              write_error)
+            entries
+        in
+        let write_errors, trace = Runner.traced trace_out ~jobs sweep in
         Option.iter Checkpoint.close ckpt;
-        (match (collector, trace_out) with
-        | Some c, Some dir ->
-          write_trace_artifacts ~dir c;
-          Pcc_trace.Collector.uninstall ()
-        | _ -> ());
+        let trace_errors = Option.fold ~none:[] ~some:trace_written trace in
         (* Partial results were printed above; now make the failure
            visible in the exit status with a one-line summary. *)
-        (match Runner.failures () with
+        let task_errors =
+          Option.map
+            (fun s -> Printf.sprintf "%s (forensics in %s/)" s forensics)
+            (Runner.failure_summary ())
+        in
+        match Option.to_list task_errors @ write_errors @ trace_errors with
         | [] -> `Ok 0
-        | failures ->
-          let shown = List.filteri (fun i _ -> i < 6) failures in
-          let names = List.map Runner.describe shown in
-          let suffix =
-            if List.length failures > List.length shown then ", ..." else ""
-          in
-          failed
-            (Printf.sprintf "error: %d task(s) failed: %s%s (forensics in %s/)"
-               (List.length failures)
-               (String.concat ", " names)
-               suffix forensics))
+        | errors -> failed ("error: " ^ String.concat "; " errors)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario fuzzing *)

@@ -28,19 +28,23 @@ let run ?pool ~scale ~seed e =
       x.series r )
 
 let write_series ~dir series =
-  String.concat ""
-    (List.map
-       (fun (file, s) ->
-         let path = Filename.concat dir file in
-         Pcc_metrics.Series_io.write_multi_series ~path s;
-         Printf.sprintf "[series written to %s]\n" path)
-       series)
+  match
+    List.map
+      (fun (file, s) ->
+        let path = Filename.concat dir file in
+        Pcc_metrics.Series_io.write_multi_series ~path s;
+        Printf.sprintf "[series written to %s]\n" path)
+      series
+  with
+  | lines -> Ok (String.concat "" lines)
+  | exception Sys_error m -> Error m
 
 let render ?pool ?dump_dir ~scale ~seed e =
   let text, series = run ?pool ~scale ~seed e in
-  match dump_dir with
-  | None -> text
-  | Some dir -> text ^ write_series ~dir series
+  match Option.map (fun dir -> write_series ~dir series) dump_dir with
+  | None -> (text, None)
+  | Some (Ok lines) -> (text ^ lines, None)
+  | Some (Error m) -> (text, Some m)
 
 let entry ?(parallel = true) ?(series = fun _ -> []) name descr run tables =
   { name; descr; parallel; exp = Exp { run; tables; series } }
@@ -137,5 +141,19 @@ let all : entry list =
       (fun r -> [ Exp_manyflow.table r ]);
   ]
 
-let find name = List.find_opt (fun e -> e.name = name) all
-let names () = List.map (fun e -> e.name) all
+let select ~extra = function
+  | [] -> Ok all
+  | names -> (
+    let find n = List.find_opt (fun e -> e.name = n) (all @ extra) in
+    match List.filter (fun n -> find n = None) names with
+    | [] -> Ok (List.filter_map find names)
+    | unknown ->
+      Error
+        (Printf.sprintf "error: unknown experiment(s): %s (try --list)"
+           (String.concat ", " unknown)))
+
+let listing () =
+  String.concat ""
+    (List.map (fun e -> Printf.sprintf "%-10s %s\n" e.name e.descr) all)
+
+let header e = Printf.sprintf "\n### %s — %s\n" e.name e.descr

@@ -48,18 +48,34 @@ val run :
 (** Runs the experiment once: its rendered tables and its series, not
     yet written. *)
 
-val write_series : dir:string -> series list -> string
+val write_series : dir:string -> series list -> (string, string) result
 (** Writes each series file into [dir] and returns one
-    ["[series written to PATH]"] line per file. *)
+    ["[series written to PATH]"] line per file, or the [Sys_error]
+    message of the first file that could not be written. *)
 
 val render :
   ?pool:Runner.t -> ?dump_dir:string -> scale:float -> seed:int -> entry ->
-  string
+  string * string option
 (** The rendered tables of one {!run}; with [dump_dir], also writes its
-    series there and appends their {!write_series} lines. *)
+    series there and appends their {!write_series} lines. The second
+    component is the {!write_series} error, the tables then standing
+    alone. *)
 
 val all : entry list
 (** In the paper's presentation order. *)
 
-val find : string -> entry option
-val names : unit -> string list
+val select : extra:entry list -> string list -> (entry list, string) result
+(** [select ~extra names] is the entries called [names], in the order
+    given (a name given twice is selected twice), looked up in {!all}
+    and then in [extra], entries a front end offers beyond the catalogue.
+    No name selects {!all}. [Error] names every unknown name:
+    ["error: unknown experiment(s): a, b (try --list)"], worded like
+    {!Cli_validate}'s messages. *)
+
+val listing : unit -> string
+(** The [--list] text: one ["name  description"] line per entry of
+    {!all}. *)
+
+val header : entry -> string
+(** ["\n### name — description\n"], printed above an experiment's
+    tables. *)

@@ -131,6 +131,34 @@ let write_trace ~dir c =
   Pcc_metrics.Series_io.write_multi_series ~path:(p "trace.csv")
     (Pcc_trace.Export.csv_series c)
 
+let make_dirs dirs = try Ok (List.iter mkdir_p dirs) with Sys_error m -> Error m
+
+let finish_trace ~dir c =
+  let module C = Pcc_trace.Collector in
+  let written =
+    try
+      write_trace ~dir c;
+      Ok
+        (Printf.sprintf
+           "trace: %d events held (%d emitted, %d overwritten) -> %s"
+           (C.length c) (C.emitted c) (C.dropped c) dir)
+    with Sys_error m -> Error m
+  in
+  C.uninstall ();
+  written
+
+(* Trace records live in domain-local state: a traced sweep stays in
+   the calling domain. *)
+let traced dir ~jobs f =
+  match dir with
+  | None -> (f ~jobs, None)
+  | Some dir ->
+    if jobs > 1 then Printf.eprintf "tracing forces --jobs 1 (was %d)\n%!" jobs;
+    let c = Pcc_trace.Collector.create () in
+    Pcc_trace.Collector.install c;
+    let r = f ~jobs:1 in
+    (r, Some (finish_trace ~dir c))
+
 let sanitize label =
   String.map
     (fun c ->
@@ -535,6 +563,14 @@ let describe o =
   Printf.sprintf "%s (%s)"
     (if o.label = "" then string_of_int o.index else o.label)
     (status_name o.status)
+
+let failure_summary () =
+  match failures () with
+  | [] -> None
+  | l ->
+    Some
+      (Printf.sprintf "%d task(s) failed: %s" (List.length l)
+         (String.concat ", " (List.map describe l)))
 
 let summary_line (r : report) =
   let failing =

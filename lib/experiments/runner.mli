@@ -43,8 +43,8 @@
       exit, and a replacement worker keeps the sweep's width;
     - {b forensics}: with a [forensics_dir], every failure writes
       [<dir>/<index-label>/report.txt] (exception, backtrace, seed,
-      repro command line) plus the failing domain's trace ring
-      ({!write_trace}) when one was recording. *)
+      repro command line) plus the failing domain's trace ring, as
+      {!finish_trace} writes it, when one was recording. *)
 
 type t
 (** An executor: a worker count plus supervision settings. Holds no
@@ -147,21 +147,31 @@ val status_name : status -> string
 
 val is_failure : status -> bool
 
-val describe : outcome -> string
-(** ["label (status)"], the index standing in for an empty label. *)
+(** {2 Front ends}
 
-(** {2 Output directories} *)
+    [pcc_sim exp] and the bench harness share these parts of a sweep. *)
 
-val mkdir_p : string -> unit
-(** [mkdir_p dir] creates [dir] and its missing parents; an existing
-    directory is left alone.
-    @raise Sys_error if [dir] cannot be created or is not a directory. *)
+val make_dirs : string list -> (unit, string) result
+(** Creates every directory and its missing parents, before any
+    simulation runs, so a path that cannot exist fails up front.
+    [Error] is the [Sys_error] message. *)
 
-val write_trace : dir:string -> Pcc_trace.Collector.t -> unit
-(** [write_trace ~dir c] writes [c]'s events into [dir] (created with
-    {!mkdir_p}) as [trace.json] (Chrome trace), [decisions.log] and
-    [trace.csv].
-    @raise Sys_error if a file cannot be written. *)
+val finish_trace :
+  dir:string -> Pcc_trace.Collector.t -> (string, string) result
+(** [finish_trace ~dir c] writes [c] into [dir] as [trace.json] (Chrome
+    trace), [decisions.log] and [trace.csv], then uninstalls the
+    domain's collector. [Ok] is the line ["trace: N events held (E
+    emitted, D overwritten) -> DIR"]; [Error] the [Sys_error] message. *)
+
+val traced :
+  string option ->
+  jobs:int ->
+  (jobs:int -> 'a) ->
+  'a * (string, string) result option
+(** [traced dir ~jobs f] is [(f ~jobs, None)] without a directory. With
+    one it installs a fresh collector, runs [f ~jobs:1] (trace records
+    are domain-local; a larger [jobs] is noted on stderr) and
+    {!finish_trace}s into [dir]. *)
 
 (** {2 Process-wide failure tally}
 
@@ -173,5 +183,9 @@ val write_trace : dir:string -> Pcc_trace.Collector.t -> unit
 val failures : unit -> outcome list
 (** All failing outcomes recorded by {!run} since the last
     {!reset_failures}, oldest first. Thread-safe. *)
+
+val failure_summary : unit -> string option
+(** The tally ({!failures}) as one line, ["N task(s) failed: a (timed_out),
+    b (crashed)"], or [None] when it is empty. *)
 
 val reset_failures : unit -> unit

@@ -115,8 +115,8 @@ let sweep t =
 let check_now = sweep
 
 (* Reschedule before sweeping: a sweep that raises (default on_violation)
-   must not kill the recurring timer, or the engine's Collect policy would
-   only ever record the first violation. *)
+   must not kill the recurring timer, or a caller that catches the
+   Event_error and runs the engine on would never be checked again. *)
 let rec tick t =
   if not t.stopped then begin
     Engine.post_in t.engine ~after:t.interval (fun () -> tick t);

@@ -1,5 +1,3 @@
-type error_policy = Raise | Collect
-
 type livelock_kind = Stall | Budget
 
 exception Event_error of { time : float; exn : exn }
@@ -43,9 +41,7 @@ let no_arg = Obj.repr ()
 type t = {
   mutable clock : float;
   q : (action, Obj.t) Timing_wheel.t;
-  mutable on_error : error_policy;
-  mutable errors : (float * exn) list;  (* newest first *)
-  mutable stall_budget : int;
+  stall_budget : int;
   mutable stall_count : int;
   mutable executed : int;
 }
@@ -54,15 +50,12 @@ type timer = Handle.t
 
 let default_stall_budget = 1_000_000
 
-let create ?(now = 0.) ?(stall_budget = default_stall_budget)
-    ?(on_error = Raise) () =
+let create ?(stall_budget = default_stall_budget) () =
   if stall_budget <= 0 then
     invalid_arg "Engine.create: stall_budget must be positive";
   {
-    clock = now;
+    clock = 0.;
     q = Timing_wheel.create ~dummy:ignore ~dummy_arg:no_arg ();
-    on_error;
-    errors = [];
     stall_budget;
     stall_count = 0;
     executed = 0;
@@ -106,13 +99,6 @@ let cancel = Handle.cancel
 
 let pending t = Timing_wheel.size t.q
 
-let set_stall_budget t n =
-  if n <= 0 then invalid_arg "Engine.set_stall_budget: must be positive";
-  t.stall_budget <- n
-
-let set_on_error t p = t.on_error <- p
-let errors t = List.rev t.errors
-let clear_errors t = t.errors <- []
 let executed t = t.executed
 
 (* A global (cross-engine, cross-domain) tally of executed events, for
@@ -126,8 +112,8 @@ let count_external n =
   if n > 0 then ignore (Atomic.fetch_and_add global_executed n)
 
 (* Dispatch one already-popped event: advance the clock, police the
-   stall budget, apply the action to its argument under the error
-   policy. *)
+   stall budget, apply the action to its argument, wrapping whatever
+   it raises (the watchdog aside) in [Event_error]. *)
 let execute t time (f : action) x =
   if time > t.clock then begin
     t.clock <- time;
@@ -155,10 +141,7 @@ let execute t time (f : action) x =
       ~b:0. ~i:t.executed;
   try f x with
   | Livelock _ as watchdog -> raise watchdog
-  | exn -> (
-    match t.on_error with
-    | Raise -> raise (Event_error { time; exn })
-    | Collect -> t.errors <- (time, exn) :: t.errors)
+  | exn -> raise (Event_error { time; exn })
 
 let step t =
   let before = t.executed in

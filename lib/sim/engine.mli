@@ -15,8 +15,7 @@
       Dispatch is exception-safe: the offending exception is wrapped in
       {!Event_error} together with the event's scheduled time, and the
       engine remains steppable (the clock has advanced, the event is
-      consumed, the rest of the queue is intact). Under the {!Collect}
-      policy errors are recorded in {!errors} and execution continues.
+      consumed, the rest of the queue is intact).
     - {b Livelock.} A zero-delay event that (transitively) reschedules
       itself at the current instant would spin {!run} forever without
       advancing the clock. A watchdog counts events executed without the
@@ -37,17 +36,12 @@ type timer = Handle.t
     {!schedule}/{!schedule_in} for one event, or made idle by {!timer}
     and re-armed with {!arm_in} any number of times. *)
 
-type error_policy =
-  | Raise  (** Wrap the exception in {!Event_error} and re-raise (default). *)
-  | Collect
-      (** Record [(time, exn)] in {!errors} and keep executing events. *)
-
 type livelock_kind =
   | Stall  (** The stall budget was exceeded at one simulated instant. *)
   | Budget  (** [run ~max_events] executed its full event budget. *)
 
 exception Event_error of { time : float; exn : exn }
-(** Raised (under the {!Raise} policy) when an event callback raises:
+(** Raised when an event callback raises:
     [time] is the instant the event fired, [exn] the original exception. *)
 
 exception Livelock of { time : float; events : int; kind : livelock_kind }
@@ -55,9 +49,8 @@ exception Livelock of { time : float; events : int; kind : livelock_kind }
     leaving [time] ({!Stall}), or a [run ~max_events] budget ran out
     ({!Budget}). *)
 
-val create :
-  ?now:float -> ?stall_budget:int -> ?on_error:error_policy -> unit -> t
-(** [create ()] is a fresh engine with the clock at [now] (default 0).
+val create : ?stall_budget:int -> unit -> t
+(** [create ()] is a fresh engine with the clock at 0.
     [stall_budget] (default 1_000_000) is the number of events that may
     execute at a single simulated instant before {!Livelock} is raised;
     legitimate bursts of simultaneous events are orders of magnitude
@@ -126,18 +119,6 @@ val pending : t -> int
     counting immediately, even while still buried in the wheel, and a
     re-armed timer counts once. *)
 
-val set_stall_budget : t -> int -> unit
-(** Adjust the livelock watchdog's per-instant event budget.
-    @raise Invalid_argument if the budget is not positive. *)
-
-val set_on_error : t -> error_policy -> unit
-(** Switch how raising callbacks are handled (default {!Raise}). *)
-
-val errors : t -> (float * exn) list
-(** Errors collected so far under the {!Collect} policy, oldest first. *)
-
-val clear_errors : t -> unit
-
 val executed : t -> int
 (** Total events executed over the engine's lifetime. *)
 
@@ -156,7 +137,7 @@ val count_external : int -> unit
 val step : t -> bool
 (** [step t] executes the next event, if any; returns [false] when the
     queue is empty.
-    @raise Event_error under the {!Raise} policy if the callback raises.
+    @raise Event_error if the callback raises.
     @raise Livelock if the stall budget is exceeded. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit

@@ -282,8 +282,8 @@ let test_invariant_catches_occupancy_violation () =
   Invariant.stop inv
 
 let test_violation_surfaces_as_event_error () =
-  (* Default policy: the sweep raises Violation inside an engine callback,
-     which the hardened dispatcher wraps with the scheduled time. *)
+  (* The sweep raises Violation inside an engine callback, which the
+     hardened dispatcher wraps with the scheduled time. *)
   let engine = Engine.create () in
   let rng = Rng.create 1 in
   let link =
@@ -299,11 +299,11 @@ let test_violation_surfaces_as_event_error () =
     Alcotest.(check (float 1e-9)) "context time matches violation" time
       v.Invariant.time
   | exception e -> raise e);
-  (* Collect policy instead records it and keeps going. *)
-  Engine.set_on_error engine Engine.Collect;
-  Engine.run ~until:0.3 engine;
-  Alcotest.(check bool) "collected under Collect" true
-    (Engine.errors engine <> [])
+  (* The sweep rescheduled itself before raising, so running on checks
+     again. *)
+  match Engine.run ~until:0.3 engine with
+  | () -> Alcotest.fail "expected a second Event_error"
+  | exception Engine.Event_error { exn = Invariant.Violation _; _ } -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Recovery metrics *)

@@ -429,28 +429,39 @@ let test_run_tasks_opt_applies_settings () =
    dump that adds only its note line. *)
 
 let test_registry () =
-  let names = Exp_registry.names () in
+  let names = List.map (fun e -> e.Exp_registry.name) Exp_registry.all in
   Alcotest.(check int)
     "names are unique" (List.length names)
     (List.length (List.sort_uniq compare names));
-  List.iter
-    (fun n ->
-      match Exp_registry.find n with
-      | Some e ->
-        Alcotest.(check string) "find round-trips" n e.Exp_registry.name
-      | None -> Alcotest.failf "find %s: not found" n)
-    names;
-  let entry n = Option.get (Exp_registry.find n) in
+  let selected l =
+    match Exp_registry.select ~extra:[] l with
+    | Ok es -> List.map (fun e -> e.Exp_registry.name) es
+    | Error m -> Alcotest.failf "select: %s" m
+  in
+  Alcotest.(check (list string)) "no name selects all" names (selected []);
+  Alcotest.(check (list string))
+    "command-line order" [ "fig7"; "game"; "fig7" ]
+    (selected [ "fig7"; "game"; "fig7" ]);
+  Alcotest.(check (result (list string) string))
+    "unknown names"
+    (Error "error: unknown experiment(s): nope, zzz (try --list)")
+    (Result.map (List.map (fun e -> e.Exp_registry.name))
+       (Exp_registry.select ~extra:[] [ "nope"; "game"; "zzz" ]));
+  let entry n = List.hd (Result.get_ok (Exp_registry.select ~extra:[] [ n ])) in
   let game jobs =
     Exp_registry.render ~pool:(Runner.create ~jobs ()) ~scale:0.05 ~seed:42
       (entry "game")
+    |> fst
   in
   Alcotest.(check string) "game: jobs 1 = jobs 2" (game 1) (game 2);
   let dir = temp_dir "pcc-registry" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let fig11 = entry "fig11" in
-  let plain = Exp_registry.render ~scale:0.01 ~seed:42 fig11 in
-  let dumped = Exp_registry.render ~dump_dir:dir ~scale:0.01 ~seed:42 fig11 in
+  let plain, _ = Exp_registry.render ~scale:0.01 ~seed:42 fig11 in
+  let dumped, error =
+    Exp_registry.render ~dump_dir:dir ~scale:0.01 ~seed:42 fig11
+  in
+  Alcotest.(check (option string)) "series written" None error;
   let path = Filename.concat dir "fig11_rate_tracking.csv" in
   Alcotest.(check string)
     "dump appends one note line"
@@ -460,7 +471,16 @@ let test_registry () =
   List.iter
     (fun s ->
       Alcotest.(check bool) (s ^ " series written") true (contains csv s))
-    [ "pcc-rate,"; "pcc-optimal," ]
+    [ "pcc-rate,"; "pcc-optimal," ];
+  (* A series file that cannot be written is reported, not raised, and
+     the tables still come back. *)
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  let text, error =
+    Exp_registry.render ~dump_dir:dir ~scale:0.01 ~seed:42 fig11
+  in
+  Alcotest.(check string) "tables without the note line" plain text;
+  Alcotest.(check bool) "write error reported" true (error <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint: versioned frames, truncation tolerance, identity. *)

@@ -191,20 +191,6 @@ let test_engine_event_error_context () =
   Alcotest.(check bool) "next event still runs" true (Engine.step engine);
   check_float "clock reaches the survivor" 2. (Engine.now engine)
 
-let test_engine_collect_policy () =
-  let engine = Engine.create ~on_error:Collect () in
-  let survived = ref false in
-  ignore (Engine.schedule engine ~at:1. (fun () -> failwith "first"));
-  ignore (Engine.schedule engine ~at:2. (fun () -> failwith "second"));
-  ignore (Engine.schedule engine ~at:3. (fun () -> survived := true));
-  Engine.run engine;
-  Alcotest.(check bool) "later events still ran" true !survived;
-  let errs = Engine.errors engine in
-  Alcotest.(check int) "both errors collected" 2 (List.length errs);
-  check_float "oldest first" 1. (fst (List.hd errs));
-  Engine.clear_errors engine;
-  Alcotest.(check int) "cleared" 0 (List.length (Engine.errors engine))
-
 let test_engine_livelock_watchdog () =
   (* A zero-delay self-rescheduling event must trip the watchdog instead
      of hanging the run forever. *)
@@ -575,7 +561,6 @@ let suites =
           test_engine_negative_delay_clamped;
         Alcotest.test_case "event error carries its time" `Quick
           test_engine_event_error_context;
-        Alcotest.test_case "collect policy" `Quick test_engine_collect_policy;
         Alcotest.test_case "livelock watchdog" `Quick
           test_engine_livelock_watchdog;
         Alcotest.test_case "event budget" `Quick test_engine_event_budget;
