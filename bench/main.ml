@@ -777,6 +777,10 @@ let () =
     Runner.make_dirs (Option.to_list !trace_dir @ Option.to_list dump_dir)
     |> Result.map_error (( ^ ) "error: ")
     |> check;
+    (* The JSON is written only after every run: find out now whether
+       it can be, without truncating what is there. *)
+    (try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 !out)
+     with Sys_error m -> check (Error ("error: " ^ m)));
     let (mismatches, crashed), trace =
       Runner.traced !trace_dir ~jobs:!jobs @@ fun ~jobs ->
       Printf.printf

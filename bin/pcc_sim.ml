@@ -638,12 +638,20 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
                            e.name scale seed)
                       ()
                   in
+                  let failed_before = List.length (Runner.failures ()) in
                   let out, write_error =
                     render ~pool ?dump_dir ~scale ~seed e
                   in
-                  Option.iter
-                    (fun t -> Checkpoint.append t ~name:e.name ~output:out)
-                    ckpt;
+                  (* An experiment whose tasks failed or whose series
+                     file was not written is not done: leave it out of
+                     the checkpoint so a resume reruns it. *)
+                  if
+                    write_error = None
+                    && List.length (Runner.failures ()) = failed_before
+                  then
+                    Option.iter
+                      (fun t -> Checkpoint.append t ~name:e.name ~output:out)
+                      ckpt;
                   (out, write_error)
               in
               print_string out;

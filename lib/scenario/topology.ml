@@ -73,6 +73,16 @@ type built_flow = {
    RNG so reverse loss can be applied), or over real topology links. *)
 type reverse = { line : Delay_line.t option; lossy : bool }
 
+(* Per-node routing tables, keyed on the flow id. Every packet looks one
+   up at every hop, so the key is hashed as the int it is, not through
+   the polymorphic hash. *)
+module Flow_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x
+end)
+
 type t = {
   engine : Engine.t;
   num_nodes : int;
@@ -83,8 +93,8 @@ type t = {
   built : built_flow array;
   routes : link_id array array;  (* forward link ids, per flow *)
   revs : reverse array;
-  fwd_tables : (int, Packet.t -> unit) Hashtbl.t array;  (* data, per node *)
-  rev_tables : (int, Packet.t -> unit) Hashtbl.t array;  (* acks, per node *)
+  fwd_tables : (Packet.t -> unit) Flow_tbl.t array;  (* data, per node *)
+  rev_tables : (Packet.t -> unit) Flow_tbl.t array;  (* acks, per node *)
   mutable rev_loss : float;
 }
 
@@ -245,8 +255,8 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
              ())
          specs)
   in
-  let fwd_tables = Array.init num_nodes (fun _ -> Hashtbl.create 8) in
-  let rev_tables = Array.init num_nodes (fun _ -> Hashtbl.create 8) in
+  let fwd_tables = Array.init num_nodes (fun _ -> Flow_tbl.create 8) in
+  let rev_tables = Array.init num_nodes (fun _ -> Flow_tbl.create 8) in
   Array.iteri
     (fun i l ->
       let dst = specs_a.(i).dst in
@@ -256,9 +266,9 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
             | Packet.Data _ -> fwd_tables.(dst)
             | Packet.Ack _ -> rev_tables.(dst)
           in
-          match Hashtbl.find_opt tbl pkt.Packet.flow with
-          | Some deliver -> deliver pkt
-          | None -> ()))
+          match Flow_tbl.find tbl pkt.Packet.flow with
+          | deliver -> deliver pkt
+          | exception Not_found -> ()))
     links;
   let n = List.length defs in
   let built = Array.make n None in
@@ -327,10 +337,10 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
       let route_a = Array.of_list def.route in
       for k = 1 to Array.length route_a - 1 do
         if k = Array.length route_a - 1 then
-          Hashtbl.replace fwd_tables.(route_a.(k)) fid
+          Flow_tbl.replace fwd_tables.(route_a.(k)) fid
             (Receiver.on_packet receiver)
         else
-          Hashtbl.replace fwd_tables.(route_a.(k)) fid
+          Flow_tbl.replace fwd_tables.(route_a.(k)) fid
             (Link.send links.(fwd_ids.(k)))
       done;
       let ack_handler pkt =
@@ -354,9 +364,9 @@ let build engine ~rng ?nodes ~links:specs ?(rev_loss = 0.) ~flows:defs () =
         let rroute_a = Array.of_list rroute in
         for k = 1 to Array.length rroute_a - 1 do
           if k = Array.length rroute_a - 1 then
-            Hashtbl.replace rev_tables.(rroute_a.(k)) fid final
+            Flow_tbl.replace rev_tables.(rroute_a.(k)) fid final
           else
-            Hashtbl.replace rev_tables.(rroute_a.(k)) fid
+            Flow_tbl.replace rev_tables.(rroute_a.(k)) fid
               (Link.send links.(ids.(k)))
         done
       | None, _, _ -> assert false);
@@ -510,7 +520,7 @@ let send_link t id pkt =
 let deliver_at t ~node ~flow deliver =
   if node < 0 || node >= t.num_nodes then
     fail "Topology.deliver_at: node %d outside [0,%d)" node t.num_nodes;
-  Hashtbl.replace t.fwd_tables.(node) flow deliver
+  Flow_tbl.replace t.fwd_tables.(node) flow deliver
 
 (* ------------------------------------------------------------------ *)
 

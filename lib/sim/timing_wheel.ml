@@ -19,11 +19,18 @@
    reaches it.
 
    The geometry is sized to the cache, not to the horizon: the 4 x 4096
-   chain heads take 128 KB and all the wheel's tables 132 KB, so
-   creating one (which zero-fills them) costs tens of microseconds, and
-   the lines that pushes and harvests touch fit in a typical L2 cache.
-   Every simulation creates one wheel, and a sweep runs many short
-   simulations.
+   chain heads are 32-bit and take 64 KB, and the lines that pushes and
+   harvests touch fit in a typical L2 cache. Every simulation creates
+   one wheel and a sweep runs many short simulations, so creation must
+   be cheap: the heads are never initialised (a head is valid only
+   while its slot's bit in the occupancy bitmap is set) and only the
+   4 KB of bitmaps are zero-filled. A page of the head table
+   is touched only once a slot on it is first used, so a run that never
+   files an event at level 2 or 3 never faults those pages in.
+
+   The per-event helpers are marked [@inline]. Builds that compile
+   with -opaque (dune's dev profile) inline nothing across modules, so
+   inlining within this module is the only inlining they get.
 
    Exact ordering contract: dispatch order is exactly (time, seq) — the
    same total order as {!Event_heap} — even though ticks quantize time.
@@ -109,7 +116,10 @@ type ('a, 'b) t = {
   mutable in_use : int; (* allocated arena slots (live + unswept dead) *)
   mutable next_seq : int;
   mutable cur : int; (* current tick: all wheel entries are beyond it *)
-  heads : int array; (* levels * slots chain heads; -1 empty *)
+  heads : Bytes.t;
+      (* levels * slots 32-bit chain heads, left uninitialised: a head
+         is valid only while its bit in [masks] is set. Arena indices
+         therefore stay below 2^31. *)
   masks : int array; (* levels * mask_words occupancy bitmap, 32 b/word *)
   summary : int array; (* levels * summary_words: mask word <> 0 bits *)
   lvl_count : int array; (* entries stored per level *)
@@ -140,7 +150,7 @@ let create ~dummy ~dummy_arg () =
     in_use = 0;
     next_seq = 0;
     cur = 0;
-    heads = Array.make (levels * slots) (-1);
+    heads = Bytes.create (4 * levels * slots);
     masks = Array.make (levels * mask_words) 0;
     summary = Array.make (levels * summary_words) 0;
     lvl_count = Array.make levels 0;
@@ -157,13 +167,13 @@ let size t = !(t.live)
    0. Saturation keeps the tick monotone in time, which is all the
    ordering argument needs; saturated entries reach the ready heap
    together and leave it in exact order. *)
-let tick_of_time time =
+let[@inline] tick_of_time time =
   let f = time *. inv_tick in
   if f < 0x1p62 then int_of_float f else max_int
 
 (* Entry state, reading the handle only when one exists: pending, and
    still at the generation this entry was armed with. *)
-let entry_live t i =
+let[@inline] entry_live t i =
   t.meta.((2 * i) + 1) land 1 = 0
   ||
   let h = t.handles.(i) in
@@ -183,23 +193,26 @@ let ctz_table =
   done;
   t
 
-let ctz32 w = ctz_table.((((w land -w) * debruijn) land 0xFFFFFFFF) lsr 27)
+let[@inline] ctz32 w =
+  ctz_table.((((w land -w) * debruijn) land 0xFFFFFFFF) lsr 27)
 
 (* ---- key heap ---------------------------------------------------- *)
 
-let kh_push (h : kheap) time seq i =
-  if h.klen >= Array.length h.kidx then begin
-    let ncap = if h.klen = 0 then 64 else h.klen * 2 in
-    let nt = Array.make ncap time in
-    let ns = Array.make ncap seq in
-    let ni = Array.make ncap i in
-    Array.blit h.ktimes 0 nt 0 h.klen;
-    Array.blit h.kseqs 0 ns 0 h.klen;
-    Array.blit h.kidx 0 ni 0 h.klen;
-    h.ktimes <- nt;
-    h.kseqs <- ns;
-    h.kidx <- ni
-  end;
+(* Kept out of line: every inlined push would otherwise carry it. *)
+let kh_grow (h : kheap) =
+  let ncap = if h.klen = 0 then 64 else h.klen * 2 in
+  let nt = Array.make ncap 0. in
+  let ns = Array.make ncap 0 in
+  let ni = Array.make ncap 0 in
+  Array.blit h.ktimes 0 nt 0 h.klen;
+  Array.blit h.kseqs 0 ns 0 h.klen;
+  Array.blit h.kidx 0 ni 0 h.klen;
+  h.ktimes <- nt;
+  h.kseqs <- ns;
+  h.kidx <- ni
+
+let[@inline] kh_push (h : kheap) time seq i =
+  if h.klen >= Array.length h.kidx then kh_grow h;
   let pos = ref h.klen in
   h.klen <- h.klen + 1;
   let continue = ref true in
@@ -221,7 +234,7 @@ let kh_push (h : kheap) time seq i =
   h.kidx.(!pos) <- i
 
 (* Remove the root of a non-empty key heap. *)
-let kh_remove_root (h : kheap) =
+let[@inline] kh_remove_root (h : kheap) =
   h.klen <- h.klen - 1;
   if h.klen > 0 then begin
     let time = h.ktimes.(h.klen)
@@ -289,7 +302,7 @@ let grow t =
     t.free <- i
   done
 
-let alloc t time tagged_seq v x =
+let[@inline] alloc t time tagged_seq v x =
   if t.free < 0 then grow t;
   let i = t.free in
   t.free <- t.meta.(2 * i);
@@ -301,7 +314,7 @@ let alloc t time tagged_seq v x =
   t.in_use <- t.in_use + 1;
   i
 
-let free_slot t i =
+let[@inline] free_slot t i =
   t.payloads.(i) <- t.dummy;
   t.args.(i) <- t.dummy_arg;
   if t.meta.((2 * i) + 1) land 1 = 1 then t.handles.(i) <- dummy_handle;
@@ -311,25 +324,35 @@ let free_slot t i =
 
 (* ---- placement --------------------------------------------------- *)
 
-let link_slot t level idx i =
+(* Chain heads, 4 bytes per cell. Read one only while its slot's
+   occupancy bit is set: the table is never initialised. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+
+let[@inline] get_head t cell = Int32.to_int (get32 t.heads (4 * cell))
+let[@inline] set_head t cell i = set32 t.heads (4 * cell) (Int32.of_int i)
+
+let[@inline] link_slot t level idx i =
   let cell = (level * slots) + idx in
-  let head = t.heads.(cell) in
-  t.meta.(2 * i) <- head;
-  t.heads.(cell) <- i;
-  if head < 0 then begin
-    let w = (level * mask_words) + (idx lsr 5) in
-    if t.masks.(w) = 0 then begin
+  let w = (level * mask_words) + (idx lsr 5) in
+  let bit = 1 lsl (idx land 31) in
+  let word = t.masks.(w) in
+  if word land bit <> 0 then t.meta.(2 * i) <- get_head t cell
+  else begin
+    t.meta.(2 * i) <- -1;
+    if word = 0 then begin
       let sw = (level * summary_words) + (idx lsr 10) in
       t.summary.(sw) <- t.summary.(sw) lor (1 lsl ((idx lsr 5) land 31))
     end;
-    t.masks.(w) <- t.masks.(w) lor (1 lsl (idx land 31))
+    t.masks.(w) <- word lor bit
   end;
+  set_head t cell i;
   t.lvl_count.(level) <- t.lvl_count.(level) + 1
 
 (* File arena entry [i] by its tick, relative to the current cursor:
    at or before the cursor -> ready heap; within the top page -> the
    lowest level whose page matches the cursor's; beyond -> overflow. *)
-let place t i =
+let[@inline] place t i =
   let time = t.times.(i) in
   let tk = tick_of_time time in
   if tk <= t.cur then kh_push t.ready time t.meta.((2 * i) + 1) i
@@ -348,7 +371,7 @@ let place t i =
 
 (* Clear the occupancy bit of an emptied slot (and its summary bit if
    the whole mask word emptied). *)
-let clear_slot_bit t level idx =
+let[@inline] clear_slot_bit t level idx =
   let w = (level * mask_words) + (idx lsr 5) in
   t.masks.(w) <- t.masks.(w) land lnot (1 lsl (idx land 31));
   if t.masks.(w) = 0 then begin
@@ -368,13 +391,13 @@ let sweep_chains t =
           word := !word land lnot (1 lsl b);
           let idx = (w lsl 5) lor b in
           let cell = (level * slots) + idx in
-          let i = ref t.heads.(cell) in
-          t.heads.(cell) <- -1;
+          let i = ref (get_head t cell) in
+          let kept = ref (-1) in
           while !i >= 0 do
             let next = t.meta.(2 * !i) in
             if entry_live t !i then begin
-              t.meta.(2 * !i) <- t.heads.(cell);
-              t.heads.(cell) <- !i
+              t.meta.(2 * !i) <- !kept;
+              kept := !i
             end
             else begin
               free_slot t !i;
@@ -382,7 +405,8 @@ let sweep_chains t =
             end;
             i := next
           done;
-          if t.heads.(cell) < 0 then clear_slot_bit t level idx
+          if !kept >= 0 then set_head t cell !kept
+          else clear_slot_bit t level idx
         done
       done
   done
@@ -397,7 +421,7 @@ let sweep_kheap t (h : kheap) =
   h.klen <- 0;
   List.iter (fun (time, seq, i) -> kh_push h time seq i) !kept
 
-let maybe_sweep t =
+let[@inline] maybe_sweep t =
   let dead = t.in_use - !(t.live) in
   if dead > 4096 && dead > t.in_use / 2 then begin
     sweep_chains t;
@@ -407,7 +431,7 @@ let maybe_sweep t =
 
 (* ---- push -------------------------------------------------------- *)
 
-let check_time time =
+let[@inline] check_time time =
   (* Also rejects NaN. *)
   if not (time >= 0. && time <= Float.max_float) then
     invalid_arg "Timing_wheel.push: time must be finite and non-negative"
@@ -458,12 +482,11 @@ let arm t (h : handle) ~time v x =
 
 (* ---- advancement ------------------------------------------------- *)
 
-(* Harvest the chain at slot [idx] of [level]: live entries go through
-   [place] (which routes tick <= cur to ready), dead ones are freed. *)
-let harvest t level idx =
-  let cell = (level * slots) + idx in
-  let i = ref t.heads.(cell) in
-  t.heads.(cell) <- -1;
+(* Harvest the chain at occupied slot [idx] of [level]: live entries go
+   through [place] (which routes tick <= cur to ready), dead ones are
+   freed. Clearing the occupancy bit is all it takes to empty the slot. *)
+let[@inline] harvest t level idx =
+  let i = ref (get_head t ((level * slots) + idx)) in
   clear_slot_bit t level idx;
   while !i >= 0 do
     let next = t.meta.(2 * !i) in
@@ -475,7 +498,7 @@ let harvest t level idx =
 (* Lowest occupied slot index > [from] at [level], or -1. Two-tier
    scan: the partial mask word at [from], then the summary bitmap to
    jump straight to the next non-empty mask word. *)
-let next_occupied t level from =
+let[@inline] next_occupied t level from =
   let start = from + 1 in
   if start >= slots then -1
   else begin
@@ -508,7 +531,7 @@ let next_occupied t level from =
 
 (* Scan the rest of the cursor's level-0 page; harvest the first
    occupied slot into [ready]. True if a slot was harvested. *)
-let try_level0 t =
+let[@inline] try_level0 t =
   if t.lvl_count.(0) = 0 then false
   else begin
     match next_occupied t 0 (t.cur land (slots - 1)) with
@@ -569,7 +592,7 @@ let pull_overflow t =
     done
   end
 
-let advance t =
+let[@inline] advance t =
   let continue = ref true in
   while !continue do
     if t.ready.klen > 0 then continue := false
@@ -580,7 +603,7 @@ let advance t =
   done
 
 (* Drop dead entries off the top of the ready heap. *)
-let prune_ready t =
+let[@inline] prune_ready t =
   let continue = ref true in
   while !continue && t.ready.klen > 0 do
     let i = t.ready.kidx.(0) in
@@ -594,7 +617,7 @@ let prune_ready t =
 (* Dispatch the live root of the ready heap to [k]. The slot is freed
    (and a handle marked popped) before [k] runs, so [k] may push, reuse
    the slot, or re-arm the handle. *)
-let take_ready_cb t k =
+let[@inline] take_ready_cb t k =
   let i = t.ready.kidx.(0) in
   let time = t.ready.ktimes.(0) in
   kh_remove_root t.ready;

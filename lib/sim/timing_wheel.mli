@@ -15,9 +15,11 @@
     level 0, 16.8 s at level 1, 19.1 h at level 2; an event within the
     cursor's 4.1 ms page is filed once, a packet delay or protocol timer
     up to 16.8 s ahead pays one cascade, and farther timers two or
-    three. Creating a wheel zero-fills about 132 KB of slot heads and
-    bitmaps (tens of µs), small enough that a grid of many short
-    simulations, one wheel each, does not pay for the horizon.
+    three. Creating a wheel allocates 64 KB of slot heads without
+    initialising them (a head counts only while its slot's occupancy
+    bit is set) and zero-fills only 4 KB of bitmaps, so
+    a grid of many short simulations, one wheel each, does not pay for
+    the horizon. Arena indices must stay below 2^31 (32-bit heads).
 
     Complexity: push is O(1) (amortized; a far-future push may later
     pay its O(levels) cascade), pop is O(1 + slot-scan) amortized, and

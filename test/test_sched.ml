@@ -126,10 +126,12 @@ let test_zero_delay_livelock () =
    sequence from both backends, with equal live counts after every
    operation. The heap has no re-arm, so its model of one is cancel
    plus push. [draw_time ~now] picks each push's time, [now] being the
-   last popped time. Returns the latest time popped. *)
-let differential ~rng ~rounds ~ops draw_time =
+   last popped time. [before_round] runs before each round creates its
+   two queues. Returns the latest time popped. *)
+let differential ?(before_round = ignore) ~rng ~rounds ~ops draw_time =
   let latest = ref 0. in
   for _round = 1 to rounds do
+    before_round ();
     let h = EH.create () in
     let w = TW.create ~dummy:(-1) ~dummy_arg:() () in
     let h_handles = ref [] and w_handles = ref [] in
@@ -203,16 +205,27 @@ let differential ~rng ~rounds ~ops draw_time =
 
 (* Times from ns to years, duplicates included: same-slot collisions,
    far future, overflow. *)
+let random_time rng ~now:_ =
+  match Rng.int rng 4 with
+  | 0 -> Rng.uniform rng 0. 1e-4
+  | 1 -> Rng.uniform rng 0. 10.
+  | 2 -> float_of_int (Rng.int rng 4)
+  | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
+
 let test_differential_random () =
   let rng = Rng.create 20260809 in
-  let draw_time ~now:_ =
-    match Rng.int rng 4 with
-    | 0 -> Rng.uniform rng 0. 1e-4
-    | 1 -> Rng.uniform rng 0. 10.
-    | 2 -> float_of_int (Rng.int rng 4)
-    | _ -> Rng.uniform rng 0. (beyond_horizon *. 2.)
-  in
-  ignore (differential ~rng ~rounds:20 ~ops:1000 draw_time)
+  ignore (differential ~rng ~rounds:20 ~ops:1000 (random_time rng))
+
+(* A wheel's chain heads are never initialised, so a wheel created just
+   after another was dropped may sit on that one's freed memory, stale
+   chain indices included. Only the occupancy bitmap may decide which
+   heads are read: the differential must hold on 24 wheels in a row,
+   each created after a full major collection freed the one before. *)
+let test_recycled_memory () =
+  let rng = Rng.create 20261019 in
+  ignore
+    (differential ~before_round:Gc.full_major ~rng ~rounds:24 ~ops:1000
+       (random_time rng))
 
 (* Level boundaries, whatever the geometry: every time sits within a
    tick of a power-of-two tick count, 2^k for k in 0..50, so some lie
@@ -289,17 +302,17 @@ let test_engine_rejects_infinity () =
   Engine.run ~until:10. engine;
   Alcotest.(check (list (float 0.))) "event at t=1 ran" [ 1. ] !fired
 
-(* Creating an engine zero-fills the wheel's slot heads and bitmaps, so
-   its allocation is the wheel's geometry. Many short runs each pay it
-   once. *)
+(* Creating an engine allocates the wheel's 64 KB of slot heads, left
+   uninitialised, and zero-fills only its 4 KB of occupancy bitmaps.
+   Many short runs each pay it once. *)
 let test_engine_footprint () =
   ignore (Sys.opaque_identity (Engine.create ()));
   let before = Gc.allocated_bytes () in
   let engine = Engine.create () in
   let bytes = Gc.allocated_bytes () -. before in
   ignore (Sys.opaque_identity engine);
-  if bytes > 160e3 then
-    Alcotest.failf "Engine.create allocated %.0f B, above 160 KB" bytes
+  if bytes > 80e3 then
+    Alcotest.failf "Engine.create allocated %.0f B, above 80 KB" bytes
 
 let suites =
   [
@@ -317,6 +330,8 @@ let suites =
           test_differential_random;
         Alcotest.test_case "level-boundary heap-vs-wheel differential"
           `Quick test_differential_level_edges;
+        Alcotest.test_case "wheel on recycled memory" `Quick
+          test_recycled_memory;
         Alcotest.test_case "non-finite and huge times" `Quick
           test_non_finite_and_huge_times;
         Alcotest.test_case "engine rejects an infinite time" `Quick
