@@ -1,13 +1,13 @@
 (** A complete PCC transport endpoint (Fig. 2 of the paper).
 
-    Wires together the sending module (a rate pacer), the monitor module,
-    the utility function and the performance-oriented control module, plus
-    the reliability scoreboard shared with the other rate-based
-    transports. Data flows continuously: the pacer emits packets at the
-    controller's rate, the monitor charges them to monitor intervals and
-    aggregates the returning SACKs, evaluated intervals feed the
-    controller, and the controller's rate changes re-align the monitor and
-    retune the pacer. *)
+    Wires the monitor module, the utility function and the
+    performance-oriented control module onto the sending module that PCC
+    shares with the other rate-based transports ({!Pcc_net.Rate_sender}:
+    pacer, reliability scoreboard, send loop and ack skeleton). Data flows
+    continuously: the pacer emits packets at the controller's rate, the
+    monitor charges them to monitor intervals and aggregates the returning
+    SACKs, evaluated intervals feed the controller, and the controller's
+    rate changes re-align the monitor and retune the pacer. *)
 
 type config = {
   controller : Controller.config;

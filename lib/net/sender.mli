@@ -9,7 +9,10 @@ type t = {
   flow : int;  (** The flow id this sender stamps on its packets. *)
   name : string;  (** Human-readable transport name, e.g. ["cubic"]. *)
   start : unit -> unit;  (** Begin transmitting. Idempotent. *)
-  stop : unit -> unit;  (** Cease transmitting and cancel timers. *)
+  stop : unit -> unit;
+      (** Cease transmitting and cancel the send timers. The rate-based
+          senders ({!Rate_sender}) leave their periodic tick pending: it
+          fires once more and does nothing. *)
   handle_ack : Packet.ack -> unit;
       (** Process one acknowledgment arriving on the reverse path. *)
   rate_estimate : unit -> float;

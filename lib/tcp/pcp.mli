@@ -12,13 +12,10 @@
 
 val create :
   Pcc_sim.Engine.t ->
-  ?init_rate:float ->
-  ?max_rate:float ->
-  ?train_len:int ->
   ?size:int ->
   ?on_complete:(float -> unit) ->
   out:(Pcc_net.Packet.t -> unit) ->
   unit ->
   Pcc_net.Sender.t
-(** [init_rate] defaults to 1 Mbps (the paper's PCP configuration),
-    [train_len] to 10 packets per probe. *)
+(** The base rate starts at 1 Mbps (the paper's PCP configuration), the
+    control caps it at 10 Gbps, and each probe is a 10-packet train. *)

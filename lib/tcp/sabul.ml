@@ -2,151 +2,74 @@ open Pcc_sim
 open Pcc_net
 
 let syn_period = 0.01
+let init_rate = Units.mbps 1.
+let max_rate = Units.gbps 10.
 
-let create engine ?(init_rate = Units.mbps 1.) ?(max_rate = Units.gbps 10.)
-    ?rng ?size ?on_complete ~out () =
-  let flow = Packet.fresh_flow_id () in
-  let rng = match rng with Some r -> r | None -> Rng.create flow in
-  let sb = Scoreboard.create () in
-  (match size with
-  | Some bytes -> Scoreboard.limit_pkts sb (Units.packets_of_bytes bytes)
-  | None -> ());
-  let sent_pkts = ref 0 in
-  let completed = ref false in
-  let running = ref false in
-  let srtt = ref 0.1 in
-  (* Ack-rate based capacity estimate: peak packets/sec over short bins. *)
-  let bin_start = ref 0. in
+(* Float-only, so OCaml stores it unboxed: the per-ack writes are plain
+   stores. Ack-rate based capacity estimate: peak packets/sec over short
+   bins. *)
+type est = { mutable bin_start : float; mutable capacity_est : float }
+
+let create engine ~rng ?size ?on_complete ~out () =
+  let core, p =
+    Rate_sender.create engine ~rate:init_rate ~srtt:0.1 ?size ~out ()
+  in
+  let sb = Rate_sender.scoreboard core in
+  let est = { bin_start = 0.; capacity_est = init_rate } in
   let bin_count = ref 0 in
-  let capacity_est = ref init_rate in
   let loss_since_syn = ref false in
   let last_dec_seq = ref (-1) in
-  let pacer = ref None in
-  let get_pacer () =
-    match !pacer with Some p -> p | None -> assert false
-  in
-  let send_one () =
-    if !completed || not !running then None
-    else begin
-      let seq, retx =
-        match Scoreboard.take_retx sb with
-        | Some seq -> (Some seq, true)
-        | None -> (Scoreboard.fresh_seq sb, false)
+  let on_ack a _ =
+    Rate_sender.smooth_srtt core a;
+    (* Update the bandwidth estimate from ack arrival rate. *)
+    let now = Engine.now engine in
+    if est.bin_start = 0. then est.bin_start <- now;
+    incr bin_count;
+    if now -. est.bin_start >= 0.05 then begin
+      let rate_bps =
+        float_of_int (!bin_count * Units.mss) *. 8. /. (now -. est.bin_start)
       in
-      match seq with
-      | None -> None
-      | Some seq ->
-        let now = Engine.now engine in
-        let pkt = Packet.data ~flow ~seq ~size:Units.mss ~now ~retx in
-        Scoreboard.record_send sb seq ~now;
-        incr sent_pkts;
-        out pkt;
-        Some Units.mss
+      if rate_bps > est.capacity_est then est.capacity_est <- rate_bps
+      else est.capacity_est <- (0.98 *. est.capacity_est) +. (0.02 *. rate_bps);
+      est.bin_start <- now;
+      bin_count := 0
     end
   in
-  let finish () =
-    if not !completed then begin
-      completed := true;
-      (match !pacer with Some p -> Rate_pacer.stop p | None -> ());
-      match on_complete with
-      | Some f -> f (Engine.now engine)
-      | None -> ()
+  let cut () =
+    Rate_pacer.set_rate p
+      (Float.max (Units.kbps 100.) (Rate_pacer.rate p *. 8. /. 9.))
+  in
+  let on_losses losses =
+    loss_since_syn := true;
+    (* UDT decreases by 1/9 on the first NAK of a congestion epoch, then
+       again with some probability on further NAKs of the same epoch — a
+       burst of losses produces the deep fallback the paper observes. *)
+    if List.hd losses > !last_dec_seq then begin
+      cut ();
+      last_dec_seq := Scoreboard.next_seq sb
     end
+    else if Rng.bernoulli rng 0.08 then cut ()
   in
-  let handle_ack (a : Packet.ack) =
-    if !running && not !completed then begin
-      let now = Engine.now engine in
-      if not a.Packet.data_retx then begin
-        let sample = now -. a.Packet.data_sent_at in
-        srtt := (0.875 *. !srtt) +. (0.125 *. sample)
-      end;
-      (* Update the bandwidth estimate from ack arrival rate. *)
-      if !bin_start = 0. then bin_start := now;
-      incr bin_count;
-      if now -. !bin_start >= 0.05 then begin
-        let rate_bps =
-          float_of_int (!bin_count * Units.mss) *. 8. /. (now -. !bin_start)
-        in
-        if rate_bps > !capacity_est then capacity_est := rate_bps
-        else capacity_est := (0.98 *. !capacity_est) +. (0.02 *. rate_bps);
-        bin_start := now;
-        bin_count := 0
-      end;
-      ignore (Scoreboard.on_ack sb a);
-      let losses =
-        Scoreboard.detect_losses sb ~now ~min_age:(0.8 *. !srtt)
-      in
-      (match losses with
-      | [] -> ()
-      | first :: _ ->
-        loss_since_syn := true;
-        (* UDT decreases by 1/9 on the first NAK of a congestion epoch,
-           then again with some probability on further NAKs of the same
-           epoch — a burst of losses produces the deep fallback the paper
-           observes. *)
-        let cut () =
-          let p = get_pacer () in
-          Rate_pacer.set_rate p
-            (Float.max (Units.kbps 100.) (Rate_pacer.rate p *. 8. /. 9.))
-        in
-        if first > !last_dec_seq then begin
-          cut ();
-          last_dec_seq := Scoreboard.next_seq sb
-        end
-        else if Rng.bernoulli rng 0.08 then cut ());
-      if Scoreboard.complete sb then finish ()
-      else Rate_pacer.kick (get_pacer ())
-    end
+  let on_tick () =
+    if not !loss_since_syn then begin
+      (* Rate increase per SYN, scaled by the bandwidth estimate like
+         UDT's: an aggressive ~5%-per-10ms ramp (calibrated so a clean
+         gigabit link fills within seconds, as UDT does) that keeps
+         probing past the estimate — producing the overshoot/deep-
+         fallback cycle the paper describes. *)
+      let c = Rate_pacer.rate p in
+      (* 5% of the estimated spare capacity per SYN, with a floor that
+         keeps probing past the estimate: fast exponential approach from
+         below, persistent overshoot at the top — UDT's signature. *)
+      let spare = Float.max (est.capacity_est -. c) 0. in
+      let inc_bps = Float.max (0.05 *. spare) (Units.kbps 500.) in
+      Rate_pacer.set_rate p (Float.min max_rate (c +. inc_bps))
+    end;
+    loss_since_syn := false;
+    syn_period
   in
-  let rec syn_tick () =
-    if !running && not !completed then begin
-      let p = get_pacer () in
-      if not !loss_since_syn then begin
-        (* Rate increase per SYN, scaled by the bandwidth estimate like
-           UDT's: an aggressive ~5%-per-10ms ramp (calibrated so a clean
-           gigabit link fills within seconds, as UDT does) that keeps
-           probing past the estimate — producing the overshoot/deep-
-           fallback cycle the paper describes. *)
-        let c = Rate_pacer.rate p in
-        (* 5% of the estimated spare capacity per SYN, with a floor that
-           keeps probing past the estimate: fast exponential approach from
-           below, persistent overshoot at the top — UDT's signature. *)
-        let spare = Float.max (!capacity_est -. c) 0. in
-        let inc_bps = Float.max (0.05 *. spare) (Units.kbps 500.) in
-        Rate_pacer.set_rate p (Float.min max_rate (c +. inc_bps))
-      end;
-      loss_since_syn := false;
-      (* Tail-loss watchdog (UDT's EXP timer): requeue stale packets and
-         resume the pacer if retransmissions wait. *)
-      let now = Engine.now engine in
-      ignore (Scoreboard.sweep_stale sb ~now ~min_age:(4. *. !srtt));
-      if Scoreboard.has_retx sb then Rate_pacer.kick p;
-      Engine.post_in engine ~after:syn_period syn_tick
-    end
-  in
-  let p = Rate_pacer.create engine ~rate:init_rate ~send:send_one in
-  pacer := Some p;
-  let start () =
-    if (not !running) && not !completed then begin
-      running := true;
-      Rate_pacer.start p;
-      Engine.post_in engine ~after:syn_period syn_tick
-    end
-  in
-  let stop () =
-    running := false;
-    Rate_pacer.stop p
-  in
-  Sender.
-    {
-      flow;
-      name = "sabul";
-      start;
-      stop;
-      handle_ack;
-      rate_estimate = (fun () -> Rate_pacer.rate p);
-      acked_bytes = (fun () -> Scoreboard.acked_pkts sb * Units.mss);
-      srtt = (fun () -> !srtt);
-      sent_pkts = (fun () -> !sent_pkts);
-      is_complete = (fun () -> !completed);
-    }
+  Rate_sender.sender ?on_complete core p ~name:"sabul"
+    ~on_start:(fun () -> syn_period)
+    ~on_stop:ignore ~on_send:ignore ~on_ack ~on_losses ~on_tick ~stale_rtts:4.
+    ~on_stale:ignore
+    ~rate:(fun () -> Rate_pacer.rate p)

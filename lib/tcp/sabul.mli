@@ -12,13 +12,12 @@
 
 val create :
   Pcc_sim.Engine.t ->
-  ?init_rate:float ->
-  ?max_rate:float ->
-  ?rng:Pcc_sim.Rng.t ->
+  rng:Pcc_sim.Rng.t ->
   ?size:int ->
   ?on_complete:(float -> unit) ->
   out:(Pcc_net.Packet.t -> unit) ->
   unit ->
   Pcc_net.Sender.t
-(** [init_rate] defaults to 1 Mbps; [max_rate] caps the control (default
-    10 Gbps). [size] bounds the transfer in bytes. *)
+(** The rate starts at 1 Mbps and the control caps it at 10 Gbps. [rng]
+    draws the repeated cuts within a congestion epoch. [size] bounds the
+    transfer in bytes. *)

@@ -395,26 +395,90 @@ let test_pcc_sender_completes_transfer () =
   Alcotest.(check bool) "complete despite 3% loss" true
     (f.Pcc_scenario.Topology.sender.Pcc_net.Sender.is_complete ())
 
-let test_pcc_sender_stop_silences () =
+(* The rate-based senders share one core (Pcc_net.Rate_sender), so its
+   lifecycle contract is checked for each of them. *)
+let rate_senders =
+  Pcc_scenario.Transport.
+    [ ("pcc", pcc ()); ("sabul", sabul); ("pcp", pcp) ]
+
+let test_rate_sender_stop_silences () =
+  List.iter
+    (fun (name, spec) ->
+      let engine = Engine.create () in
+      let rng = Rng.create 8 in
+      let topo =
+        Pcc_scenario.Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 20.)
+          ~rtt:0.02 ~buffer:(Units.kib 64)
+          ~flows:[ Pcc_scenario.Topology.flow ~route:[ 0; 1 ] ~stop_at:1. spec ]
+          ()
+      in
+      Engine.run ~until:1.2 engine;
+      let f = (Pcc_scenario.Topology.flows topo).(0) in
+      let sent = f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts () in
+      Engine.run ~until:3. engine;
+      Alcotest.(check int)
+        (name ^ ": no sends after stop")
+        sent
+        (f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts ()))
+    rate_senders
+
+(* One flow over a 20 Mbps, 20 ms path with 2% loss, wired by hand so the
+   test holds the sender and its completion callback. *)
+let wire_rate_sender ?size ?on_complete spec =
+  let open Pcc_net in
   let engine = Engine.create () in
   let rng = Rng.create 8 in
-  let topo =
-    Pcc_scenario.Topology.dumbbell engine ~rng ~bandwidth:(Units.mbps 20.)
-      ~rtt:0.02 ~buffer:(Units.kib 64)
-      ~flows:
-        [
-          Pcc_scenario.Topology.flow ~route:[ 0; 1 ] ~stop_at:1.
-            (Pcc_scenario.Transport.pcc ());
-        ]
+  let link =
+    Link.create engine ~loss:0.02 ~rng:(Rng.split rng)
+      ~bandwidth:(Units.mbps 20.) ~delay:0.01
+      ~queue:(Queue_disc.droptail_bytes ~capacity:(Units.kib 64) ())
       ()
   in
-  Engine.run ~until:1.2 engine;
-  let f = (Pcc_scenario.Topology.flows topo).(0) in
-  let sent = f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts () in
-  Engine.run ~until:3. engine;
-  Alcotest.(check int) "no sends after stop"
-    sent
-    (f.Pcc_scenario.Topology.sender.Pcc_net.Sender.sent_pkts ())
+  let back = Delay_line.create engine ~delay:0.01 () in
+  let sender =
+    Pcc_scenario.Transport.build engine ~rng:(Rng.split rng) ?size ?on_complete
+      ~rtt_hint:0.02 spec ~out:(Link.send link)
+  in
+  let receiver = Receiver.create engine ~ack_out:(Delay_line.send back) in
+  Link.set_receiver link (Receiver.on_packet receiver);
+  Delay_line.set_receiver back (fun p ->
+      match p.Packet.kind with
+      | Packet.Ack a -> sender.Sender.handle_ack a
+      | Packet.Data _ -> ());
+  (engine, sender)
+
+let test_rate_sender_completes_once () =
+  List.iter
+    (fun (name, spec) ->
+      let fired = ref 0 in
+      let engine, sender =
+        wire_rate_sender ~size:(200 * Units.mss)
+          ~on_complete:(fun _ -> incr fired)
+          spec
+      in
+      sender.Pcc_net.Sender.start ();
+      Engine.run ~until:60. engine;
+      Alcotest.(check bool)
+        (name ^ ": complete") true
+        (sender.Pcc_net.Sender.is_complete ());
+      Alcotest.(check int) (name ^ ": on_complete fired once") 1 !fired)
+    rate_senders
+
+let test_rate_sender_start_idempotent () =
+  List.iter
+    (fun (name, spec) ->
+      let sent ~twice =
+        let engine, sender = wire_rate_sender spec in
+        sender.Pcc_net.Sender.start ();
+        Engine.run ~until:0.5 engine;
+        if twice then sender.Pcc_net.Sender.start ();
+        Engine.run ~until:2. engine;
+        sender.Pcc_net.Sender.sent_pkts ()
+      in
+      Alcotest.(check int)
+        (name ^ ": a second start sends nothing more")
+        (sent ~twice:false) (sent ~twice:true))
+    rate_senders
 
 (* Every rate change discards the open MI (§3.1's re-alignment), and a
    discarded MI never returns a result, so its plan is only dropped when
@@ -508,7 +572,11 @@ let suites =
       [
         Alcotest.test_case "transfer completes" `Slow
           test_pcc_sender_completes_transfer;
-        Alcotest.test_case "stop silences" `Quick test_pcc_sender_stop_silences;
+        Alcotest.test_case "stop silences" `Quick test_rate_sender_stop_silences;
+        Alcotest.test_case "on_complete fires once" `Quick
+          test_rate_sender_completes_once;
+        Alcotest.test_case "start is idempotent" `Quick
+          test_rate_sender_start_idempotent;
         Alcotest.test_case "plan bounded under realigns" `Quick
           test_pcc_sender_plan_bounded;
       ] );
