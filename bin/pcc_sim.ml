@@ -29,9 +29,8 @@ let failed msg =
 let exits =
   Cmd.Exit.info 1
     ~doc:
-      "on a runtime failure: a failed task, run, oracle or replay, an \
-       output path that cannot be created or written, or a checkpoint \
-       that does not match or is corrupt."
+      "on a runtime failure: a failed task, run, oracle or replay, or an \
+       output path that cannot be created or written."
   :: Cmd.Exit.info Cmd.Exit.cli_error
        ~doc:
          "on a command-line error: an unparsable or out-of-range value, or \
@@ -535,7 +534,7 @@ let selftest_entry : Pcc_experiments.Exp_registry.entry =
   }
 
 let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
-    max_events forensics forensic_trace checkpoint resume =
+    max_events forensics forensic_trace =
   let open Pcc_experiments in
   if list_exps then begin
     print_string (Exp_registry.listing ());
@@ -557,131 +556,47 @@ let exp_cmd names scale seed jobs dump_dir trace_out list_exps deadline
     match Exp_registry.select ~extra names with
     | Error msg -> `Error (false, msg)
     | Ok entries ->
-      with_output_dirs
-        (List.filter_map Fun.id
-           [ dump_dir; trace_out; Option.map Filename.dirname checkpoint ])
+      with_output_dirs (List.filter_map Fun.id [ dump_dir; trace_out ])
       @@ fun () ->
-      let names_list = List.map (fun e -> e.Exp_registry.name) entries in
-      (* A resumed run must be the same sweep: same seed, scale and
-         experiment selection, or byte-identity is meaningless. *)
-      let resume_loaded =
-        match resume with
-        | None -> Ok []
-        | Some path -> (
-          try
-            let meta, records = Checkpoint.load ~path in
-            if Checkpoint.matches meta ~seed ~scale ~names:names_list then
-              Ok records
-            else
-              Error
-                (Printf.sprintf
-                   "error: checkpoint %s was taken with --seed %d --scale %g \
-                    over %d experiment(s); rerun with the same parameters \
-                    and selection"
-                   path meta.Checkpoint.seed meta.Checkpoint.scale
-                   (List.length meta.Checkpoint.names))
-          with
-          | Pcc_sim.Persist.Corrupt m ->
-            Error (Printf.sprintf "error: corrupt checkpoint %s: %s" path m)
-          | Sys_error m ->
-            Error (Printf.sprintf "error: cannot read checkpoint: %s" m))
+      Runner.reset_failures ();
+      let sweep ~jobs =
+        List.filter_map
+          (fun e ->
+            let open Exp_registry in
+            print_string (header e);
+            flush stdout;
+            let pool =
+              Runner.create ~jobs ?deadline ?max_events ~forensics_dir:forensics
+                ~forensic_trace
+                ~repro_context:
+                  (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d" e.name
+                     scale seed)
+                ()
+            in
+            let out, write_error = render ~pool ?dump_dir ~scale ~seed e in
+            print_string out;
+            flush stdout;
+            write_error)
+          entries
       in
-      match resume_loaded with
-      | Error msg -> failed msg
-      | Ok stored ->
-        if stored <> [] then
-          Printf.eprintf
-            "exp: resuming: %d/%d experiment(s) restored from checkpoint\n%!"
-            (List.length stored) (List.length entries);
-        (* --resume without --checkpoint keeps checkpointing into the
-           same file, so a resumed run can itself be killed and resumed. *)
-        let ckpt_path =
-          match (checkpoint, resume) with
-          | Some p, _ -> Some p
-          | None, p -> p
-        in
-        let ckpt =
-          Option.map
-            (fun path ->
-              let t =
-                Checkpoint.create ~path
-                  { Checkpoint.seed; scale; names = names_list }
-              in
-              List.iter
-                (fun (name, output) -> Checkpoint.append t ~name ~output)
-                stored;
-              t)
-            ckpt_path
-        in
-        Runner.reset_failures ();
-        let exit_after =
-          Option.bind (Sys.getenv_opt "PCC_TEST_EXIT_AFTER") int_of_string_opt
-        in
-        let completed = ref 0 in
-        let sweep ~jobs =
-          List.filter_map
-            (fun e ->
-              let open Exp_registry in
-              print_string (header e);
-              flush stdout;
-              let out, write_error =
-                match List.assoc_opt e.name stored with
-                | Some out ->
-                  Printf.eprintf "exp: %s restored from checkpoint\n%!" e.name;
-                  (out, None)
-                | None ->
-                  let pool =
-                    Runner.create ~jobs ?deadline ?max_events
-                      ~forensics_dir:forensics ~forensic_trace
-                      ~repro_context:
-                        (Printf.sprintf "pcc_sim exp %s --scale %g --seed %d"
-                           e.name scale seed)
-                      ()
-                  in
-                  let failed_before = List.length (Runner.failures ()) in
-                  let out, write_error =
-                    render ~pool ?dump_dir ~scale ~seed e
-                  in
-                  (* An experiment whose tasks failed or whose series
-                     file was not written is not done: leave it out of
-                     the checkpoint so a resume reruns it. *)
-                  if
-                    write_error = None
-                    && List.length (Runner.failures ()) = failed_before
-                  then
-                    Option.iter
-                      (fun t -> Checkpoint.append t ~name:e.name ~output:out)
-                      ckpt;
-                  (out, write_error)
-              in
-              print_string out;
-              flush stdout;
-              incr completed;
-              (match exit_after with
-              | Some n
-                when !completed >= n && !completed < List.length entries ->
-                (* Checkpoint-resume smoke hook: die mid-sweep, cleanly. *)
-                Printf.eprintf
-                  "exp: PCC_TEST_EXIT_AFTER=%d, exiting early\n%!" n;
-                Option.iter Checkpoint.close ckpt;
-                exit 3
-              | _ -> ());
-              write_error)
-            entries
-        in
-        let write_errors, trace = Runner.traced trace_out ~jobs sweep in
-        Option.iter Checkpoint.close ckpt;
-        let trace_errors = Option.fold ~none:[] ~some:trace_written trace in
-        (* Partial results were printed above; now make the failure
-           visible in the exit status with a one-line summary. *)
-        let task_errors =
-          Option.map
-            (fun s -> Printf.sprintf "%s (forensics in %s/)" s forensics)
-            (Runner.failure_summary ())
-        in
-        match Option.to_list task_errors @ write_errors @ trace_errors with
-        | [] -> `Ok 0
-        | errors -> failed ("error: " ^ String.concat "; " errors)
+      let write_errors, trace = Runner.traced trace_out ~jobs sweep in
+      let trace_errors = Option.fold ~none:[] ~some:trace_written trace in
+      (* Partial results were printed above; now make the failure
+         visible in the exit status with a one-line summary. It names
+         the forensics directory only if a bundle was written there. *)
+      let bundled =
+        List.exists (fun o -> o.Runner.forensics <> None) (Runner.failures ())
+      in
+      let task_errors =
+        Option.map
+          (fun s ->
+            if bundled then Printf.sprintf "%s (forensics in %s/)" s forensics
+            else s)
+          (Runner.failure_summary ())
+      in
+      match Option.to_list task_errors @ write_errors @ trace_errors with
+      | [] -> `Ok 0
+      | errors -> failed ("error: " ^ String.concat "; " errors)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario fuzzing *)
@@ -985,32 +900,11 @@ let exp_term =
              its recent event history into the forensics bundle even in an \
              otherwise untraced run.")
   in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Write each completed experiment's output to $(docv) (flushed \
-             per experiment) so a killed run can continue with \
-             $(b,--resume).")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:
-            "Continue a killed run: completed experiments are re-printed \
-             from $(docv) byte-identically, only the rest re-run, and \
-             checkpointing continues into the same file. Requires the same \
-             --seed, --scale and experiment selection.")
-  in
   Term.(
     ret
       (const exp_cmd $ names_arg $ scale_arg $ seed_arg $ jobs_arg $ dump_arg
      $ trace_out_arg $ list_arg $ deadline_arg $ max_events_arg
-     $ forensics_arg $ forensic_trace_arg $ checkpoint_arg $ resume_arg))
+     $ forensics_arg $ forensic_trace_arg))
 
 let trace_term =
   let shape_arg =
@@ -1091,8 +985,9 @@ let fuzz_term =
       value & opt int 8
       & info [ "deep-every" ] ~docv:"N"
           ~doc:
-            "Run the expensive supervisor/checkpoint differentials on every \
-             $(docv)th scenario (0 disables them).")
+            "Run the expensive supervisor differential (the scenario as an \
+             executor task at --jobs 1 and 2) on every $(docv)th scenario \
+             (0 disables it).")
   in
   let shrink_budget_arg =
     Arg.(

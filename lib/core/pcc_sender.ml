@@ -14,8 +14,7 @@ let default_config =
     utility = Utility.safe ();
   }
 
-let config_with ?utility ?rct ?eps_min ?eps_max ?mi_rtt ?init_rate ?algorithm
-    () =
+let config_with ?utility ?rct ?eps_min ?mi_rtt ?init_rate ?algorithm () =
   let c = default_config in
   let controller =
     {
@@ -27,8 +26,6 @@ let config_with ?utility ?rct ?eps_min ?eps_max ?mi_rtt ?init_rate ?algorithm
       rct = (match rct with Some v -> v | None -> c.controller.Controller.rct);
       eps_min =
         (match eps_min with Some v -> v | None -> c.controller.Controller.eps_min);
-      eps_max =
-        (match eps_max with Some v -> v | None -> c.controller.Controller.eps_max);
       init_rate =
         (match init_rate with
         | Some v -> v

@@ -23,7 +23,6 @@ val config_with :
   ?utility:Utility.t ->
   ?rct:bool ->
   ?eps_min:float ->
-  ?eps_max:float ->
   ?mi_rtt:float * float ->
   ?init_rate:float ->
   ?algorithm:Controller.algorithm ->

@@ -11,7 +11,7 @@ type failure_report = {
 
 type summary = { runs : int; failed : failure_report list }
 
-let deep_oracle = function "supervisor-jobs" | "checkpoint" -> true | _ -> false
+let deep_oracle = function "supervisor-jobs" -> true | _ -> false
 
 let fuzz ?(synth = fun _ -> None) ?(deep_every = 8) ?(shrink_budget = 300)
     ?corpus_dir ?menu ?(log = fun _ -> ()) ~runs ~seed () =

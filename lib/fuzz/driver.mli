@@ -37,17 +37,17 @@ val fuzz :
 (** Run a campaign. [menu] restricts generated flows to a subset of
     {!Pcc_scenario.Transport.all_names} (the nightly controllers axis
     fuzzes just the PCC family); default is the full menu.
-    [deep_every] (default 8) enables the expensive
-    supervisor/checkpoint differentials on every Nth run (0 disables
-    them); shrinking a deep-oracle failure re-enables them for the
-    minimizer's checks. [log] (default silent) receives one line per
-    failure and a closing summary line. *)
+    [deep_every] (default 8) enables the expensive supervisor
+    differential on every Nth run (0 disables it); shrinking a
+    deep-oracle failure re-enables it for the minimizer's checks. [log]
+    (default silent) receives one line per failure and a closing summary
+    line. *)
 
 val replay :
   ?synth:(Pcc_scenario.Scenario.t -> string option) ->
   string ->
   (unit, Oracle.failure) result
-(** Replay one repro file under the full oracle suite (deep checks
+(** Replay one repro file under the full oracle suite (the deep check
     included). [Ok ()] means every oracle now passes — the state a
     committed, fixed regression should be in. *)
 

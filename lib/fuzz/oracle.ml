@@ -156,8 +156,8 @@ let run_once (s : Scenario.t) : (stats, failure) result =
         Ok { events = Engine.executed engine; digest = digest engine topo }))
 
 (* --------------------------------------------------------------- *)
-(* Deep differentials: cost real wall-clock (domain spawns, temp-file
-   IO), so the fuzz loop only enables them on a subset of runs. *)
+(* Deep differential: costs real wall-clock (domain spawns), so the fuzz
+   loop only enables it on a subset of runs. *)
 
 let supervisor_check (s : Scenario.t) (base : stats) =
   let digest_task () =
@@ -200,38 +200,6 @@ let supervisor_check (s : Scenario.t) (base : stats) =
           detail = "jobs=2 digest differs from jobs=1";
         }
     else None
-
-let checkpoint_check (s : Scenario.t) (base : stats) =
-  let path = Filename.temp_file "pcc-fuzz" ".ckpt" in
-  let fail detail = Some { oracle = "checkpoint"; detail } in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let names = [ "fuzz-digest" ] in
-      let meta =
-        { Checkpoint.seed = s.Scenario.seed; scale = s.Scenario.duration; names }
-      in
-      match
-        let t = Checkpoint.create ~path meta in
-        Checkpoint.append t ~name:"fuzz-digest" ~output:base.digest;
-        Checkpoint.close t;
-        Checkpoint.load ~path
-      with
-      | exception exn -> fail ("roundtrip raised " ^ Printexc.to_string exn)
-      | meta', records ->
-        if
-          not
-            (Checkpoint.matches meta' ~seed:s.Scenario.seed
-               ~scale:s.Scenario.duration ~names)
-        then fail "reloaded meta does not match the sweep"
-        else if records <> [ ("fuzz-digest", base.digest) ] then
-          fail "digest did not survive the checkpoint roundtrip"
-        else None)
-
-let deep_checks s base =
-  match supervisor_check s base with
-  | Some f -> Some f
-  | None -> checkpoint_check s base
 
 (* --------------------------------------------------------------- *)
 
@@ -279,4 +247,4 @@ let test ?(synth = fun _ -> None) ?(deep = true) (s : Scenario.t) =
                 oracle = "persist-replay";
                 detail = "decoded scenario runs to a different digest";
               }
-          | Ok _ -> if deep then deep_checks s base else None))))
+          | Ok _ -> if deep then supervisor_check s base else None))))

@@ -25,9 +25,7 @@
       [s] and runs to an identical digest;
     - supervised execution: running the scenario as a
       {!Pcc_experiments.Runner} task at [jobs = 1] and [jobs = 2]
-      yields identical digests;
-    - checkpoint transport: a digest written through
-      {!Pcc_experiments.Checkpoint} loads back verbatim.
+      yields identical digests.
 
     The digest deliberately includes float bit patterns ([%h]) so "close
     enough" drift counts as a failure. *)
@@ -56,7 +54,6 @@ val test :
     is a synthetic-failure hook (the fuzzer wires [PCC_FUZZ_SYNTH]
     through it): returning [Some detail] yields an ["synthetic"] failure
     — how CI exercises the shrink-and-repro pipeline without a real bug.
-    [deep] (default [true]) additionally runs the executor jobs-1/2
-    and checkpoint differentials, which spawn domains and touch the
-    filesystem; the fuzz loop only enables it on a deterministic subset
-    of runs. *)
+    [deep] (default [true]) additionally runs the supervised-execution
+    differential (executor jobs 1 and 2), which spawns domains; the fuzz
+    loop only enables it on a deterministic subset of runs. *)

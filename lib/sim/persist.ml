@@ -1,9 +1,9 @@
-(* Versioned, explicit binary serialization for checkpoint state.
+(* Versioned, explicit binary serialization (scenario repro blobs).
 
    Everything written is a primitive (ints as zig-zag varints, floats
    as IEEE bit patterns, strings length-prefixed) composed field by
-   field — never [Marshal], so no closure can leak into a checkpoint
-   and a corrupt or foreign file fails with {!Corrupt} instead of a
+   field — never [Marshal], so no closure can leak into a blob and a
+   corrupt or foreign file fails with {!Corrupt} instead of a
    segfault. A blob opens with a caller-chosen magic string and a
    format version; readers reject the wrong magic and report the
    version so callers can gate compatibility explicitly. *)

@@ -1,13 +1,14 @@
-(** Versioned, explicit binary serialization for checkpoints.
+(** Versioned, explicit binary serialization.
 
-    The checkpoint/resume layer (see [Pcc_experiments.Checkpoint])
-    writes state field by field through {!Writer} and reads it back
-    through {!Reader} — primitives only, never [Marshal], so closures
-    cannot end up in a checkpoint and malformed input raises {!Corrupt}
-    rather than crashing the runtime. Every blob starts with a magic
-    string and an explicit format version; bump the version whenever
-    the field layout changes and branch on {!Reader.version} (or
-    reject) when loading. *)
+    [Pcc_scenario.Scenario.to_string]/[of_string] write a scenario
+    field by field through {!Writer} and read it back through
+    {!Reader}; those blobs are the repro payloads that
+    [Pcc_fuzz.Corpus] banks as hex. Primitives only, never [Marshal],
+    so closures cannot end up in a blob and malformed input raises
+    {!Corrupt} rather than crashing the runtime. Every blob starts with
+    a magic string and an explicit format version; bump the version
+    whenever the field layout changes and branch on {!Reader.version}
+    (or reject) when loading. *)
 
 exception Corrupt of string
 (** Raised by {!Reader} on truncated input, bad magic, or malformed

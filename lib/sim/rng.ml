@@ -28,10 +28,6 @@ let split t = of_state (mix (bits64 t))
 
 let copy t = Bytes.copy t
 
-(* Explicit state capture for checkpointing: the full generator state
-   is one int64, serialized field-by-field by Persist (never Marshal). *)
-let state t = Bytes.get_int64_ne t 0
-
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int and stays

@@ -21,10 +21,6 @@ val copy : t -> t
 (** [copy t] duplicates the current state; the copy replays the same
     stream. *)
 
-val state : t -> int64
-(** The complete generator state, for explicit checkpointing (see
-    {!Persist}). *)
-
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 

@@ -95,8 +95,9 @@ let test_string_random () =
   done
 
 let test_nested_structures () =
-  (* A random (int option * float list) list, the shape of real
-     checkpoint payloads, written and read back with combinators. *)
+  (* A random (int option * float list) list, nested the way a
+     scenario's optional fields and flow lists are, written and read
+     back with combinators. *)
   let rng = Rng.create 105 in
   let gen_item () =
     ( (if Rng.bernoulli rng 0.5 then Some (Rng.int rng 1_000_000) else None),

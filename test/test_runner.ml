@@ -482,75 +482,6 @@ let test_registry () =
   Alcotest.(check string) "tables without the note line" plain text;
   Alcotest.(check bool) "write error reported" true (error <> None)
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint: versioned frames, truncation tolerance, identity. *)
-
-let write_file path s =
-  let oc = open_out_bin path in
-  output_string oc s;
-  close_out oc
-
-let with_ckpt f =
-  let path = Filename.temp_file "pcc-ckpt" ".bin" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-  @@ fun () -> f path
-
-let test_checkpoint_roundtrip () =
-  with_ckpt @@ fun path ->
-  let meta =
-    { Checkpoint.seed = 7; scale = 0.25; names = [ "fig7"; "fig9" ] }
-  in
-  let t = Checkpoint.create ~path meta in
-  Checkpoint.append t ~name:"fig7" ~output:"table one\nrow \xff\x00 bytes\n";
-  Checkpoint.append t ~name:"fig9" ~output:"";
-  Checkpoint.close t;
-  let m, recs = Checkpoint.load ~path in
-  Alcotest.(check bool) "meta matches the sweep" true
-    (Checkpoint.matches m ~seed:7 ~scale:0.25 ~names:[ "fig7"; "fig9" ]);
-  Alcotest.(check bool) "different seed refused" false
-    (Checkpoint.matches m ~seed:8 ~scale:0.25 ~names:[ "fig7"; "fig9" ]);
-  Alcotest.(check bool) "different selection refused" false
-    (Checkpoint.matches m ~seed:7 ~scale:0.25 ~names:[ "fig7" ]);
-  Alcotest.(check (list (pair string string)))
-    "records round-trip byte-exactly"
-    [ ("fig7", "table one\nrow \xff\x00 bytes\n"); ("fig9", "") ]
-    recs
-
-let test_checkpoint_truncation_drops_only_tail () =
-  with_ckpt @@ fun path ->
-  let meta = { Checkpoint.seed = 1; scale = 1.; names = [ "a"; "b" ] } in
-  let t = Checkpoint.create ~path meta in
-  Checkpoint.append t ~name:"a" ~output:"first output";
-  let after_first = String.length (read_file path) in
-  Checkpoint.append t ~name:"b" ~output:"second output";
-  Checkpoint.close t;
-  let full = read_file path in
-  (* Kill the writer anywhere inside the second frame: the first record
-     must still load, without an exception. *)
-  List.iter
-    (fun len ->
-      write_file path (String.sub full 0 len);
-      let _, recs = Checkpoint.load ~path in
-      Alcotest.(check (list (pair string string)))
-        (Printf.sprintf "truncated to %d bytes keeps first record" len)
-        [ ("a", "first output") ]
-        recs)
-    [ String.length full - 1; after_first + 3; after_first ];
-  (* Truncating into the header frame is corruption, not a clean resume. *)
-  write_file path (String.sub full 0 4);
-  Alcotest.(check bool) "header torn -> Corrupt" true
-    (match Checkpoint.load ~path with
-    | _ -> false
-    | exception Pcc_sim.Persist.Corrupt _ -> true)
-
-let test_checkpoint_rejects_foreign_file () =
-  with_ckpt @@ fun path ->
-  write_file path "not a checkpoint at all, just prose long enough to read";
-  Alcotest.(check bool) "bad magic -> Corrupt" true
-    (match Checkpoint.load ~path with
-    | _ -> false
-    | exception Pcc_sim.Persist.Corrupt _ -> true)
-
 let suites =
   [
     ( "event_heap.live_count",
@@ -600,14 +531,5 @@ let suites =
       [
         Alcotest.test_case "names, render across pools, series dump" `Quick
           test_registry;
-      ] );
-    ( "checkpoint",
-      [
-        Alcotest.test_case "roundtrip + identity" `Quick
-          test_checkpoint_roundtrip;
-        Alcotest.test_case "truncation drops only the torn tail" `Quick
-          test_checkpoint_truncation_drops_only_tail;
-        Alcotest.test_case "foreign file rejected" `Quick
-          test_checkpoint_rejects_foreign_file;
       ] );
   ]
